@@ -1,9 +1,9 @@
 //! Minimal JSON emission *and parsing* for the figures pipeline.
 //!
-//! The build environment has no registry access, so the workspace's `serde`
-//! is a no-op stand-in (see `vendor/`); this module is the hand-rolled
-//! writer/reader pair that lets experiment results survive a run on disk
-//! and come back for baseline comparisons. The writer emits standard JSON
+//! The build environment has no registry access, so this module is the
+//! workspace's one serializer: the hand-rolled writer/reader pair that lets
+//! experiment results survive a run on disk and come back for baseline
+//! comparisons. The writer emits standard JSON
 //! (RFC 8259): escaped strings, `null` for non-finite numbers, and
 //! deterministic key order (insertion order). The reader
 //! ([`JsonValue::parse`]) accepts standard JSON and reconstructs the same

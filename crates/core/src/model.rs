@@ -35,7 +35,6 @@ use eedc_pstore::{ClusterSpec, JoinQuerySpec, JoinSkew, JoinStrategy, PStoreClus
 use eedc_simkit::metrics::Measurement;
 use eedc_simkit::units::{Joules, Megabytes, MegabytesPerSec, Seconds};
 use eedc_simkit::NodeSpec;
-use serde::{Deserialize, Serialize};
 
 /// Workload parameters of the modeled two-table sweep join.
 ///
@@ -43,7 +42,7 @@ use serde::{Deserialize, Serialize};
 /// side is LINEITEM; both inputs are spread uniformly across the cluster
 /// nodes (round-robin / hash placement makes the per-node share `1/n` of the
 /// table).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepJoin {
     /// Total build-side (ORDERS) working set.
     pub build_bytes: Megabytes,
@@ -163,7 +162,7 @@ impl SweepJoin {
 /// One predicted execution phase, shaped like the runtime's
 /// [`eedc_pstore::PhaseStats`] so measured and modeled breakdowns line up
 /// column for column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhasePrediction {
     /// Phase label (`"build"` / `"probe"`).
     pub label: String,
@@ -219,7 +218,7 @@ impl PhasePrediction {
 }
 
 /// The model's prediction for one design executing the sweep join.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelPrediction {
     /// Label of the predicted design (`"2B,2W"` convention).
     pub cluster_label: String,
@@ -363,7 +362,7 @@ fn broadcast_volumes(qualifying: &[Megabytes], destinations: &[usize]) -> Moveme
 
 /// The Section 5.4 analytical model: closed-form phase predictions for any
 /// cluster design running a [`SweepJoin`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnalyticalModel {
     workload: SweepJoin,
 }

@@ -19,7 +19,7 @@
 use eedc_core::{
     Analytical, Behavioural, Experiment, ExperimentReport, Measured, SweepJoin, Traced, Workload,
 };
-use eedc_dbmsim::{replay, EngineBehaviour, UtilizationTrace};
+use eedc_dbmsim::{replay, EngineBehaviour, RestartPolicy, UtilizationTrace};
 use eedc_pstore::{ClusterSpec, JoinQuerySpec, JoinStrategy, PStoreCluster, RunOptions};
 use eedc_simkit::catalog::cluster_v_node;
 use eedc_tpch::ScaleFactor;
@@ -108,20 +108,33 @@ fn dbms_x_restart_behaviour_dominates_pstore_on_the_scale_down_sweep() {
     // The Section 3.2 shape assertion: across the homogeneous scale-down
     // sweep, the DBMS-X engine strictly dominates the P-store engine on
     // energy (and time) at every cluster size, and the penalty includes
-    // both staging and restart work.
+    // both staging and restart work: a staging-only engine sits strictly
+    // between the two.
     let workload = SweepJoin::section_5_4(JoinQuerySpec::q3_dual_shuffle());
+    let staging_only =
+        EngineBehaviour::new("staging", true, RestartPolicy::none()).expect("policy is valid");
     let report = Experiment::new(&workload)
         .designs([16, 8, 4].map(homogeneous))
         .estimator(Traced::pstore())
         .estimator(Traced::dbms_x())
+        .estimator(Traced::with_engine(staging_only))
         .run()
         .unwrap();
     let pstore = &report.series[0];
     let dbms_x = &report.series[1];
+    let staging = &report.series[2];
     assert_eq!(pstore.records.len(), 3);
     assert_eq!(dbms_x.records.len(), 3);
-    for (p, x) in pstore.records.iter().zip(&dbms_x.records) {
+    assert_eq!(staging.records.len(), 3);
+    for ((p, x), s) in pstore
+        .records
+        .iter()
+        .zip(&dbms_x.records)
+        .zip(&staging.records)
+    {
         assert_eq!(p.design, x.design);
+        assert!(s.energy > p.energy, "{}: staging does not cost", p.design);
+        assert!(x.energy > s.energy, "{}: restart does not cost", p.design);
         assert!(
             x.energy > p.energy,
             "{}: DBMS-X energy {:.0} does not dominate P-store {:.0}",

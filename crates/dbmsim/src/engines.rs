@@ -46,11 +46,10 @@ use crate::trace::{BusyShares, UtilizationTrace};
 use eedc_simkit::error::SimError;
 use eedc_simkit::units::Seconds;
 use eedc_simkit::NodeSpec;
-use serde::{Deserialize, Serialize};
 
 /// Mid-query restart behaviour: how often the engine aborts a run and how
 /// much of the completed work each abort throws away.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RestartPolicy {
     /// Number of mid-query restarts over the run.
     pub restarts: usize,
@@ -92,7 +91,7 @@ impl RestartPolicy {
 
 /// The behavioural profile of a database engine, expressed as a trace
 /// transformation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineBehaviour {
     /// Engine name, used in labels and estimator/report columns.
     pub name: String,

@@ -32,13 +32,12 @@
 
 use eedc_simkit::error::SimError;
 use eedc_simkit::units::{Joules, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// One scripted outage in a deterministic fault trace: `pool` goes down at
 /// `at` and stays unpowered for `duration` (warm-up time is charged on top,
 /// per [`FaultModel::restart`]). An outage aimed at a pool that is already
 /// offline is ignored.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultOutage {
     /// Pool (server index) the outage hits.
     pub pool: usize,
@@ -49,7 +48,7 @@ pub struct FaultOutage {
 }
 
 /// What happens to the in-flight queries a pool failure kills.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RecoveryPolicy {
     /// Killed queries are lost (counted, never re-admitted).
     Drop,
@@ -104,7 +103,7 @@ impl RecoveryPolicy {
 
 /// Fixed cost of one pool lifecycle transition: wall time the pool spends
 /// powered but not serving, and the energy billed to the run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransitionCost {
     /// Powered-but-offline span (warm-up after a repair, data movement
     /// after a scale-out decision).
@@ -144,7 +143,7 @@ impl TransitionCost {
 /// after `migration.time`, billing `migration.energy`); at or below
 /// `scale_in_depth` it parks the highest-numbered idle pool, as long as more
 /// than `min_pools` stay online and no template loses its last capable pool.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalePolicy {
     /// Queries in system at or above which a parked pool is revived.
     pub scale_out_depth: usize,
@@ -214,7 +213,7 @@ impl ScalePolicy {
 
 /// Failure and lifecycle model of one serving run: who fails, when, what
 /// happens to the killed work, and what each recovery costs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultModel {
     /// Mean failures per node per hour. Each online pool draws exponential
     /// time-to-failure variates at `rate × nodes` from the run's seeded

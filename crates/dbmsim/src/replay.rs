@@ -42,11 +42,10 @@ use crate::trace::{utilization_from_busy_share, UtilizationTrace};
 use eedc_simkit::error::SimError;
 use eedc_simkit::units::{Joules, Megabytes, Seconds};
 use eedc_simkit::NodeSpec;
-use serde::{Deserialize, Serialize};
 
 /// One replayed phase: the trace phase's shape evaluated against concrete
 /// node hardware.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplayPhase {
     /// Phase label, carried from the trace.
     pub label: String,
@@ -76,7 +75,7 @@ pub struct ReplayPhase {
 
 /// The result of replaying a trace over concrete hardware: per-phase series
 /// plus whole-run aggregates, mirroring what a measured run reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplayResult {
     /// Label of the replayed trace.
     pub label: String,

@@ -169,6 +169,7 @@ mod tests {
         let t16 = model.relative_response_time(16);
         assert!((t8 - 1.0).abs() < 1e-12);
         assert!((t16 - 0.5).abs() < 1e-12);
+        assert!((model.relative_response_time(4) - 2.0).abs() < 1e-12);
         // A perfectly local query has no network-bound work at all: its
         // closed-form floor is exactly zero, not merely small.
         assert_eq!(model.scaling_floor(), 0.0);
@@ -185,6 +186,9 @@ mod tests {
         // 0.48, with no float-rounding slack (the old implementation
         // evaluated the model at `usize::MAX / 2` and leaned on rounding).
         assert_eq!(model.scaling_floor(), 0.48);
+        // ... and the finite-size curve stays above it while still falling.
+        let t48 = model.relative_response_time(48);
+        assert!(t48 > 0.48 && t48 < t16, "t48 {t48}");
         // Shrinking the cluster slows the query down.
         assert!(model.relative_response_time(4) > 1.0);
     }

@@ -40,7 +40,6 @@ use eedc_pstore::stats::QueryExecution;
 use eedc_simkit::error::SimError;
 use eedc_simkit::units::{Megabytes, Seconds};
 use eedc_simkit::NodeSpec;
-use serde::{Deserialize, Serialize};
 
 /// CPU utilization under the Section 3 model: the engine floor plus the busy
 /// share of the remaining headroom, clamped to `[0, 1]`.
@@ -63,7 +62,7 @@ pub fn busy_share_from_utilization(utilization: f64, floor: f64) -> f64 {
 
 /// How busy one node was on each resource during one phase, as fractions of
 /// the phase duration in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BusyShares {
     /// Share of the phase the CPU spent processing tuples (excluding the
     /// engine utilization floor, which is always present — see
@@ -112,7 +111,7 @@ impl BusyShares {
 
 /// One execution phase of a cluster trace: a label, a duration, and the busy
 /// shares of every node (in cluster node order) over that duration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TracePhase {
     /// Phase label (`"build"`, `"probe"`, `"probe/stage"`, …).
     pub label: String,
@@ -134,7 +133,7 @@ impl TracePhase {
 
 /// A per-node, per-phase busy-share time series over a whole query — the
 /// simulated analogue of the paper's measured utilization traces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UtilizationTrace {
     label: String,
     phases: Vec<TracePhase>,

@@ -7,20 +7,20 @@
 //! sweep, and the Figure 6 single-node sweep.
 //!
 //! ```sh
-//! cargo run --release -p eedc-bench --bin figures [output-dir]
+//! cargo run --release -p eedc --bin figures [output-dir]
 //! ```
 //!
 //! JSON series are written to `output-dir` (default `figures-data/`).
 
-use eedc_bench::bench_options;
 use eedc_core::{
     Analytical, Behavioural, Estimator, Experiment, FaultModel, Measured, RecoveryPolicy,
     ScalePolicy, Serving, ServingWorkload, SweepJoin, Traced, Workload,
 };
 use eedc_pstore::microbench::{table2_sweep, MicrobenchOptions};
-use eedc_pstore::{ClusterSpec, JoinQuerySpec, JoinStrategy};
+use eedc_pstore::{ClusterSpec, JoinQuerySpec, JoinStrategy, RunOptions};
 use eedc_simkit::catalog::{cluster_v_node, laptop_b};
 use eedc_simkit::HardwareCatalog;
+use eedc_tpch::ScaleFactor;
 use std::path::PathBuf;
 
 fn main() {
@@ -28,6 +28,11 @@ fn main() {
         .nth(1)
         .map_or_else(|| PathBuf::from("figures-data"), PathBuf::from);
     let workload = SweepJoin::section_5_4(JoinQuerySpec::q3_dual_shuffle());
+    // Small enough to iterate, large enough that the measured joins are real.
+    let options = RunOptions {
+        engine_scale: ScaleFactor(0.002),
+        ..RunOptions::default()
+    };
 
     // ---- Figure 5: the three join strategies on eight Cluster-V nodes.
     println!("== Figure 5: join strategies on 8B,0W (O5%/L5%) ==");
@@ -35,7 +40,7 @@ fn main() {
         let result = Experiment::new(&workload)
             .strategy(strategy)
             .design(ClusterSpec::homogeneous(cluster_v_node(), 8).expect("spec is valid"))
-            .estimator(Measured::new(bench_options()))
+            .estimator(Measured::new(options))
             .run();
         match result {
             Ok(report) => {
@@ -68,7 +73,7 @@ fn main() {
         .map(|n| ClusterSpec::homogeneous(cluster_v_node(), n).expect("spec is valid"));
     match Experiment::new(&workload)
         .designs(designs.clone())
-        .estimator(Measured::new(bench_options()))
+        .estimator(Measured::new(options))
         .estimator(Analytical)
         .estimator(Behavioural::default())
         .estimator(Traced::pstore())

@@ -503,7 +503,7 @@ mod tests {
             FileCategory::Library
         );
         assert_eq!(
-            classify("crates/bench/src/bin/bench_suite.rs"),
+            classify("crates/eedc/src/bin/figures.rs"),
             FileCategory::Support
         );
         assert_eq!(

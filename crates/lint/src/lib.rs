@@ -1,10 +1,9 @@
 //! `eedc-lint` — the workspace's static-analysis pass.
 //!
-//! The repo's methodology rests on *reproducible* measurement: the bench
-//! gate compares medians against committed baselines, and the serving
+//! The repo's methodology rests on *reproducible* measurement: the
+//! benchmark compares output digests across commits, and the serving
 //! simulator promises bit-identical runs under a fixed seed. Those promises
-//! were conventions; this crate makes them machine-checked contracts, the
-//! same way the bench-regression gate made performance machine-checked.
+//! were conventions; this crate makes them machine-checked contracts.
 //!
 //! The tool is self-contained by necessity (no registry access, so no
 //! `syn`): a hand-rolled [`lexer`] resolves raw strings, byte strings,

@@ -5,13 +5,11 @@
 //! outright would block every PR until a mass rewrite. Instead the counts
 //! are committed to `crates/lint/baseline.json` and the gate fails only on
 //! *growth* — equal counts hold the line, lower counts burn debt down
-//! (re-record with `eedc-lint baseline` to lock the improvement in). This
-//! is the same posture as the PR 5 bench gate: the committed file is the
-//! contract, the tool only compares against it.
+//! (re-record with `eedc-lint baseline` to lock the improvement in). The
+//! committed file is the contract, the tool only compares against it.
 //!
 //! The file is plain JSON, written and parsed with the workspace's own
-//! [`eedc_core::json`] writer/reader (the vendored `serde` is a no-op, so
-//! no derive-based serialization exists to use):
+//! [`eedc_core::json`] writer/reader:
 //!
 //! ```json
 //! {

@@ -4,7 +4,6 @@
 use crate::error::NetError;
 use crate::interference::InterferenceModel;
 use eedc_simkit::units::MegabytesPerSec;
-use serde::{Deserialize, Serialize};
 
 /// Index of a node within the fabric (0-based).
 pub type NodeId = usize;
@@ -15,7 +14,7 @@ pub type NodeId = usize;
 /// the prototype), so the default fabric is a uniform full-duplex 1 Gb/s port
 /// per node and an unconstrained backplane. All parameters can be overridden
 /// through the [`FabricBuilder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fabric {
     ingress: Vec<MegabytesPerSec>,
     egress: Vec<MegabytesPerSec>,

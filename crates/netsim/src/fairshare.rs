@@ -15,10 +15,9 @@ use crate::error::NetError;
 use crate::fabric::Fabric;
 use crate::flow::{Flow, FlowId};
 use eedc_simkit::units::MegabytesPerSec;
-use serde::{Deserialize, Serialize};
 
 /// The rate allocated to one flow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowRate {
     /// The flow's id within the flow set passed to the allocator.
     pub flow: FlowId,
@@ -27,7 +26,7 @@ pub struct FlowRate {
 }
 
 /// A complete allocation: one rate per requested flow, in the same order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FairShareAllocation {
     rates: Vec<FlowRate>,
 }

@@ -3,7 +3,6 @@
 use crate::error::NetError;
 use crate::fabric::{Fabric, NodeId};
 use eedc_simkit::units::Megabytes;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a flow within a [`FlowSet`] (its insertion index).
 pub type FlowId = usize;
@@ -14,7 +13,7 @@ pub type FlowId = usize;
 /// Flows whose source and destination are the same node represent local data
 /// movement that never touches the network; the transfer simulator completes
 /// them instantly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Flow {
     /// Sending node.
     pub source: NodeId,
@@ -58,7 +57,7 @@ impl Flow {
 
 /// An ordered collection of flows making up one transfer (or several
 /// concurrent transfers).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlowSet {
     flows: Vec<Flow>,
 }

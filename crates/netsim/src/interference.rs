@@ -7,11 +7,9 @@
 //! flows grows: with `k` concurrent flows every port delivers
 //! `capacity · factor(k)` instead of its nominal capacity.
 
-use serde::{Deserialize, Serialize};
-
 /// How concurrent flows through the shared switch degrade effective port
 /// capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum InterferenceModel {
     /// An ideal, non-blocking switch: no degradation.
     #[default]

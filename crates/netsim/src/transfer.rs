@@ -13,7 +13,6 @@ use crate::fabric::{Fabric, NodeId};
 use crate::fairshare::max_min_fair_share;
 use crate::flow::{Flow, FlowSet};
 use eedc_simkit::units::{Megabytes, Seconds};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Numerical floor below which a flow is considered complete.
@@ -83,7 +82,7 @@ pub fn gather_flows(qualifying: &[Megabytes], destination: NodeId, group: usize)
 }
 
 /// The result of simulating a transfer to completion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransferOutcome {
     /// Time at which the last flow finished.
     pub total_time: Seconds,

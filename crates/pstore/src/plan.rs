@@ -1,12 +1,11 @@
 //! Join strategies, query specifications, and join-key skew.
 
 use eedc_tpch::ZipfKeys;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How a partition-incompatible two-table join moves data, mirroring the two
 /// execution methods of Section 4.3 plus the partition-compatible baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinStrategy {
     /// Repartition (shuffle) both inputs on the join key — Section 4.3.1.
     DualShuffle,
@@ -59,7 +58,7 @@ impl std::str::FromStr for JoinStrategy {
 ///
 /// Following the paper's convention, ORDERS is always the (smaller) build
 /// side and LINEITEM the probe side, joined on `ORDERKEY`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JoinQuerySpec {
     /// Selectivity of the predicate on the build (ORDERS) input, in `(0, 1]`.
     pub build_selectivity: f64,
@@ -111,7 +110,7 @@ impl JoinQuerySpec {
 /// *nominal-scale* volumes it feeds the time/energy models by the Zipf
 /// partition weights, exactly as the engine/nominal scale split already
 /// works for byte volumes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JoinSkew {
     /// Zipf exponent of the join-key popularity distribution. `0` is
     /// uniform; `~1` is the classic heavy skew.

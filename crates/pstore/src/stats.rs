@@ -3,12 +3,11 @@
 use crate::plan::JoinStrategy;
 use eedc_simkit::metrics::Measurement;
 use eedc_simkit::units::{Joules, Megabytes, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Whether every node executed the full operator tree or the Wimpy nodes were
 /// demoted to scan-and-filter producers (Section 5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// Every node scans, builds and probes.
     Homogeneous,
@@ -41,7 +40,7 @@ impl std::str::FromStr for ExecutionMode {
 }
 
 /// The resource that bounded a phase's duration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bottleneck {
     /// The storage subsystem (or in-memory scan CPU path) of a producer node.
     Scan,
@@ -79,7 +78,7 @@ impl std::str::FromStr for Bottleneck {
 
 /// Time, energy and data-volume breakdown of one execution phase (build or
 /// probe).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseStats {
     /// Phase label (`"build"` / `"probe"`).
     pub label: String,
@@ -177,7 +176,7 @@ impl PhaseStats {
 
 /// The complete result of executing one query (or one batch of concurrent
 /// queries) on a P-store cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryExecution {
     /// Human-readable cluster label (e.g. `"8B,0W"`, `"2B,2W"`).
     pub cluster_label: String,

@@ -12,8 +12,7 @@
 //! * per-node hardware descriptions ([`node::NodeSpec`]) and a [`catalog`] of the
 //!   exact machines used in the paper (Cluster-V servers, the Beefy L5630 nodes,
 //!   the Wimpy "Laptop B", the Atom desktop, and the two workstations),
-//! * [`trace`]s of CPU utilization over time and [`energy`] meters that integrate
-//!   them into joules,
+//! * [`trace`]s of CPU utilization over time,
 //! * the energy-efficiency [`metrics`] used throughout the paper: response time,
 //!   performance (1 / response time), energy, the Energy-Delay-Product (EDP) and
 //!   normalized energy-vs-performance points relative to a reference
@@ -30,7 +29,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod catalog;
-pub mod energy;
 pub mod error;
 pub mod metrics;
 pub mod node;
@@ -40,9 +38,8 @@ pub mod trace;
 pub mod units;
 
 pub use catalog::HardwareCatalog;
-pub use energy::{EnergyMeter, PhaseEnergy};
 pub use error::SimError;
-pub use metrics::{EdpLine, Measurement, NormalizedPoint, NormalizedSeries};
+pub use metrics::{Measurement, NormalizedPoint, NormalizedSeries};
 pub use node::{NodeClass, NodeSpec, NodeSpecBuilder};
 pub use power::{FitReport, PowerModel, PowerSample};
 pub use sim::{Event, EventHandler, Simulation};

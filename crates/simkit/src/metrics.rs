@@ -18,7 +18,6 @@
 
 use crate::error::SimError;
 use crate::units::{Joules, Seconds};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Tolerance used when classifying points against the constant-EDP curve.
@@ -26,7 +25,7 @@ const EDP_EPSILON: f64 = 1e-9;
 
 /// One measured (or modeled) execution: the query response time and the total
 /// cluster energy it consumed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measurement {
     /// Query response time.
     pub response_time: Seconds,
@@ -90,7 +89,7 @@ impl fmt::Display for Measurement {
 
 /// A design point expressed relative to a reference configuration, exactly as
 /// plotted in the paper's figures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormalizedPoint {
     /// `T_ref / T`: 1.0 means as fast as the reference, 0.5 means twice as
     /// slow.
@@ -171,42 +170,9 @@ impl fmt::Display for NormalizedPoint {
     }
 }
 
-/// The constant-EDP reference curve drawn (dotted) in every figure.
-///
-/// In normalized coordinates the curve is simply `energy = performance`; this
-/// type exists to make that reading explicit in harness code and to sample the
-/// curve for plotting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct EdpLine;
-
-impl EdpLine {
-    /// The normalized energy on the constant-EDP curve at the given normalized
-    /// performance.
-    pub fn energy_at(&self, performance: f64) -> f64 {
-        performance
-    }
-
-    /// Sample the curve at `n` evenly spaced performance values in
-    /// `[lo, hi]` (inclusive), for plotting.
-    pub fn sample(&self, lo: f64, hi: f64, n: usize) -> Vec<(f64, f64)> {
-        if n == 0 {
-            return Vec::new();
-        }
-        if n == 1 {
-            return vec![(lo, self.energy_at(lo))];
-        }
-        (0..n)
-            .map(|i| {
-                let p = lo + (hi - lo) * i as f64 / (n - 1) as f64;
-                (p, self.energy_at(p))
-            })
-            .collect()
-    }
-}
-
 /// A labelled series of normalized design points relative to a single
 /// reference configuration — one figure's worth of data.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NormalizedSeries {
     /// Label of the reference configuration (e.g. `"16B,0W"` or `"2B,2W"`).
     pub reference_label: String,
@@ -342,18 +308,6 @@ mod tests {
         assert!(!p.is_below_edp());
         assert!(!p.is_above_edp());
         assert!((p.edp_ratio() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn edp_line_is_the_diagonal() {
-        let line = EdpLine;
-        assert_eq!(line.energy_at(0.6), 0.6);
-        let samples = line.sample(0.5, 1.0, 6);
-        assert_eq!(samples.len(), 6);
-        assert_eq!(samples.first().copied(), Some((0.5, 0.5)));
-        assert_eq!(samples.last().copied(), Some((1.0, 1.0)));
-        assert!(line.sample(0.0, 1.0, 0).is_empty());
-        assert_eq!(line.sample(0.3, 1.0, 1), vec![(0.3, 0.3)]);
     }
 
     #[test]

@@ -14,13 +14,12 @@
 use crate::error::SimError;
 use crate::power::PowerModel;
 use crate::units::{Megabytes, MegabytesPerSec, Watts};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The role a node plays in a cluster design, following the paper's
 /// terminology (Section 5): traditional server-class "Beefy" nodes versus
 /// low-power "Wimpy" nodes ("slower but energy efficient").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeClass {
     /// Traditional server / workstation class hardware (Xeon, desktop i7).
     Beefy,
@@ -38,7 +37,7 @@ impl fmt::Display for NodeClass {
 }
 
 /// Complete hardware description of a single cluster node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Human-readable name (e.g. `"cluster-v"`, `"laptop-b"`).
     pub name: String,

@@ -15,11 +15,10 @@
 
 use crate::error::SimError;
 use crate::units::Watts;
-use serde::{Deserialize, Serialize};
 
 /// A single calibration measurement: CPU utilization (fraction in `[0, 1]`)
 /// and the measured wall power at that utilization.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSample {
     /// CPU utilization as a fraction in `[0, 1]`.
     pub utilization: f64,
@@ -44,7 +43,7 @@ impl PowerSample {
 /// evaluating, matching how the paper's models are used (utilization is a
 /// physical fraction; the engine constants `G_B`/`G_W` keep it strictly
 /// positive during query execution).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PowerModel {
     /// `p(c) = coefficient · (100·c)^exponent` — the form published in the paper.
     PowerLaw {
@@ -147,7 +146,7 @@ impl PowerModel {
 }
 
 /// The outcome of a regression fit: the fitted model and its goodness of fit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitReport {
     /// The fitted model.
     pub model: PowerModel,

@@ -10,10 +10,9 @@
 use crate::error::SimError;
 use crate::power::PowerModel;
 use crate::units::{Joules, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// A single segment of a trace: the node ran at `utilization` for `duration`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSegment {
     /// Length of the segment.
     pub duration: Seconds,
@@ -22,7 +21,7 @@ pub struct TraceSegment {
 }
 
 /// A piecewise-constant CPU-utilization signal over time.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UtilizationTrace {
     segments: Vec<TraceSegment>,
 }

@@ -6,7 +6,6 @@
 //! (`Watts × Seconds = Joules`, `Megabytes ÷ MegabytesPerSec = Seconds`) while
 //! still being cheap `f64` wrappers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
@@ -14,7 +13,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 macro_rules! unit {
     ($(#[$doc:meta])* $name:ident, $suffix:expr) => {
         $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(pub f64);
 
         impl $name {

@@ -1,13 +1,12 @@
 //! Typed columns and scalar values.
 
 use crate::error::StorageError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The scalar types the engine stores. The paper's projected tuples only need
 /// integers (keys, dates, priorities, prices-in-cents) and the occasional
 /// float.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColumnType {
     /// 64-bit signed integer (keys, prices in cents).
     Int64,
@@ -38,7 +37,7 @@ impl ColumnType {
 }
 
 /// A single scalar value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
     /// 64-bit signed integer.
     Int64(i64),
@@ -98,7 +97,7 @@ impl fmt::Display for Value {
 }
 
 /// A typed column of values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// 64-bit integer column.
     Int64(Vec<i64>),

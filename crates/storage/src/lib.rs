@@ -15,7 +15,6 @@
 //! * [`predicate`]s (comparison, conjunction, disjunction) for selection,
 //! * [`partition`]ing: hash partitioning and replication of tables across
 //!   cluster nodes, exactly like Vertica's hash segmentation in Section 3.1,
-//! * per-node and cluster-wide [`catalog`]s mapping table names to partitions,
 //! * a [`scan()`] operator combining block iteration, predicate evaluation and
 //!   column projection, and reporting the scanned/qualifying volumes that the
 //!   energy model needs.
@@ -25,7 +24,6 @@
 
 pub mod batch;
 pub mod block;
-pub mod catalog;
 pub mod column;
 pub mod error;
 pub mod partition;
@@ -35,7 +33,6 @@ pub mod table;
 
 pub use batch::{BatchBuilder, ColumnBuilder};
 pub use block::{Block, BlockIter, DEFAULT_BLOCK_ROWS};
-pub use catalog::{ClusterCatalog, NodeCatalog};
 pub use column::{Column, ColumnType, Value};
 pub use error::StorageError;
 pub use partition::{

@@ -10,10 +10,9 @@
 use crate::column::Value;
 use crate::error::StorageError;
 use crate::table::Table;
-use serde::{Deserialize, Serialize};
 
 /// How a table is laid out across the nodes of a cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PartitionSpec {
     /// Hash partition on a column: row goes to `hash(value) % nodes`.
     Hash {
@@ -74,7 +73,7 @@ pub fn hash_i64(key: i64) -> u64 {
 }
 
 /// A table split into per-node fragments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Partitioned {
     /// The layout that produced the fragments.
     pub spec: PartitionSpec,

@@ -10,11 +10,10 @@
 use crate::column::Value;
 use crate::error::StorageError;
 use crate::table::Table;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// Comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     /// `<`
     Lt,
@@ -44,7 +43,7 @@ impl CmpOp {
 }
 
 /// A selection predicate over one table's rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// Accept every row.
     True,

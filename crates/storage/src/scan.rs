@@ -11,10 +11,9 @@ use crate::error::StorageError;
 use crate::predicate::Predicate;
 use crate::table::Table;
 use eedc_simkit::units::Megabytes;
-use serde::{Deserialize, Serialize};
 
 /// Statistics and output of one scan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScanResult {
     /// The qualifying, projected rows.
     pub output: Table,

@@ -4,10 +4,9 @@ use crate::column::{Column, ColumnType, Value};
 use crate::error::StorageError;
 use eedc_simkit::units::Megabytes;
 use eedc_tpch::gen::{LineitemRow, OrdersRow};
-use serde::{Deserialize, Serialize};
 
 /// An ordered list of named, typed columns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     columns: Vec<(String, ColumnType)>,
 }
@@ -93,7 +92,7 @@ impl Schema {
 }
 
 /// An in-memory columnar table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     name: String,
     schema: Schema,

@@ -19,7 +19,6 @@ use crate::scale::ScaleFactor;
 use crate::schema::TpchTable;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Number of distinct ship/order dates in the generated date domain
 /// (1992-01-01 .. 1998-08-02, as in the TPC-H specification).
@@ -27,7 +26,7 @@ pub const DATE_DOMAIN_DAYS: i32 = 2405;
 
 /// A projected LINEITEM tuple: the four columns used by the paper's joins,
 /// 20 bytes of payload plus the row's line number for verification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LineitemRow {
     /// `L_ORDERKEY`: foreign key into ORDERS.
     pub orderkey: i64,
@@ -40,7 +39,7 @@ pub struct LineitemRow {
 }
 
 /// A projected ORDERS tuple: the four columns used by the paper's joins.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OrdersRow {
     /// `O_ORDERKEY`: primary key.
     pub orderkey: i64,

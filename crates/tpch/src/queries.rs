@@ -20,11 +20,10 @@
 //!   experiments exercise with 5% predicates on both inputs.
 
 use crate::schema::TpchTable;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The TPC-H queries the paper studies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryId {
     /// TPC-H Query 1: pricing summary report (scan + aggregate, no join).
     Q1,
@@ -49,7 +48,7 @@ impl fmt::Display for QueryId {
 
 /// How a query's execution divides between node-local work and network-bound
 /// work, together with the workload parameters the paper reports for it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryProfile {
     /// The query this profile describes.
     pub query: QueryId,

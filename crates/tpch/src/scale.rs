@@ -2,7 +2,6 @@
 
 use crate::schema::{projected_tuple_bytes, TpchTable};
 use eedc_simkit::units::Megabytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A TPC-H scale factor.
@@ -11,7 +10,7 @@ use std::fmt;
 /// scale factors 1000 (≈1 TB) and 400 (≈400 GB). Fractional scale factors are
 /// allowed so that engine-level experiments can run on laptop-sized data while
 /// preserving the tables' relative cardinalities.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct ScaleFactor(pub f64);
 
 impl ScaleFactor {

@@ -1,11 +1,10 @@
 //! The TPC-H schema: table identities, row widths, and the column projections
 //! the paper's P-store experiments use.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The eight TPC-H base tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TpchTable {
     /// LINEITEM — the fact table (6 M rows per scale factor unit).
     Lineitem,

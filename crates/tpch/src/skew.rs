@@ -10,14 +10,13 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A Zipf-distributed generator over the key domain `1..=n`.
 ///
 /// `theta = 0` degenerates to the uniform distribution; `theta ≈ 1` is the
 /// classic heavy Zipf skew where the hottest key receives a large constant
 /// fraction of all references.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ZipfKeys {
     n: u64,
     theta: f64,
@@ -29,20 +28,9 @@ pub struct ZipfKeys {
     /// O(log EXACT_LIMIT) and falls through to the closed-form tail
     /// inversion beyond it — the old implementation re-summed an up-to-10
     /// 000-term harmonic series at *every* bisection step, making each draw
-    /// O(n log n). Fully derived from `(n, theta)`, so it is skipped during
-    /// serialization and rebuilt lazily on the first draw after
-    /// deserialization.
-    #[serde(skip)]
+    /// O(n log n).
     cumulative_head: Vec<f64>,
-    #[serde(skip, default = "default_rng")]
     rng: SmallRng,
-}
-
-// Referenced only through the `#[serde(default = ...)]` field attribute, so
-// the vendored no-op derive leaves it looking unused.
-#[allow(dead_code)]
-fn default_rng() -> SmallRng {
-    SmallRng::seed_from_u64(0)
 }
 
 impl ZipfKeys {
@@ -95,11 +83,6 @@ impl ZipfKeys {
     /// continuous tail integral in closed form. Either way a draw costs
     /// O(log EXACT_LIMIT), independent of the domain size.
     pub fn next_key(&mut self) -> u64 {
-        if self.cumulative_head.is_empty() {
-            // The table is `#[serde(skip)]`ed (it is derived state);
-            // deserialized generators rebuild it on their first draw.
-            self.cumulative_head = head_table(self.n, self.theta);
-        }
         let u: f64 = self.rng.gen_range(0.0..1.0);
         let target = u * self.harmonic;
         let head_mass = *self
@@ -356,17 +339,6 @@ mod tests {
         // ln(10^4)/ln(10^7) ≈ 0.57.
         assert!((head - 0.57).abs() < 0.05, "head fraction {head}");
         assert!(keys.iter().all(|&k| (1..=10_000_000).contains(&k)));
-    }
-
-    #[test]
-    fn deserialized_generators_rebuild_the_head_table() {
-        let mut fresh = ZipfKeys::new(1000, 0.8, 5);
-        let expected = fresh.take_keys(50);
-        let mut thawed = ZipfKeys::new(1000, 0.8, 5);
-        // A serde round-trip leaves the skipped derived table empty; draws
-        // must rebuild it instead of panicking, with identical output.
-        thawed.cumulative_head.clear();
-        assert_eq!(thawed.take_keys(50), expected);
     }
 
     #[test]

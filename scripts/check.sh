@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Run the same three gates CI runs (lint / test / bench-check), in the same
+# Run the same three gates CI runs (lint / test / benchmark), in the same
 # order, so a clean `scripts/check.sh` means a clean CI run. The nightly
 # soak is separate — run `scripts/soak.sh` for that.
 set -euo pipefail
@@ -20,9 +20,9 @@ for file in crates/eedc/examples/*.rs; do
   cargo run --locked --release -p eedc --example "$example"
 done
 
-echo "== bench-check: suite vs committed baselines =="
-cargo run --locked --release -p eedc-bench --bin bench_suite -- \
-  --check crates/bench/baselines --threshold 200 --min-delta-ms 5
-cargo run --locked --release -p eedc-bench --bin figures -- figures-data
+echo "== benchmark: tests + quick run + figures data =="
+cargo test --release --manifest-path benchmark/Cargo.toml
+cargo run --release --manifest-path benchmark/Cargo.toml -- run --quick
+cargo run --locked --release -p eedc --bin figures -- figures-data
 
 echo "all gates passed"
