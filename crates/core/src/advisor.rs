@@ -635,7 +635,7 @@ mod tests {
         // — a completely different evaluation path — and the report still
         // accounts for every design and recommends a qualifying one.
         let workload = SweepJoin::section_5_4(JoinQuerySpec::q3_dual_shuffle());
-        let adv = DesignAdvisor::new(Behavioural::default(), &workload);
+        let adv = DesignAdvisor::new(Behavioural, &workload);
         assert_eq!(adv.plan().unwrap().strategy, JoinStrategy::DualShuffle);
         let space = DesignSpace::new(cluster_v_node(), laptop_b(), 4, 2).unwrap();
         let report = adv.evaluate(&space).unwrap();

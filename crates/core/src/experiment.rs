@@ -30,7 +30,7 @@
 //! let report = Experiment::new(&workload)
 //!     .designs((1..=4).map(|i| ClusterSpec::homogeneous(cluster_v_node(), 4 * i).unwrap()))
 //!     .estimator(Analytical)
-//!     .estimator(Behavioural::default())
+//!     .estimator(Behavioural)
 //!     .run()
 //!     .unwrap();
 //! for series in &report.series {
@@ -42,13 +42,12 @@
 
 use crate::error::CoreError;
 use crate::json::JsonValue;
-use crate::model::{AnalyticalModel, ModelPrediction, PhasePrediction};
+use crate::model::AnalyticalModel;
 use crate::workload::{ServingParams, Workload, WorkloadPlan};
 use eedc_dbmsim::{
-    busy_share_from_utilization, replay, simulate_serving, BehaviouralModel, BusyShares,
-    EnergyAwareScheduler, EngineBehaviour, FaultModel, FcfsScheduler, JoinShortestQueue,
-    PowerOfTwoChoices, ReplayPhase, Scheduler, ServiceProfile, ServingConfig, ServingServer,
-    TransitionCost, UtilizationTrace,
+    replay, simulate_serving, BehaviouralModel, EnergyAwareScheduler, EngineBehaviour, FaultModel,
+    FcfsScheduler, JoinShortestQueue, PowerOfTwoChoices, ReplayPhase, Scheduler, ServiceProfile,
+    ServingConfig, ServingServer, TransitionCost, UtilizationTrace,
 };
 use eedc_pstore::stats::{Bottleneck, ExecutionMode, PhaseStats, QueryExecution};
 use eedc_pstore::{
@@ -87,21 +86,6 @@ pub struct PhaseRecord {
 
 impl From<&PhaseStats> for PhaseRecord {
     fn from(p: &PhaseStats) -> Self {
-        Self {
-            label: p.label.clone(),
-            duration: p.duration,
-            energy: p.energy,
-            bytes_over_network: p.bytes_over_network,
-            scan_time: p.scan_time,
-            network_time: p.network_time,
-            compute_time: p.compute_time,
-            bottleneck: p.bottleneck,
-        }
-    }
-}
-
-impl From<&PhasePrediction> for PhaseRecord {
-    fn from(p: &PhasePrediction) -> Self {
         Self {
             label: p.label.clone(),
             duration: p.duration,
@@ -614,9 +598,9 @@ impl Estimator for Measured {
         let cluster = self.cluster(design, options)?;
         let execution = cluster.run_batch(&plan.query, plan.strategy, plan.sweep.concurrency)?;
         let reference = cluster.reference_join_rows(&plan.query)?;
-        if execution.output_rows != reference {
+        if execution.output_rows != Some(reference) {
             return Err(CoreError::invalid(format!(
-                "{}: distributed join produced {} rows but the scalar reference produced {reference}",
+                "{}: distributed join counted {:?} rows but the scalar reference produced {reference}",
                 execution.cluster_label, execution.output_rows,
             )));
         }
@@ -647,7 +631,7 @@ fn record_from_execution(
         node_utilization,
         node_energy,
         phases: execution.phases.iter().map(PhaseRecord::from).collect(),
-        output_rows: Some(execution.output_rows),
+        output_rows: execution.output_rows,
         serving: None,
         normalized: None,
     }
@@ -695,36 +679,7 @@ impl Estimator for Analytical {
     fn estimate(&self, plan: &WorkloadPlan, design: &ClusterSpec) -> Result<RunRecord, CoreError> {
         let model = AnalyticalModel::new(plan.sweep)?;
         let prediction = model.predict_skewed(design, plan.strategy, plan.skew.as_ref())?;
-        Ok(record_from_prediction(plan, self.name(), &prediction))
-    }
-}
-
-fn record_from_prediction(
-    plan: &WorkloadPlan,
-    estimator: String,
-    prediction: &ModelPrediction,
-) -> RunRecord {
-    let (node_utilization, node_energy) = aggregate_nodes(
-        prediction
-            .phases
-            .iter()
-            .map(|p| (p.duration, &p.node_utilization[..], &p.node_energy[..])),
-    );
-    RunRecord {
-        workload: plan.label.clone(),
-        estimator,
-        design: prediction.cluster_label.clone(),
-        strategy: prediction.strategy,
-        mode: prediction.mode,
-        concurrency: plan.sweep.concurrency,
-        response_time: prediction.response_time(),
-        energy: prediction.energy(),
-        node_utilization,
-        node_energy,
-        phases: prediction.phases.iter().map(PhaseRecord::from).collect(),
-        output_rows: None,
-        serving: None,
-        normalized: None,
+        Ok(record_from_execution(plan, self.name(), &prediction))
     }
 }
 
@@ -735,30 +690,20 @@ fn record_from_prediction(
 /// Plans carrying a measured [`QueryProfile`] (the Vertica studies) are
 /// extrapolated directly; for sweep-join plans without one, the estimator
 /// derives the profile — and the absolute anchor — from the analytical model
-/// evaluated at the reference configuration (`reference_nodes` homogeneous
-/// nodes of the design's leading node type), mirroring how the paper
-/// measured its profiles on the eight-node Cluster-V reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Behavioural {
-    reference_nodes: usize,
-}
+/// evaluated at the reference configuration (eight homogeneous nodes of the
+/// design's leading node type), mirroring how the paper measured its
+/// profiles on the eight-node Cluster-V reference.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Behavioural;
 
 impl Behavioural {
-    /// A behavioural estimator anchored at the paper's eight-node reference.
-    pub fn new() -> Self {
-        Self { reference_nodes: 8 }
-    }
-
-    /// Anchor the scaling law at a different reference node count.
-    pub fn with_reference_nodes(reference_nodes: usize) -> Self {
-        Self {
-            reference_nodes: reference_nodes.max(1),
-        }
-    }
+    /// Node count of the reference configuration the scaling law is
+    /// anchored at — the paper's eight-node Cluster-V.
+    const REFERENCE_NODES: usize = 8;
 
     /// Derive a work profile (and absolute anchor) for a profile-less plan
     /// from the analytical model at the reference configuration
-    /// (`reference_nodes` homogeneous nodes of the design's leading type).
+    /// (`REFERENCE_NODES` homogeneous nodes of the design's leading type).
     /// When that synthetic reference cannot plan the workload — its node
     /// count may be memory-tighter than the actual design — the design
     /// itself (already known feasible) anchors the derivation instead.
@@ -768,11 +713,11 @@ impl Behavioural {
         design: &ClusterSpec,
     ) -> Result<(QueryProfile, Seconds), CoreError> {
         let node = design.nodes()[0].clone();
-        let reference = ClusterSpec::homogeneous(node, self.reference_nodes)?;
+        let reference = ClusterSpec::homogeneous(node, Self::REFERENCE_NODES)?;
         let model = AnalyticalModel::new(plan.sweep)?;
         let (prediction, predicted_nodes) =
             match model.predict_skewed(&reference, plan.strategy, plan.skew.as_ref()) {
-                Ok(prediction) => (prediction, self.reference_nodes),
+                Ok(prediction) => (prediction, Self::REFERENCE_NODES),
                 Err(_) => (
                     model.predict_skewed(design, plan.strategy, plan.skew.as_ref())?,
                     design.len(),
@@ -799,7 +744,7 @@ impl Behavioural {
         // the common case where that cluster IS the reference).
         let rel = BehaviouralModel {
             profile: profile.clone(),
-            reference_nodes: self.reference_nodes,
+            reference_nodes: Self::REFERENCE_NODES,
         }
         .relative_response_time(predicted_nodes);
         let anchor = if rel > f64::EPSILON {
@@ -808,12 +753,6 @@ impl Behavioural {
             total
         };
         Ok((profile, Seconds(anchor)))
-    }
-}
-
-impl Default for Behavioural {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -845,7 +784,7 @@ impl Estimator for Behavioural {
         let anchor = plan.reference_time.unwrap_or(derived_anchor);
         let model = BehaviouralModel {
             profile,
-            reference_nodes: self.reference_nodes,
+            reference_nodes: Self::REFERENCE_NODES,
         };
         let prediction = model.predict(design.nodes(), anchor);
         Ok(RunRecord {
@@ -874,14 +813,16 @@ impl Estimator for Behavioural {
 /// through the node power models — the Section 3 methodology, simulated end
 /// to end (`eedc_dbmsim::trace` / `replay` / `engines`).
 ///
-/// The trace is synthesized from the Section 5.4 analytical model's phase
-/// predictions (per-node utilizations, scan/network busy fractions), so the
-/// [`Traced::pstore`] engine — pipelined, never restarting — reproduces the
-/// [`Analytical`] lens exactly. The point of the lens is what the *other*
-/// engines do to the same trace: [`Traced::dbms_x`] models the Section 3.2
-/// DBMS-X behaviour (repartitioned intermediates staged through disk,
-/// plus a mid-query restart), a scenario family no measured P-store run can
-/// reach.
+/// The trace is exported from the Section 5.4 analytical model's prediction
+/// by [`UtilizationTrace::from_execution`] — the same export a measured run
+/// goes through (per-node CPU busy shares from the utilizations, each node's
+/// own port busy fraction, the scan fraction on disk-resident plans). The
+/// [`Traced::pstore`] engine — pipelined, never restarting — therefore
+/// reproduces the [`Analytical`] lens exactly. The point of the lens is what
+/// the *other* engines do to the same trace: [`Traced::dbms_x`] models the
+/// Section 3.2 DBMS-X behaviour (repartitioned intermediates staged through
+/// disk, plus a mid-query restart), a scenario family no measured P-store
+/// run can reach.
 ///
 /// ```
 /// use eedc_core::{Experiment, SweepJoin, Traced};
@@ -941,41 +882,6 @@ impl Traced {
     pub fn engine(&self) -> &EngineBehaviour {
         &self.engine
     }
-
-    /// Synthesize the plan's idealized execution trace on `design` from the
-    /// analytical model's phase predictions: per-node CPU busy shares from
-    /// the predicted utilizations, each node's *own* port busy fraction
-    /// (the closed form knows the exact per-node egress/ingress volumes,
-    /// so a skewed or heterogeneous design's cold nodes are not charged
-    /// the hot port's activity), and — for disk-resident plans — the scan
-    /// fraction on every disk.
-    fn synthesize_trace(
-        plan: &WorkloadPlan,
-        prediction: &ModelPrediction,
-        nodes: &[NodeSpec],
-    ) -> Result<UtilizationTrace, CoreError> {
-        let mut trace = UtilizationTrace::new(plan.label.clone());
-        for phase in &prediction.phases {
-            let disk = if plan.sweep.in_memory {
-                0.0
-            } else {
-                phase.scan_fraction()
-            };
-            let shares = phase
-                .node_utilization
-                .iter()
-                .zip(nodes)
-                .enumerate()
-                .map(|(id, (&u, spec))| BusyShares {
-                    cpu: busy_share_from_utilization(u, spec.utilization_floor),
-                    disk,
-                    network: phase.node_network_fraction(id),
-                })
-                .collect();
-            trace.push_phase(phase.label.clone(), phase.duration, shares)?;
-        }
-        Ok(trace)
-    }
 }
 
 impl Default for Traced {
@@ -995,7 +901,8 @@ impl Estimator for Traced {
         // refuses designs whose hash table fits no execution mode, which
         // the series protocol records as infeasible.
         let prediction = model.predict_skewed(design, plan.strategy, plan.skew.as_ref())?;
-        let trace = Self::synthesize_trace(plan, &prediction, design.nodes())?;
+        let trace =
+            UtilizationTrace::from_execution(&prediction, design.nodes(), plan.sweep.in_memory)?;
         let shaped = self.engine.apply(&trace, design.nodes())?;
         let result = replay(&shaped, design.nodes())?;
         Ok(RunRecord {
@@ -1023,14 +930,6 @@ impl Estimator for Traced {
 /// → `network_time`, CPU busy → `compute_time`, and the bottleneck is the
 /// busiest of the three.
 fn record_from_replay_phase(phase: &ReplayPhase) -> PhaseRecord {
-    let bottleneck =
-        if phase.network_time >= phase.disk_time && phase.network_time >= phase.cpu_time {
-            Bottleneck::Network
-        } else if phase.disk_time >= phase.cpu_time {
-            Bottleneck::Scan
-        } else {
-            Bottleneck::Compute
-        };
     PhaseRecord {
         label: phase.label.clone(),
         duration: phase.duration,
@@ -1039,7 +938,7 @@ fn record_from_replay_phase(phase: &ReplayPhase) -> PhaseRecord {
         scan_time: phase.disk_time,
         network_time: phase.network_time,
         compute_time: phase.cpu_time,
-        bottleneck,
+        bottleneck: Bottleneck::slowest(phase.disk_time, phase.network_time, phase.cpu_time),
     }
 }
 
@@ -1160,17 +1059,8 @@ impl Serving {
     /// heterogeneous design, the whole design otherwise. Each pool serves
     /// up to the plan's `pool_concurrency` queries at a time.
     fn pools(design: &ClusterSpec) -> Result<Vec<(String, Vec<usize>, ClusterSpec)>, CoreError> {
-        let ids_of = |class: NodeClass| -> Vec<usize> {
-            design
-                .nodes()
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| n.class == class)
-                .map(|(id, _)| id)
-                .collect()
-        };
-        let beefy = ids_of(NodeClass::Beefy);
-        let wimpy = ids_of(NodeClass::Wimpy);
+        let beefy = design.beefy_ids();
+        let wimpy = design.wimpy_ids();
         if beefy.is_empty() || wimpy.is_empty() {
             return Ok(vec![(
                 design.label(),
@@ -1794,7 +1684,7 @@ mod tests {
         let report = Experiment::new(&workload)
             .designs([homogeneous(16), homogeneous(8)])
             .estimator(Analytical)
-            .estimator(Behavioural::default())
+            .estimator(Behavioural)
             .run()
             .unwrap();
         // 2 estimators x 2 concurrency levels.
@@ -1821,7 +1711,7 @@ mod tests {
         let report = Experiment::new(&workload)
             .designs([homogeneous(8), homogeneous(16), homogeneous(4)])
             .estimator(Analytical)
-            .estimator(Behavioural::default())
+            .estimator(Behavioural)
             .run()
             .unwrap();
         let analytical = &report.series[0].records[0];
@@ -1853,7 +1743,7 @@ mod tests {
         let q12 = ProfiledQuery::vertica_sf1000(eedc_tpch::QueryId::Q12);
         let report = Experiment::new(&q12)
             .designs([homogeneous(8), homogeneous(16), homogeneous(32)])
-            .estimator(Behavioural::default())
+            .estimator(Behavioural)
             .run()
             .unwrap();
         let series = &report.series[0];
@@ -1922,7 +1812,7 @@ mod tests {
         let report = Experiment::new(&workload)
             .designs(designs)
             .estimator(Analytical)
-            .estimator(Behavioural::default())
+            .estimator(Behavioural)
             .run()
             .unwrap();
         let analytical = &report.series[0];
@@ -1998,7 +1888,7 @@ mod tests {
         // collection, driven through the same API.
         let estimators: Vec<Box<dyn Estimator>> = vec![
             Box::new(Analytical),
-            Box::new(Behavioural::default()),
+            Box::new(Behavioural),
             Box::new(Measured::default()),
         ];
         let plan = &sweep().plans()[0];
@@ -2021,40 +1911,48 @@ mod tests {
 
     #[test]
     fn traced_pstore_engine_reproduces_the_analytical_lens() {
-        // The synthesized trace carries exactly the analytical model's
-        // per-node utilizations and phase durations, and the pipelined
-        // P-store engine is the identity transformation — so replaying it
-        // must land on the analytical numbers to float precision. This pins
-        // the busy-share round trip through the whole stack.
-        let workload = sweep();
-        let report = Experiment::new(&workload)
-            .designs([homogeneous(16), homogeneous(8), homogeneous(4)])
-            .estimator(Analytical)
-            .estimator(Traced::pstore())
-            .run()
-            .unwrap();
-        let analytical = &report.series[0];
-        let traced = &report.series[1];
-        assert_eq!(traced.estimator, "traced");
-        for (a, t) in analytical.records.iter().zip(&traced.records) {
-            assert_eq!(a.design, t.design);
-            assert!(
-                (a.response_time.value() - t.response_time.value()).abs()
-                    < 1e-9 * a.response_time.value(),
-                "{}: time diverged",
-                a.design
-            );
-            assert!(
-                (a.energy.value() - t.energy.value()).abs() < 1e-9 * a.energy.value(),
-                "{}: energy diverged",
-                a.design
-            );
-            // Per-node vectors line up too.
-            for (au, tu) in a.node_utilization.iter().zip(&t.node_utilization) {
-                assert!((au - tu).abs() < 1e-9);
+        // The trace is exported from the analytical model's own prediction,
+        // and the pipelined P-store engine is the identity transformation —
+        // so replaying it must land on the analytical numbers, busy-share
+        // round trip included.
+        // In fact the whole record is bit-identical — asserted with `==`, no
+        // tolerance — on concurrent, skewed and heterogeneous (demoted-Wimpy)
+        // inputs too, whose per-node port shares differ across nodes.
+        let mixed = ClusterSpec::heterogeneous(cluster_v_node(), 12, laptop_b(), 4).unwrap();
+        let designs = [homogeneous(16), homogeneous(8), homogeneous(4), mixed];
+        let plain = sweep();
+        let concurrent = ConcurrencySweep::new(sweep(), [4]);
+        let skewed = SkewedJoin::zipf(sweep().with_concurrency(4), 1.5);
+        let workloads: [&dyn Workload; 3] = [&plain, &concurrent, &skewed];
+        let mut demoted = 0;
+        for workload in workloads {
+            let report = Experiment::new(workload)
+                .designs(designs.clone())
+                .estimator(Analytical)
+                .estimator(Traced::pstore())
+                .run()
+                .unwrap();
+            let analytical = &report.series[0];
+            let traced = &report.series[1];
+            assert_eq!(traced.estimator, "traced");
+            assert!(!analytical.records.is_empty());
+            assert_eq!(analytical.infeasible, traced.infeasible);
+            for (a, t) in analytical.records.iter().zip(&traced.records) {
+                let case = format!("{} on {}", a.workload, a.design);
+                assert_eq!((&a.design, a.mode), (&t.design, t.mode), "{case}");
+                assert_eq!(a.response_time, t.response_time, "{case}: time");
+                assert_eq!(a.energy, t.energy, "{case}: energy");
+                assert_eq!(a.node_utilization, t.node_utilization, "{case}");
+                assert_eq!(a.node_energy, t.node_energy, "{case}");
+                for (ap, tp) in a.phases.iter().zip(&t.phases) {
+                    assert_eq!(ap.duration, tp.duration, "{case}: {}", ap.label);
+                    assert_eq!(ap.energy, tp.energy, "{case}: {}", ap.label);
+                }
+                assert_eq!(t.output_rows, None);
+                demoted += usize::from(t.mode == ExecutionMode::Heterogeneous);
             }
-            assert_eq!(t.output_rows, None);
         }
+        assert!(demoted > 0, "no heterogeneous record was compared");
     }
 
     #[test]

@@ -128,7 +128,11 @@ impl JsonValue {
     /// JSON (the writer's output always round-trips); trailing non-space
     /// content is an error.
     pub fn parse(src: &str) -> Result<Self, CoreError> {
-        let mut parser = Parser { src, pos: 0 };
+        let mut parser = Parser {
+            src,
+            pos: 0,
+            depth: 0,
+        };
         parser.skip_whitespace();
         let value = parser.value()?;
         parser.skip_whitespace();
@@ -238,11 +242,18 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting the parser descends into. Recursive descent
+/// spends stack per level, so an unbounded `[[[[…` from disk would overflow
+/// it; reports nest 7 deep.
+const MAX_NESTING: usize = 128;
+
 /// Recursive-descent JSON parser over a byte cursor; string content is
 /// decoded per escape, everything else is sliced from the source.
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -288,8 +299,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_NESTING {
+                    return Err(self.error(format!("nesting deeper than {MAX_NESTING}")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(self.error(format!("unexpected '{}'", other as char))),
             None => Err(self.error("unexpected end of input")),
@@ -637,6 +659,17 @@ mod tests {
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }
+        // Hostile nesting is an error naming the byte where the limit was
+        // hit, not a stack overflow (these inputs used to abort the process).
+        for (unit, byte) in [("[", MAX_NESTING), ("{\"a\":", 5 * MAX_NESTING)] {
+            let err = JsonValue::parse(&unit.repeat(200_000)).unwrap_err();
+            let expected = format!("JSON at byte {byte}: nesting deeper than {MAX_NESTING}");
+            assert!(err.to_string().contains(&expected), "{err}");
+        }
+        // The limit itself is inclusive: exactly MAX_NESTING levels parse.
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(JsonValue::parse(&nested(MAX_NESTING)).is_ok());
+        assert!(JsonValue::parse(&nested(MAX_NESTING + 1)).is_err());
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use experiment::{
     PhaseRecord, RunRecord, RunSeries, Serving, ServingStats, Traced,
 };
 pub use json::JsonValue;
-pub use model::{AnalyticalModel, ModelPrediction, PhasePrediction, SweepJoin};
+pub use model::{AnalyticalModel, SweepJoin};
 pub use workload::{
     ConcurrencySweep, ProfiledQuery, ServingParams, ServingWorkload, SkewedJoin, Workload,
     WorkloadPlan,

@@ -15,25 +15,28 @@
 //!   transfer patterns, closed form,
 //! * **compute** — the bytes each consumer builds into or probes against its
 //!   hash table, again at the CPU pipeline rate,
-//! * a phase lasts as long as its slowest component (the three are
-//!   pipelined), and per-node energy follows the paper's utilization model:
-//!   `u = G + rate / C`, wall power from the published regression models,
-//!   energy = power × duration.
+//! * the phase is then closed by [`PhaseStats::close`] — the very function
+//!   the P-store runtime calls: it lasts as long as its slowest component
+//!   (the three are pipelined), and per-node energy follows the paper's
+//!   utilization model, `u = G + rate / C`, wall power from the published
+//!   regression models, energy = power × duration.
 //!
-//! Mode selection — homogeneous versus heterogeneous execution — reuses
-//! [`eedc_pstore::select_execution_mode`], the *same* rule the runtime
-//! applies, so the model and the measured runtime agree on which designs
-//! demote their Wimpy nodes. The integration test in
-//! `tests/model_validation.rs` holds the model to within 15% of measured
-//! `PStoreCluster` points.
+//! A prediction is therefore a [`QueryExecution`], the shape a measured run
+//! has, with `output_rows: None`; the model differs from the runtime only in
+//! where the volumes and the network time come from. Mode selection —
+//! homogeneous versus heterogeneous execution — likewise reuses
+//! [`eedc_pstore::select_execution_mode`], so the model and the measured
+//! runtime agree on which designs demote their Wimpy nodes. The integration
+//! test in `tests/model_validation.rs` holds the model to within 15% of
+//! measured `PStoreCluster` points (the gap is flow simulation against the
+//! per-port closed form, nothing else).
 
 use crate::error::CoreError;
 use crate::params;
 use eedc_pstore::cluster::select_execution_mode;
-use eedc_pstore::stats::{Bottleneck, ExecutionMode};
+use eedc_pstore::stats::{ExecutionMode, PhaseStats, QueryExecution};
 use eedc_pstore::{ClusterSpec, JoinQuerySpec, JoinSkew, JoinStrategy, PStoreCluster, RunOptions};
-use eedc_simkit::metrics::Measurement;
-use eedc_simkit::units::{Joules, Megabytes, MegabytesPerSec, Seconds};
+use eedc_simkit::units::Megabytes;
 use eedc_simkit::NodeSpec;
 
 /// Workload parameters of the modeled two-table sweep join.
@@ -156,105 +159,6 @@ impl SweepJoin {
             return Err(CoreError::invalid("concurrency must be at least 1"));
         }
         Ok(())
-    }
-}
-
-/// One predicted execution phase, shaped like the runtime's
-/// [`eedc_pstore::PhaseStats`] so measured and modeled breakdowns line up
-/// column for column.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhasePrediction {
-    /// Phase label (`"build"` / `"probe"`).
-    pub label: String,
-    /// Predicted wall-clock duration of the phase.
-    pub duration: Seconds,
-    /// Predicted cluster energy over the phase.
-    pub energy: Joules,
-    /// Bytes scanned across the cluster.
-    pub bytes_scanned: Megabytes,
-    /// Bytes predicted to cross the network.
-    pub bytes_over_network: Megabytes,
-    /// Time the slowest producer spends scanning.
-    pub scan_time: Seconds,
-    /// Time the most loaded port spends transferring.
-    pub network_time: Seconds,
-    /// Time the slowest consumer spends building/probing.
-    pub compute_time: Seconds,
-    /// The component predicted to bound the phase.
-    pub bottleneck: Bottleneck,
-    /// Predicted per-node CPU utilization, in cluster node order (mirrors
-    /// `PhaseStats::node_utilization`).
-    pub node_utilization: Vec<f64>,
-    /// Predicted per-node energy, in cluster node order; sums to `energy`.
-    pub node_energy: Vec<Joules>,
-    /// Time each node's port spends transferring (its busier direction), in
-    /// cluster node order; `network_time` is the maximum. The closed form
-    /// knows the exact per-node egress/ingress volumes, so trace synthesis
-    /// (the `Traced` estimator) carries true per-node port activity instead
-    /// of assuming every node moved the hot-port volume.
-    pub node_network_time: Vec<Seconds>,
-}
-
-impl PhasePrediction {
-    /// Fraction of the phase the slowest producer spends scanning, in
-    /// `[0, 1]` — the scan busy share a utilization-trace synthesis carries
-    /// (mirrors `PhaseStats::scan_fraction`).
-    pub fn scan_fraction(&self) -> f64 {
-        self.busy_fraction(self.scan_time)
-    }
-
-    /// Fraction of the phase node `id`'s port spends transferring, in
-    /// `[0, 1]`.
-    pub fn node_network_fraction(&self, id: usize) -> f64 {
-        self.busy_fraction(self.node_network_time[id])
-    }
-
-    fn busy_fraction(&self, busy: Seconds) -> f64 {
-        if self.duration.value() <= f64::EPSILON {
-            return 0.0;
-        }
-        (busy.value() / self.duration.value()).clamp(0.0, 1.0)
-    }
-}
-
-/// The model's prediction for one design executing the sweep join.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelPrediction {
-    /// Label of the predicted design (`"2B,2W"` convention).
-    pub cluster_label: String,
-    /// The join strategy modeled.
-    pub strategy: JoinStrategy,
-    /// Homogeneous or heterogeneous execution, per the shared selection rule.
-    pub mode: ExecutionMode,
-    /// Per-phase predictions, in execution order (build, probe).
-    pub phases: Vec<PhasePrediction>,
-}
-
-impl ModelPrediction {
-    /// Predicted query response time (phases are sequential).
-    pub fn response_time(&self) -> Seconds {
-        self.phases.iter().map(|p| p.duration).sum()
-    }
-
-    /// Predicted total cluster energy.
-    pub fn energy(&self) -> Joules {
-        self.phases.iter().map(|p| p.energy).sum()
-    }
-
-    /// Collapse into a [`Measurement`] for normalization against measured or
-    /// modeled reference points.
-    pub fn measurement(&self) -> Measurement {
-        Measurement::new(self.response_time(), self.energy())
-    }
-
-    /// Predicted bytes over the network across all phases.
-    pub fn bytes_over_network(&self) -> Megabytes {
-        self.phases.iter().map(|p| p.bytes_over_network).sum()
-    }
-
-    /// The phase with the given label, if present.
-    pub fn phase(&self, label: &str) -> Option<&PhasePrediction> {
-        self.phases.iter().find(|p| p.label == label)
     }
 }
 
@@ -395,7 +299,7 @@ impl AnalyticalModel {
         &self,
         design: &ClusterSpec,
         strategy: JoinStrategy,
-    ) -> Result<ModelPrediction, CoreError> {
+    ) -> Result<QueryExecution, CoreError> {
         self.predict_skewed(design, strategy, None)
     }
 
@@ -409,7 +313,7 @@ impl AnalyticalModel {
         design: &ClusterSpec,
         strategy: JoinStrategy,
         skew: Option<&JoinSkew>,
-    ) -> Result<ModelPrediction, CoreError> {
+    ) -> Result<QueryExecution, CoreError> {
         let w = &self.workload;
         let nodes = design.nodes();
         let n = nodes.len();
@@ -435,7 +339,7 @@ impl AnalyticalModel {
                 None => MovementVolumes::local(build_qualifying),
             },
         };
-        let build_phase = self.phase(nodes, "build", &build_scanned, &build);
+        let build_phase = self.phase(nodes, "build", &build_scanned, build);
 
         // ---- Probe phase: scan + filter LINEITEM, move it, probe.
         let probe_scanned = vec![w.probe_bytes * share; n];
@@ -453,94 +357,49 @@ impl AnalyticalModel {
                 MovementVolumes::local(probe_qualifying)
             }
         };
-        let probe_phase = self.phase(nodes, "probe", &probe_scanned, &probe);
+        let probe_phase = self.phase(nodes, "probe", &probe_scanned, probe);
 
-        Ok(ModelPrediction {
+        Ok(QueryExecution {
             cluster_label: design.label(),
             strategy,
             mode,
+            concurrency: w.concurrency,
             phases: vec![build_phase, probe_phase],
+            output_rows: None,
         })
     }
 
-    /// Evaluate one phase: scanning, transfer, and compute are pipelined, so
-    /// the phase lasts as long as its slowest component; node energy follows
-    /// from the rate each node sustains over that duration. This mirrors the
-    /// runtime's `PStoreCluster::phase_stats` term for term, with the flow
-    /// simulation replaced by the per-port closed form.
+    /// Price one phase with the runtime's own closing rule,
+    /// [`PhaseStats::close`]; the model's one difference is that no flow
+    /// simulation ran, so the transfer completes when the busiest port
+    /// drains its closed-form volume.
     fn phase(
         &self,
         nodes: &[NodeSpec],
         label: &str,
         scanned: &[Megabytes],
-        movement: &MovementVolumes,
-    ) -> PhasePrediction {
-        let batch = self.workload.concurrency as f64;
-        let mut scan_time = Seconds::zero();
-        let mut network_time = Seconds::zero();
-        let mut compute_time = Seconds::zero();
-        let mut node_network_time = Vec::with_capacity(nodes.len());
-        for (id, node) in nodes.iter().enumerate() {
-            let scan_rate = if self.workload.in_memory {
-                node.cpu_bandwidth
-            } else {
-                node.disk_bandwidth.min(node.cpu_bandwidth)
-            };
-            scan_time = scan_time.max(scanned[id] * batch / scan_rate);
-            compute_time = compute_time.max(movement.computed[id] * batch / node.cpu_bandwidth);
-            let port = movement.egress[id].max(movement.ingress[id]);
-            let port_time = port * batch / node.network_bandwidth;
-            node_network_time.push(port_time);
-            network_time = network_time.max(port_time);
-        }
-
-        let duration = network_time.max(scan_time).max(compute_time);
-        let bottleneck = if network_time >= scan_time && network_time >= compute_time {
-            Bottleneck::Network
-        } else if scan_time >= compute_time {
-            Bottleneck::Scan
-        } else {
-            Bottleneck::Compute
-        };
-
-        let mut energy = Joules::zero();
-        let mut node_utilization = Vec::with_capacity(nodes.len());
-        let mut node_energy = Vec::with_capacity(nodes.len());
-        for (id, node) in nodes.iter().enumerate() {
-            let processed = (scanned[id] + movement.computed[id]) * batch;
-            let rate = if duration.value() > f64::EPSILON {
-                processed / duration
-            } else {
-                MegabytesPerSec::zero()
-            };
-            let utilization = node.utilization_at_rate(rate);
-            node_utilization.push(utilization);
-            let joules = node.power_at(utilization) * duration;
-            node_energy.push(joules);
-            energy += joules;
-        }
-
-        PhasePrediction {
-            label: label.into(),
-            duration,
-            energy,
-            bytes_scanned: scanned.iter().copied().sum::<Megabytes>() * batch,
-            bytes_over_network: movement.egress.iter().copied().sum::<Megabytes>() * batch,
-            scan_time,
-            network_time,
-            compute_time,
-            bottleneck,
-            node_utilization,
-            node_energy,
-            node_network_time,
-        }
+        movement: MovementVolumes,
+    ) -> PhaseStats {
+        PhaseStats::close(
+            nodes,
+            label,
+            scanned,
+            &movement.computed,
+            movement.egress,
+            movement.ingress,
+            self.workload.concurrency as f64,
+            None,
+            self.workload.in_memory,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eedc_pstore::stats::Bottleneck;
     use eedc_simkit::catalog::{cluster_v_node, laptop_b};
+    use eedc_simkit::units::{Joules, Seconds};
 
     fn q3_model() -> AnalyticalModel {
         AnalyticalModel::section_5_4(JoinQuerySpec::q3_dual_shuffle()).unwrap()

@@ -201,9 +201,12 @@ impl ConcurrencySweep {
         }
     }
 
+    /// The concurrency levels of the paper's Figures 3 and 4.
+    const PAPER_LEVELS: [usize; 3] = [1, 2, 4];
+
     /// The paper's 1/2/4 sweep.
     pub fn paper(base: SweepJoin) -> Self {
-        Self::new(base, eedc_pstore::concurrency::PAPER_LEVELS)
+        Self::new(base, Self::PAPER_LEVELS)
     }
 
     /// The swept concurrency levels.

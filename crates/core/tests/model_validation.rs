@@ -178,7 +178,7 @@ fn estimators_are_interchangeable_as_trait_objects() {
     let estimators: Vec<Box<dyn Estimator>> = vec![
         Box::new(Measured::new(options)),
         Box::new(Analytical),
-        Box::new(eedc_core::Behavioural::default()),
+        Box::new(eedc_core::Behavioural),
     ];
     for estimator in &estimators {
         let record = estimator

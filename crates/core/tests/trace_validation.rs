@@ -181,7 +181,7 @@ fn four_lens_figures_series_round_trip_through_the_json_reader() {
         .designs([homogeneous(4), homogeneous(2)])
         .estimator(Measured::new(small_options()))
         .estimator(Analytical)
-        .estimator(Behavioural::default())
+        .estimator(Behavioural)
         .estimator(Traced::dbms_x())
         .run()
         .unwrap();

@@ -12,8 +12,9 @@
 //! * [`trace`] + [`mod@replay`] + [`engines`] — the **trace-driven behavioural
 //!   simulator**: a [`UtilizationTrace`] is a per-node, per-phase time
 //!   series of CPU/disk/network busy shares (the simulated analogue of the
-//!   paper's iLO2 / WattsUp measurement streams), exported from a measured
-//!   `PStoreCluster` execution or synthesized from a workload plan;
+//!   paper's iLO2 / WattsUp measurement streams), exported from a
+//!   `QueryExecution` — a measured `PStoreCluster` run or an analytical
+//!   prediction;
 //!   [`replay`](replay::replay) integrates it through the node power models
 //!   into time/energy/per-node series; and an [`EngineBehaviour`] reshapes
 //!   the trace the way a concrete engine would execute it — in particular

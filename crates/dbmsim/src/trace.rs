@@ -8,20 +8,20 @@
 //! stream at cluster granularity — for every execution phase, how large a
 //! share of the phase each node spent busy on each resource.
 //!
-//! Traces come from two places:
+//! Traces come from one export, [`UtilizationTrace::from_execution`], which
+//! converts the per-phase statistics of an `eedc_pstore::QueryExecution`
+//! into busy shares. The execution is either
 //!
-//! * **exported from a measured run** — [`UtilizationTrace::from_execution`]
-//!   converts the per-phase statistics of a `PStoreCluster` execution
-//!   (`eedc_pstore::QueryExecution`) into busy shares, so a real run can be
-//!   replayed under a different engine behaviour (see [`crate::engines`]);
-//! * **synthesized from a workload plan** — the `Traced` estimator in
-//!   `eedc-core` builds the same shape from the Section 5.4 analytical
-//!   model's phase predictions, no cluster load required.
+//! * **a measured run** of a `PStoreCluster`, so a real run can be replayed
+//!   under a different engine behaviour (see [`crate::engines`]), or
+//! * **an analytical prediction** — the Section 5.4 model in `eedc-core`
+//!   returns the same `QueryExecution` shape, and its `Traced` estimator
+//!   exports it here, no cluster load required.
 //!
 //! Either way, [`crate::replay()`] integrates the trace through the node
 //! power models to produce time / energy / per-node series, and
 //! [`UtilizationTrace::node_cpu_trace`] lowers one node's row to the
-//! one-dimensional `eedc_simkit::trace::UtilizationTrace` (the simulated
+//! one-dimensional `eedc_simkit::trace::UtilizationSignal` (the simulated
 //! 1 Hz power-meter readout) for direct integration against a
 //! `PowerModel`.
 //!
@@ -217,18 +217,18 @@ impl UtilizationTrace {
         self.phases.iter().map(|p| p.duration).sum()
     }
 
-    /// Export a trace from a measured [`QueryExecution`] (the per-phase
-    /// statistics of a `PStoreCluster` run).
+    /// Export a trace from a [`QueryExecution`] — the per-phase statistics
+    /// of a measured `PStoreCluster` run or of an analytical prediction.
     ///
-    /// Per-node CPU busy shares are recovered exactly from the measured
-    /// per-node utilizations via [`busy_share_from_utilization`], so
-    /// replaying the trace over the same nodes reproduces the measured
-    /// energy. Network shares are per-node: the runtime exports each node's
-    /// egress/ingress volumes and the resulting port-serialization time, so
-    /// a node that shipped nothing carries a zero network share instead of
-    /// the phase's transfer-completion fraction (stats recorded before the
+    /// Per-node CPU busy shares are recovered exactly from the per-node
+    /// utilizations via [`busy_share_from_utilization`], so replaying the
+    /// trace over the same nodes reproduces the execution's energy. Network
+    /// shares are per-node: each node's egress/ingress volumes and the
+    /// resulting port-serialization time ride along in the stats, so a node
+    /// that shipped nothing carries a zero network share instead of the
+    /// phase's transfer-completion fraction (stats recorded before the
     /// per-node export fall back to that phase-level fraction). Disk shares
-    /// remain phase-level — the runtime records the completion time of the
+    /// remain phase-level — the stats hold the completion time of the
     /// slowest producer scan, not per-node scan times. With memory-resident
     /// tables (`in_memory`) scans run through the CPU pipeline and the disk
     /// share is zero.
@@ -305,14 +305,14 @@ impl UtilizationTrace {
         &self,
         id: usize,
         spec: &NodeSpec,
-    ) -> Result<eedc_simkit::trace::UtilizationTrace, SimError> {
+    ) -> Result<eedc_simkit::trace::UtilizationSignal, SimError> {
         if id >= self.node_count() {
             return Err(SimError::invalid(format!(
                 "node {id} outside the trace's {} nodes",
                 self.node_count()
             )));
         }
-        let mut signal = eedc_simkit::trace::UtilizationTrace::new();
+        let mut signal = eedc_simkit::trace::UtilizationSignal::new();
         for phase in &self.phases {
             signal.push(
                 phase.duration,

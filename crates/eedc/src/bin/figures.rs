@@ -75,7 +75,7 @@ fn main() {
         .designs(designs.clone())
         .estimator(Measured::new(options))
         .estimator(Analytical)
-        .estimator(Behavioural::default())
+        .estimator(Behavioural)
         .estimator(Traced::pstore())
         .run()
     {

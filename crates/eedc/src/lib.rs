@@ -64,7 +64,7 @@
 //! | [`netsim`] | `eedc-netsim` | flow-level interconnect simulator |
 //! | [`storage`] | `eedc-storage` | columnar tables, partitioning, scans |
 //! | [`tpch`] | `eedc-tpch` | deterministic generators, scale arithmetic, profiles, Zipf skew |
-//! | [`pstore`] | `eedc-pstore` | operators, cluster runtime, concurrency, microbench |
+//! | [`pstore`] | `eedc-pstore` | operators, cluster runtime (single and concurrent batches), the shared phase-closing rule, microbench |
 //! | [`dbmsim`] | `eedc-dbmsim` | behavioural DBMS simulators: scaling law, utilization-trace replay, engine behaviours, serving layer |
 //! | [`model`] | `eedc-core` | experiment API, Section 5.4 analytical model, Section 6 advisor, JSON writer/reader |
 //!

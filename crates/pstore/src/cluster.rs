@@ -33,9 +33,9 @@ use crate::op::exchange::{broadcast_exchange, shuffle_exchange};
 use crate::op::hashjoin::hash_join_with;
 use crate::op::kernel::{default_worker_threads, JoinKernelConfig};
 use crate::plan::{JoinQuerySpec, JoinSkew, JoinStrategy};
-use crate::stats::{Bottleneck, ExecutionMode, PhaseStats, QueryExecution};
+use crate::stats::{ExecutionMode, PhaseStats, QueryExecution};
 use eedc_netsim::{Fabric, Flow, FlowSet, NodeId, TransferSimulator};
-use eedc_simkit::units::{Joules, Megabytes, MegabytesPerSec, Seconds};
+use eedc_simkit::units::{Megabytes, Seconds};
 use eedc_simkit::{NodeClass, NodeSpec};
 use eedc_storage::{hash_partition, round_robin_partition, scan, Partitioned, Predicate, Table};
 use eedc_tpch::gen::{
@@ -503,7 +503,7 @@ impl PStoreCluster {
             mode,
             concurrency,
             phases: vec![build_phase, probe_phase],
-            output_rows,
+            output_rows: Some(output_rows),
         })
     }
 
@@ -570,11 +570,12 @@ impl PStoreCluster {
         set
     }
 
-    /// Model one execution phase: scanning `scanned` bytes per node while
-    /// `flows` cross the fabric and `computed` bytes per node flow through
-    /// the build/probe CPU path. Scanning, transfer, and compute are
-    /// pipelined, so the phase lasts as long as its slowest component; node
-    /// utilization follows from the rate each node actually sustained.
+    /// Price one execution phase: `scanned` and `computed` are batch-scaled
+    /// nominal bytes per node, and `flows` cross the simulated fabric. The
+    /// closing rule itself is [`PhaseStats::close`], shared with the
+    /// analytical model; the runtime's own contribution is the network side
+    /// — the fabric-level completion time (congestion included) and the
+    /// per-node port volumes of the flows actually routed.
     fn phase_stats(
         &self,
         label: &str,
@@ -582,7 +583,6 @@ impl PStoreCluster {
         computed: &[Megabytes],
         flows: &FlowSet,
     ) -> Result<PhaseStats, PStoreError> {
-        let nodes = self.spec.nodes();
         let network_time = if flows.is_empty() {
             Seconds::zero()
         } else {
@@ -590,77 +590,18 @@ impl PStoreCluster {
                 .run(flows)?
                 .total_time
         };
-
-        let mut scan_time = Seconds::zero();
-        let mut compute_time = Seconds::zero();
-        for (id, node) in nodes.iter().enumerate() {
-            let scan_rate = if self.options.in_memory {
-                node.cpu_bandwidth
-            } else {
-                node.disk_bandwidth.min(node.cpu_bandwidth)
-            };
-            scan_time = scan_time.max(scanned[id] / scan_rate);
-            compute_time = compute_time.max(computed[id] / node.cpu_bandwidth);
-        }
-
-        let duration = network_time.max(scan_time).max(compute_time);
-        let bottleneck = if network_time >= scan_time && network_time >= compute_time {
-            Bottleneck::Network
-        } else if scan_time >= compute_time {
-            Bottleneck::Scan
-        } else {
-            Bottleneck::Compute
-        };
-
-        // Per-node port accounting: what each node pushed and received, and
-        // how long its port was serializing the busier direction. The phase's
-        // `network_time` stays the fabric-level completion time (congestion
-        // included); the per-node times bound it from below and give trace
-        // exports the per-node fidelity synthesized traces already have.
-        let mut node_egress = Vec::with_capacity(nodes.len());
-        let mut node_ingress = Vec::with_capacity(nodes.len());
-        let mut node_network_time = Vec::with_capacity(nodes.len());
-        for (id, node) in nodes.iter().enumerate() {
-            let egress = flows.bytes_out_of(id);
-            let ingress = flows.bytes_into(id);
-            node_egress.push(egress);
-            node_ingress.push(ingress);
-            node_network_time.push(egress.max(ingress) / node.network_bandwidth);
-        }
-
-        let mut energy = Joules::zero();
-        let mut node_utilization = Vec::with_capacity(nodes.len());
-        let mut node_energy = Vec::with_capacity(nodes.len());
-        for (id, node) in nodes.iter().enumerate() {
-            let processed = scanned[id] + computed[id];
-            let rate = if duration.value() > f64::EPSILON {
-                processed / duration
-            } else {
-                MegabytesPerSec::zero()
-            };
-            let utilization = node.utilization_at_rate(rate);
-            node_utilization.push(utilization);
-            let joules = node.power_at(utilization) * duration;
-            node_energy.push(joules);
-            energy += joules;
-        }
-
-        Ok(PhaseStats {
-            label: label.into(),
-            duration,
-            energy,
-            bytes_scanned: scanned.iter().copied().sum(),
-            bytes_over_network: flows.network_bytes(),
-            scan_time,
-            network_time,
-            compute_time,
-            bottleneck,
-            node_utilization,
-            node_energy,
-            node_egress,
-            node_ingress,
-            node_network_time,
-        })
+        let ids = 0..self.spec.len();
+        Ok(PhaseStats::close(
+            self.spec.nodes(),
+            label,
+            scanned,
+            computed,
+            ids.clone().map(|id| flows.bytes_out_of(id)).collect(),
+            ids.map(|id| flows.bytes_into(id)).collect(),
+            1.0,
+            Some((network_time, flows.network_bytes())),
+            self.options.in_memory,
+        ))
     }
 }
 
@@ -761,6 +702,7 @@ fn apply_factors(volumes: &[Megabytes], factors: Option<&[f64]>) -> Vec<Megabyte
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Bottleneck;
     use eedc_simkit::catalog::{cluster_v_node, laptop_b};
     use eedc_simkit::units::Watts;
 
@@ -823,7 +765,7 @@ mod tests {
         }
         let reference = cluster.reference_join_rows(&query).unwrap();
         assert!(reference > 0);
-        assert_eq!(execution.output_rows, reference);
+        assert_eq!(execution.output_rows, Some(reference));
         assert_eq!(execution.mode, ExecutionMode::Homogeneous);
         assert_eq!(execution.cluster_label, "4B,0W");
         assert!(execution.response_time().value() > 0.0);
@@ -841,7 +783,7 @@ mod tests {
         }
         assert_eq!(
             execution.output_rows,
-            cluster.reference_join_rows(&query).unwrap()
+            Some(cluster.reference_join_rows(&query).unwrap())
         );
     }
 
@@ -852,7 +794,11 @@ mod tests {
         let reference = cluster.reference_join_rows(&query).unwrap();
         for strategy in JoinStrategy::ALL {
             let execution = cluster.run(&query, strategy).unwrap();
-            assert_eq!(execution.output_rows, reference, "strategy {strategy}");
+            assert_eq!(
+                execution.output_rows,
+                Some(reference),
+                "strategy {strategy}"
+            );
         }
     }
 
@@ -876,7 +822,7 @@ mod tests {
         assert!(probe.network_time.value() > 0.0);
         assert_eq!(
             execution.output_rows,
-            cluster.reference_join_rows(&query).unwrap()
+            Some(cluster.reference_join_rows(&query).unwrap())
         );
         // The same query at the default small nominal scale is homogeneous.
         let small = uniform_cluster(4)
@@ -913,7 +859,7 @@ mod tests {
         }
         assert_eq!(
             execution.output_rows,
-            cluster.reference_join_rows(&query).unwrap()
+            Some(cluster.reference_join_rows(&query).unwrap())
         );
         // The same cluster under the same query stays heterogeneous for
         // broadcast too (the existing demotion path), and the two modes agree
@@ -1045,7 +991,10 @@ mod tests {
         assert!(s.response_time() > u.response_time());
         // Correctness is untouched: skew reweights modeled volumes only.
         assert_eq!(s.output_rows, u.output_rows);
-        assert_eq!(s.output_rows, uniform.reference_join_rows(&query).unwrap());
+        assert_eq!(
+            s.output_rows,
+            Some(uniform.reference_join_rows(&query).unwrap())
+        );
 
         // theta = 0 must behave exactly like the unskewed default.
         let zero = PStoreCluster::load(
@@ -1092,6 +1041,58 @@ mod tests {
         // Homogeneous broadcast: build replicated, probe local — identical.
         assert_eq!(u.mode, ExecutionMode::Homogeneous);
         assert_eq!(s.measurement(), u.measurement());
+    }
+
+    /// The paper's 1/2/4 concurrent dual-shuffle batches on four nodes.
+    fn paper_batches(cluster: &PStoreCluster) -> Vec<QueryExecution> {
+        let query = JoinQuerySpec::q3_dual_shuffle();
+        [1, 2, 4]
+            .iter()
+            .map(|&level| {
+                cluster
+                    .run_batch(&query, JoinStrategy::DualShuffle, level)
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_shuffles_share_the_interconnect() {
+        // Figure 3: doubling the number of concurrent network-bound joins
+        // roughly doubles the batch completion time — the queries split the
+        // same ports, so no extra throughput materialises.
+        let batches = paper_batches(&uniform_cluster(4));
+        let times: Vec<f64> = batches.iter().map(|e| e.response_time().value()).collect();
+        assert!(times[1] > times[0]);
+        assert!(times[2] > times[1]);
+        // No super-linear slowdown either: 4 queries take at most ~4x one.
+        assert!(times[2] <= times[0] * 4.0 + 1e-6);
+        // Completed queries per second stay roughly flat across the sweep.
+        let ratio = (4.0 / times[2]) / (1.0 / times[0]);
+        assert!((0.8..=1.3).contains(&ratio), "throughput ratio {ratio}");
+    }
+
+    #[test]
+    fn batches_preserve_per_query_cardinality() {
+        let cluster = uniform_cluster(4);
+        let reference = cluster
+            .reference_join_rows(&JoinQuerySpec::q3_dual_shuffle())
+            .unwrap();
+        for (execution, level) in paper_batches(&cluster).iter().zip([1, 2, 4]) {
+            assert_eq!(execution.concurrency, level);
+            assert_eq!(execution.output_rows, Some(reference), "level {level}");
+        }
+    }
+
+    #[test]
+    fn batch_energy_grows_with_concurrency() {
+        // Figure 4: every level burns energy, and the whole batch burns more
+        // the more queries share the cluster.
+        let batches = paper_batches(&uniform_cluster(4));
+        let totals: Vec<f64> = batches.iter().map(|e| e.energy().value()).collect();
+        assert!(totals[0] > 0.0);
+        assert!(totals[1] > totals[0]);
+        assert!(totals[2] > totals[1]);
     }
 
     #[test]

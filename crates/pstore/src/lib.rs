@@ -19,9 +19,9 @@
 //! * a [`cluster`] runtime that executes a plan against real partitioned data
 //!   for correctness while *simultaneously* driving the flow-level network
 //!   simulator and the node power models, producing the response-time and
-//!   energy measurements of Figures 3, 4, 5 and 7,
-//! * [`concurrency`] support for running several independent joins at once
-//!   over the shared interconnect (the 1/2/4-query sweeps of Figures 3
+//!   energy measurements of Figures 3, 4, 5 and 7 — one query at a time or
+//!   a batch of identical queries sharing the interconnect
+//!   ([`PStoreCluster::run_batch`], the 1/2/4-query sweeps of Figures 3
 //!   and 4),
 //! * the single-node [`microbench`] hash join of Section 5.1 / Figure 6.
 //!
@@ -38,7 +38,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cluster;
-pub mod concurrency;
 pub mod error;
 pub mod microbench;
 pub mod op;

@@ -1,8 +1,10 @@
-//! Execution statistics: per-phase breakdowns and whole-query measurements.
+//! Execution statistics: per-phase breakdowns and whole-query measurements,
+//! and [`PhaseStats::close`], the one rule that prices a phase.
 
 use crate::plan::JoinStrategy;
 use eedc_simkit::metrics::Measurement;
-use eedc_simkit::units::{Joules, Megabytes, Seconds, Watts};
+use eedc_simkit::units::{Joules, Megabytes, MegabytesPerSec, Seconds, Watts};
+use eedc_simkit::NodeSpec;
 use std::fmt;
 
 /// Whether every node executed the full operator tree or the Wimpy nodes were
@@ -50,6 +52,20 @@ pub enum Bottleneck {
     Compute,
 }
 
+impl Bottleneck {
+    /// The component that bounds a phase whose three pipelined components
+    /// take the given times. Ties read network, then scan, then compute.
+    pub fn slowest(scan: Seconds, network: Seconds, compute: Seconds) -> Self {
+        if network >= scan && network >= compute {
+            Bottleneck::Network
+        } else if scan >= compute {
+            Bottleneck::Scan
+        } else {
+            Bottleneck::Compute
+        }
+    }
+}
+
 impl fmt::Display for Bottleneck {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -77,7 +93,7 @@ impl std::str::FromStr for Bottleneck {
 }
 
 /// Time, energy and data-volume breakdown of one execution phase (build or
-/// probe).
+/// probe), as [`PhaseStats::close`] prices it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseStats {
     /// Phase label (`"build"` / `"probe"`).
@@ -115,6 +131,104 @@ pub struct PhaseStats {
 }
 
 impl PhaseStats {
+    /// Close one execution phase — the single pricing rule shared by the
+    /// P-store runtime and the Section 5.4 analytical model.
+    ///
+    /// Node `i` scans `scanned[i]`, pushes `computed[i]` through its hash
+    /// build/probe path, sends `node_egress[i]` and receives
+    /// `node_ingress[i]`; every volume is per query and is multiplied by
+    /// `batch` (the runtime hands in batch-scaled volumes and passes `1.0`).
+    /// Scanning, transfer and compute are pipelined, so the phase lasts as
+    /// long as its slowest component (ties read network, then scan, then
+    /// compute), each node's utilization is `G + rate / C` at the rate it
+    /// sustained over that duration, and its energy is the regression power
+    /// at that utilization times the duration.
+    ///
+    /// `fabric` is what a flow simulation observed — transfer completion
+    /// time (congestion included) and bytes moved. `None` is the closed
+    /// form: the transfer completes when the busiest port drains, and the
+    /// bytes moved are the summed egress. The per-node port times bound a
+    /// simulated completion time from below either way.
+    ///
+    /// # Panics
+    ///
+    /// If a volume slice is shorter than `nodes` — a caller bug, not an
+    /// input condition: both callers size them from the same node list.
+    // One flat argument list rather than a new public input type.
+    #[allow(clippy::too_many_arguments)]
+    pub fn close(
+        nodes: &[NodeSpec],
+        label: &str,
+        scanned: &[Megabytes],
+        computed: &[Megabytes],
+        mut node_egress: Vec<Megabytes>,
+        mut node_ingress: Vec<Megabytes>,
+        batch: f64,
+        fabric: Option<(Seconds, Megabytes)>,
+        in_memory: bool,
+    ) -> Self {
+        let mut scan_time = Seconds::zero();
+        let mut compute_time = Seconds::zero();
+        let mut busiest_port = Seconds::zero();
+        let mut node_network_time = Vec::with_capacity(nodes.len());
+        for (id, node) in nodes.iter().enumerate() {
+            let scan_rate = if in_memory {
+                node.cpu_bandwidth
+            } else {
+                node.disk_bandwidth.min(node.cpu_bandwidth)
+            };
+            scan_time = scan_time.max(scanned[id] * batch / scan_rate);
+            compute_time = compute_time.max(computed[id] * batch / node.cpu_bandwidth);
+            let port = node_egress[id].max(node_ingress[id]);
+            let port_time = port * batch / node.network_bandwidth;
+            node_network_time.push(port_time);
+            busiest_port = busiest_port.max(port_time);
+        }
+        let (network_time, bytes_over_network) = fabric.unwrap_or_else(|| {
+            let sent: Megabytes = node_egress.iter().copied().sum();
+            (busiest_port, sent * batch)
+        });
+
+        let duration = network_time.max(scan_time).max(compute_time);
+
+        let mut energy = Joules::zero();
+        let mut node_utilization = Vec::with_capacity(nodes.len());
+        let mut node_energy = Vec::with_capacity(nodes.len());
+        for (id, node) in nodes.iter().enumerate() {
+            let processed = (scanned[id] + computed[id]) * batch;
+            let rate = if duration.value() > f64::EPSILON {
+                processed / duration
+            } else {
+                MegabytesPerSec::zero()
+            };
+            let utilization = node.utilization_at_rate(rate);
+            node_utilization.push(utilization);
+            let joules = node.power_at(utilization) * duration;
+            node_energy.push(joules);
+            energy += joules;
+        }
+        for volume in node_egress.iter_mut().chain(&mut node_ingress) {
+            *volume = *volume * batch;
+        }
+
+        Self {
+            label: label.into(),
+            duration,
+            energy,
+            bytes_scanned: scanned.iter().copied().sum::<Megabytes>() * batch,
+            bytes_over_network,
+            scan_time,
+            network_time,
+            compute_time,
+            bottleneck: Bottleneck::slowest(scan_time, network_time, compute_time),
+            node_utilization,
+            node_energy,
+            node_egress,
+            node_ingress,
+            node_network_time,
+        }
+    }
+
     /// Average cluster power during the phase.
     pub fn average_power(&self) -> Watts {
         if self.duration.value() <= f64::EPSILON {
@@ -122,16 +236,6 @@ impl PhaseStats {
         } else {
             self.energy / self.duration
         }
-    }
-
-    /// Fraction of the phase the slowest producer/consumer CPUs were stalled
-    /// waiting on the bottleneck resource (0 when the phase is CPU bound).
-    pub fn stall_fraction(&self) -> f64 {
-        if self.duration.value() <= f64::EPSILON {
-            return 0.0;
-        }
-        let busy = self.scan_time.max(self.compute_time);
-        (1.0 - busy.value() / self.duration.value()).max(0.0)
     }
 
     /// Fraction of the phase the slowest producer spent scanning, in
@@ -145,12 +249,6 @@ impl PhaseStats {
     /// `[0, 1]`.
     pub fn network_fraction(&self) -> f64 {
         self.busy_fraction(self.network_time)
-    }
-
-    /// Fraction of the phase the slowest consumer spent building or
-    /// probing, in `[0, 1]`.
-    pub fn compute_fraction(&self) -> f64 {
-        self.busy_fraction(self.compute_time)
     }
 
     /// Fraction of the phase node `id`'s network port was serializing data,
@@ -174,8 +272,9 @@ impl PhaseStats {
     }
 }
 
-/// The complete result of executing one query (or one batch of concurrent
-/// queries) on a P-store cluster.
+/// One query (or one batch of concurrent queries) on one cluster design,
+/// phase by phase: measured by the P-store runtime or predicted by the
+/// Section 5.4 analytical model — the one phased-run shape in the workspace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryExecution {
     /// Human-readable cluster label (e.g. `"8B,0W"`, `"2B,2W"`).
@@ -188,8 +287,9 @@ pub struct QueryExecution {
     pub concurrency: usize,
     /// Per-phase statistics, in execution order.
     pub phases: Vec<PhaseStats>,
-    /// Join output rows (per query, verified against the engine-scale data).
-    pub output_rows: usize,
+    /// Join output rows per query, counted on the engine-scale data —
+    /// `None` for a model prediction, which joins nothing.
+    pub output_rows: Option<usize>,
 }
 
 impl QueryExecution {
@@ -216,20 +316,6 @@ impl QueryExecution {
     /// The phase with the given label, if present.
     pub fn phase(&self, label: &str) -> Option<&PhaseStats> {
         self.phases.iter().find(|p| p.label == label)
-    }
-
-    /// Fraction of the total response time spent in network-bound phases.
-    pub fn network_bound_fraction(&self) -> f64 {
-        let total = self.response_time().value();
-        if total <= f64::EPSILON {
-            return 0.0;
-        }
-        self.phases
-            .iter()
-            .filter(|p| p.bottleneck == Bottleneck::Network)
-            .map(|p| p.duration.value())
-            .sum::<f64>()
-            / total
     }
 }
 
@@ -266,7 +352,7 @@ mod tests {
                 phase("build", 2.0, 500.0, Bottleneck::Network),
                 phase("probe", 8.0, 2000.0, Bottleneck::Network),
             ],
-            output_rows: 1234,
+            output_rows: Some(1234),
         }
     }
 
@@ -279,20 +365,179 @@ mod tests {
         assert_eq!(e.bytes_over_network(), Megabytes(200.0));
         assert!(e.phase("build").is_some());
         assert!(e.phase("shuffle").is_none());
-        assert_eq!(e.network_bound_fraction(), 1.0);
+    }
+
+    #[test]
+    fn closing_rule_table() {
+        use eedc_simkit::catalog::{cluster_v_node, laptop_b};
+        // cluster-v: C 5037, I 1200, L 100 MB/s; laptop-b: C 1129, I 270,
+        // L 95 MB/s. Volumes are picked so the component times are exact.
+        let nodes = [cluster_v_node(), laptop_b()];
+        let mb = |a: f64, b: f64| vec![Megabytes(a), Megabytes(b)];
+        struct Case {
+            name: &'static str,
+            in_memory: bool,
+            batch: f64,
+            volumes: [Vec<Megabytes>; 4], // scanned, computed, egress, ingress
+            fabric: Option<(Seconds, Megabytes)>,
+            times: [f64; 3], // scan, network, compute
+            bottleneck: Bottleneck,
+            network_mb: f64,
+        }
+        let zero = || mb(0.0, 0.0);
+        let table = [
+            Case {
+                name: "network == scan ties read network",
+                in_memory: true,
+                batch: 1.0,
+                volumes: [mb(5037.0, 0.0), zero(), mb(100.0, 0.0), mb(0.0, 95.0)],
+                fabric: None,
+                times: [1.0, 1.0, 0.0],
+                bottleneck: Bottleneck::Network,
+                network_mb: 100.0,
+            },
+            Case {
+                name: "scan == compute ties read scan",
+                in_memory: true,
+                batch: 1.0,
+                volumes: [mb(5037.0, 0.0), mb(0.0, 1129.0), zero(), zero()],
+                fabric: None,
+                times: [1.0, 0.0, 1.0],
+                bottleneck: Bottleneck::Scan,
+                network_mb: 0.0,
+            },
+            Case {
+                name: "compute strictly slowest",
+                in_memory: true,
+                batch: 1.0,
+                volumes: [mb(5037.0, 1129.0), mb(0.0, 2258.0), mb(50.0, 0.0), zero()],
+                fabric: None,
+                times: [1.0, 0.5, 2.0],
+                bottleneck: Bottleneck::Compute,
+                network_mb: 50.0,
+            },
+            Case {
+                name: "all-zero phase",
+                in_memory: true,
+                batch: 1.0,
+                volumes: [zero(), zero(), zero(), zero()],
+                fabric: None,
+                times: [0.0, 0.0, 0.0],
+                bottleneck: Bottleneck::Network,
+                network_mb: 0.0,
+            },
+            Case {
+                name: "disk-resident scans run at min(disk, cpu)",
+                in_memory: false,
+                batch: 1.0,
+                volumes: [mb(1200.0, 540.0), zero(), zero(), zero()],
+                fabric: None,
+                times: [2.0, 0.0, 0.0],
+                bottleneck: Bottleneck::Scan,
+                network_mb: 0.0,
+            },
+            Case {
+                name: "a simulated fabric overrides the per-port closed form",
+                in_memory: true,
+                batch: 1.0,
+                volumes: [zero(), zero(), mb(100.0, 0.0), mb(0.0, 95.0)],
+                fabric: Some((Seconds(3.0), Megabytes(42.0))),
+                times: [0.0, 3.0, 0.0],
+                bottleneck: Bottleneck::Network,
+                network_mb: 42.0,
+            },
+            Case {
+                name: "batch multiplies every per-query volume",
+                in_memory: true,
+                batch: 2.0,
+                volumes: [
+                    mb(5037.0, 0.0),
+                    mb(0.0, 1129.0),
+                    mb(100.0, 0.0),
+                    mb(0.0, 95.0),
+                ],
+                fabric: None,
+                times: [2.0, 2.0, 2.0],
+                bottleneck: Bottleneck::Network,
+                network_mb: 200.0,
+            },
+        ];
+        for case in table {
+            let name = case.name;
+            let [scanned, computed, egress, ingress] = case.volumes;
+            let p = PhaseStats::close(
+                &nodes,
+                "probe",
+                &scanned,
+                &computed,
+                egress.clone(),
+                ingress.clone(),
+                case.batch,
+                case.fabric,
+                case.in_memory,
+            );
+            let [scan, network, compute] = case.times.map(Seconds);
+            assert_eq!(
+                (p.scan_time, p.network_time, p.compute_time),
+                (scan, network, compute),
+                "{name}"
+            );
+            assert_eq!(p.duration, scan.max(network).max(compute), "{name}");
+            assert_eq!(p.bottleneck, case.bottleneck, "{name}");
+            assert_eq!(p.bytes_over_network, Megabytes(case.network_mb), "{name}");
+            let total: Megabytes = scanned.iter().copied().sum();
+            assert_eq!(p.bytes_scanned, total * case.batch, "{name}");
+            // Ports: recorded batch-scaled, timed per node whatever the fabric
+            // said, and never above the transfer's completion time.
+            for id in 0..nodes.len() {
+                assert_eq!(p.node_egress[id], egress[id] * case.batch, "{name}");
+                assert_eq!(p.node_ingress[id], ingress[id] * case.batch, "{name}");
+                let port = p.node_egress[id].max(p.node_ingress[id]);
+                let port_time = port / nodes[id].network_bandwidth;
+                assert_eq!(p.node_network_time[id], port_time, "{name}");
+                assert!(port_time <= p.network_time, "{name}");
+            }
+            // Energy: the per-node joules are the phase's, exactly; a node
+            // never reads below its engine floor; nothing is NaN.
+            assert_eq!(p.node_energy.iter().copied().sum::<Joules>(), p.energy);
+            for (id, node) in nodes.iter().enumerate() {
+                let u = p.node_utilization[id];
+                assert!((node.utilization_floor..=1.0).contains(&u), "{name}: {u}");
+                assert_eq!(p.node_energy[id], node.power_at(u) * p.duration, "{name}");
+            }
+            if p.duration == Seconds::zero() {
+                let floors: Vec<f64> = nodes.iter().map(|n| n.utilization_floor).collect();
+                assert_eq!(p.node_utilization, floors, "{name}");
+                assert_eq!(p.energy, Joules::zero(), "{name}");
+            } else {
+                assert!(p.energy.value() > 0.0 && p.energy.is_finite(), "{name}");
+            }
+        }
+        // The same scans, memory-resident, run at the CPU pipeline rate.
+        let scanned = mb(1200.0, 540.0);
+        let p = PhaseStats::close(
+            &nodes,
+            "build",
+            &scanned,
+            &zero(),
+            zero(),
+            zero(),
+            1.0,
+            None,
+            true,
+        );
+        assert_eq!(p.scan_time, Seconds(540.0 / 1129.0));
     }
 
     #[test]
     fn phase_helpers() {
         let p = phase("build", 4.0, 1000.0, Bottleneck::Network);
         assert_eq!(p.average_power(), Watts(250.0));
-        assert!((p.stall_fraction() - 0.5).abs() < 1e-12);
         let idle = PhaseStats {
             duration: Seconds(0.0),
             ..p.clone()
         };
         assert_eq!(idle.average_power(), Watts::zero());
-        assert_eq!(idle.stall_fraction(), 0.0);
     }
 
     #[test]
@@ -302,7 +547,6 @@ mod tests {
         let p = phase("build", 4.0, 1000.0, Bottleneck::Network);
         assert!((p.scan_fraction() - 0.5).abs() < 1e-12);
         assert!((p.network_fraction() - 1.0).abs() < 1e-12);
-        assert!((p.compute_fraction() - 0.1).abs() < 1e-12);
         // A component that outlasts the recorded duration clamps to 1, and a
         // zero-duration phase reads as fully idle.
         let long_scan = PhaseStats {

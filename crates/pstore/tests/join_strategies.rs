@@ -24,7 +24,7 @@ fn all_strategies_produce_identical_cardinalities() {
             let execution = cluster.run(&query, strategy).unwrap();
             assert_eq!(
                 execution.output_rows,
-                reference,
+                Some(reference),
                 "strategy {strategy} disagrees with the reference join for {}",
                 query.label()
             );

@@ -119,12 +119,6 @@ impl NormalizedPoint {
         }
     }
 
-    /// The energy a point at this performance would have if it sat exactly on
-    /// the constant-EDP curve.
-    pub fn edp_energy_at_same_performance(&self) -> f64 {
-        self.performance
-    }
-
     /// Whether the point lies strictly below the constant-EDP curve — the
     /// favourable region where the relative energy saving exceeds the relative
     /// performance loss.

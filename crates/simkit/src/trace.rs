@@ -1,11 +1,13 @@
-//! CPU-utilization traces.
+//! One node's CPU-utilization signal over time.
 //!
 //! The paper converts measured CPU utilization into wall power through the
 //! per-node regression models and then integrates power over the query's
-//! response time to obtain energy. A [`UtilizationTrace`] is the simulated
+//! response time to obtain energy. A [`UtilizationSignal`] is the simulated
 //! analogue of the iLO2 / WattsUp measurement stream: a piecewise-constant
 //! utilization-over-time signal that can be integrated against any
-//! [`PowerModel`].
+//! [`PowerModel`]. (The cluster-wide per-node, per-phase `UtilizationTrace`
+//! is `eedc_dbmsim::trace`; its `node_cpu_trace` lowers one row to this
+//! signal.)
 
 use crate::error::SimError;
 use crate::power::PowerModel;
@@ -22,11 +24,11 @@ pub struct TraceSegment {
 
 /// A piecewise-constant CPU-utilization signal over time.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct UtilizationTrace {
+pub struct UtilizationSignal {
     segments: Vec<TraceSegment>,
 }
 
-impl UtilizationTrace {
+impl UtilizationSignal {
     /// An empty trace.
     pub fn new() -> Self {
         Self::default()
@@ -62,7 +64,7 @@ impl UtilizationTrace {
     }
 
     /// Append every segment of `other` to this trace.
-    pub fn extend(&mut self, other: &UtilizationTrace) {
+    pub fn extend(&mut self, other: &UtilizationSignal) {
         self.segments.extend_from_slice(&other.segments);
     }
 
@@ -145,7 +147,7 @@ mod tests {
 
     #[test]
     fn constant_trace_energy_matches_closed_form() {
-        let trace = UtilizationTrace::constant(Seconds(10.0), 0.5).unwrap();
+        let trace = UtilizationSignal::constant(Seconds(10.0), 0.5).unwrap();
         let expected = beefy().power_at(0.5) * Seconds(10.0);
         assert_eq!(trace.energy_with(&beefy()), expected);
         assert_eq!(trace.total_time(), Seconds(10.0));
@@ -154,7 +156,7 @@ mod tests {
 
     #[test]
     fn multi_segment_energy_is_additive() {
-        let mut trace = UtilizationTrace::new();
+        let mut trace = UtilizationSignal::new();
         trace.push(Seconds(5.0), 1.0).unwrap();
         trace.push(Seconds(5.0), 0.25).unwrap();
         let expected = beefy().power_at(1.0) * Seconds(5.0) + beefy().power_at(0.25) * Seconds(5.0);
@@ -166,7 +168,7 @@ mod tests {
 
     #[test]
     fn average_power_is_energy_over_time() {
-        let mut trace = UtilizationTrace::new();
+        let mut trace = UtilizationSignal::new();
         trace.push(Seconds(2.0), 0.8).unwrap();
         trace.push(Seconds(8.0), 0.1).unwrap();
         let avg = trace.average_power_with(&beefy());
@@ -176,7 +178,7 @@ mod tests {
 
     #[test]
     fn zero_duration_segments_are_dropped() {
-        let mut trace = UtilizationTrace::new();
+        let mut trace = UtilizationSignal::new();
         trace.push(Seconds(0.0), 0.5).unwrap();
         assert!(trace.is_empty());
         assert_eq!(trace.average_utilization(), 0.0);
@@ -185,17 +187,17 @@ mod tests {
 
     #[test]
     fn invalid_segments_are_rejected() {
-        let mut trace = UtilizationTrace::new();
+        let mut trace = UtilizationSignal::new();
         assert!(trace.push(Seconds(-1.0), 0.5).is_err());
         assert!(trace.push(Seconds(1.0), 1.5).is_err());
         assert!(trace.push(Seconds(f64::NAN), 0.5).is_err());
-        assert!(UtilizationTrace::constant(Seconds(1.0), -0.1).is_err());
+        assert!(UtilizationSignal::constant(Seconds(1.0), -0.1).is_err());
     }
 
     #[test]
     fn extend_concatenates_traces() {
-        let mut a = UtilizationTrace::constant(Seconds(1.0), 0.2).unwrap();
-        let b = UtilizationTrace::constant(Seconds(2.0), 0.8).unwrap();
+        let mut a = UtilizationSignal::constant(Seconds(1.0), 0.2).unwrap();
+        let b = UtilizationSignal::constant(Seconds(2.0), 0.8).unwrap();
         a.extend(&b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.total_time(), Seconds(3.0));
@@ -203,7 +205,7 @@ mod tests {
 
     #[test]
     fn utilization_sampling() {
-        let mut trace = UtilizationTrace::new();
+        let mut trace = UtilizationSignal::new();
         trace.push(Seconds(2.0), 0.3).unwrap();
         trace.push(Seconds(3.0), 0.9).unwrap();
         assert_eq!(trace.utilization_at(Seconds(0.5)), Some(0.3));

@@ -132,11 +132,6 @@ impl LineitemGenerator {
             rng,
         }
     }
-
-    /// Expected number of rows (exact count varies with the per-order draw).
-    pub fn expected_rows(scale: ScaleFactor) -> u64 {
-        scale.cardinality(TpchTable::Lineitem)
-    }
 }
 
 impl Iterator for LineitemGenerator {
