@@ -14,14 +14,21 @@
 //! Designs whose build-side hash table fits no execution mode are reported
 //! as *infeasible* rather than silently dropped, so a sweep over a large
 //! grid still accounts for every point.
+//!
+//! The advisor's report *is* the [`RunSeries`] the experiment runner builds
+//! — same records, same normalized points, same infeasible list — and the
+//! selection rules ([`RunSeries::recommend`], [`RunSeries::cheapest_meeting_p99`],
+//! [`RunSeries::cheapest_meeting_availability`]) are defined here as methods
+//! on it, so they work on any series, advisor-built or not.
 
 use crate::error::CoreError;
-use crate::experiment::{Analytical, Estimator, RunRecord};
-use crate::model::AnalyticalModel;
+use crate::experiment::{evaluate_series, RunSeries};
+use crate::lens::Estimator;
+use crate::record::{RunRecord, ServingStats};
 use crate::workload::{Workload, WorkloadPlan};
 use eedc_pstore::stats::ExecutionMode;
-use eedc_pstore::{ClusterSpec, JoinStrategy};
-use eedc_simkit::metrics::{NormalizedPoint, NormalizedSeries};
+use eedc_pstore::ClusterSpec;
+use eedc_simkit::metrics::{NormalizedPoint, EDP_EPSILON};
 use eedc_simkit::units::Seconds;
 use eedc_simkit::NodeSpec;
 use std::fmt;
@@ -132,33 +139,18 @@ impl fmt::Display for Recommendation {
     }
 }
 
-/// The advisor's full assessment of a design space.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DesignSpaceReport {
-    /// Normalized (performance, energy) points for every feasible design,
-    /// relative to the all-Beefy reference.
-    pub series: NormalizedSeries,
-    /// The uniform run records, reference first, labelled like the series
-    /// points.
-    pub records: Vec<RunRecord>,
-    /// Designs the estimator refused to plan (hash table fits no execution
-    /// mode), with the planner's reason.
-    pub infeasible: Vec<(String, String)>,
-}
+/// The advisor's full assessment of a design space: the [`RunSeries`]
+/// itself. The alias exists because `benchmark/` — which a PR that changes
+/// library code may not edit — imports this name; it reads only `records`,
+/// `infeasible` and [`recommend`](RunSeries::recommend). The next
+/// `benchmark`-archetype PR may switch it to `RunSeries` and drop the alias.
+pub type DesignSpaceReport = RunSeries;
 
-impl DesignSpaceReport {
-    /// The record for a labelled design, if it was feasible.
-    pub fn record(&self, label: &str) -> Option<&RunRecord> {
-        self.records.iter().find(|r| r.design == label)
-    }
-
+/// The Section 6 selection rules, over any series.
+impl RunSeries {
     /// The normalized point for a labelled design, if it was feasible.
     pub fn point(&self, label: &str) -> Option<&NormalizedPoint> {
-        self.series
-            .points()
-            .iter()
-            .find(|(l, _)| l == label)
-            .map(|(_, p)| p)
+        self.record(label)?.normalized.as_ref()
     }
 
     /// The SLA selection rule for serving sweeps: among feasible designs
@@ -167,21 +159,7 @@ impl DesignSpaceReport {
     /// the floor; an error when the records carry no serving statistics
     /// (the report was not evaluated under the `Serving` lens).
     pub fn cheapest_meeting_p99(&self, floor: Seconds) -> Result<Option<&RunRecord>, CoreError> {
-        if self.records.iter().all(|r| r.serving.is_none()) {
-            return Err(CoreError::invalid(
-                "cheapest_meeting_p99 needs serving statistics — evaluate under the Serving lens",
-            ));
-        }
-        Ok(self
-            .records
-            .iter()
-            .filter(|record| {
-                record
-                    .serving
-                    .as_ref()
-                    .is_some_and(|stats| stats.p99 <= floor)
-            })
-            .min_by(|a, b| a.energy.value().total_cmp(&b.energy.value())))
+        self.cheapest_serving("cheapest_meeting_p99", |stats| stats.p99 <= floor)
     }
 
     /// The availability selection rule for churn sweeps: among feasible
@@ -195,20 +173,26 @@ impl DesignSpaceReport {
         &self,
         floor: f64,
     ) -> Result<Option<&RunRecord>, CoreError> {
+        self.cheapest_serving("cheapest_meeting_availability", |stats| {
+            stats.faults.as_ref().map_or(1.0, |f| f.availability) >= floor
+        })
+    }
+
+    /// The lowest-energy record whose serving statistics pass `qualifies`.
+    fn cheapest_serving(
+        &self,
+        rule: &str,
+        qualifies: impl Fn(&ServingStats) -> bool,
+    ) -> Result<Option<&RunRecord>, CoreError> {
         if self.records.iter().all(|r| r.serving.is_none()) {
-            return Err(CoreError::invalid(
-                "cheapest_meeting_availability needs serving statistics — evaluate under the \
-                 Serving lens",
-            ));
+            return Err(CoreError::invalid(format!(
+                "{rule} needs serving statistics — evaluate under the Serving lens"
+            )));
         }
         Ok(self
             .records
             .iter()
-            .filter(|record| {
-                record.serving.as_ref().is_some_and(|stats| {
-                    stats.faults.as_ref().map_or(1.0, |f| f.availability) >= floor
-                })
-            })
+            .filter(|record| record.serving.as_ref().is_some_and(&qualifies))
             .min_by(|a, b| a.energy.value().total_cmp(&b.energy.value())))
     }
 
@@ -216,18 +200,20 @@ impl DesignSpaceReport {
     /// performance is at least `min_performance`, the one with the lowest
     /// normalized energy.
     pub fn recommend(&self, min_performance: f64) -> Option<Recommendation> {
-        let (label, point) = self.series.best_meeting_target(min_performance)?;
-        // Series points and records are pushed in lockstep by
-        // `DesignAdvisor::evaluate`.
-        let mode = self
-            .record(label)
-            .expect("every series point has a record")
-            .mode;
-        Some(Recommendation {
-            label: label.clone(),
-            point: *point,
-            mode,
-        })
+        // `NormalizedSeries::best_meeting_target`'s rule, taken over the
+        // records themselves: they are in the order of the series' points
+        // (reference first, then design order), so the first of several
+        // equal minima wins exactly as it does there.
+        self.records
+            .iter()
+            .filter_map(|record| Some((record, record.normalized?)))
+            .filter(|(_, point)| point.performance + EDP_EPSILON >= min_performance)
+            .min_by(|a, b| a.1.energy.total_cmp(&b.1.energy))
+            .map(|(record, point)| Recommendation {
+                label: record.design.clone(),
+                point,
+                mode: record.mode,
+            })
     }
 }
 
@@ -253,15 +239,6 @@ impl DesignAdvisor {
         }
     }
 
-    /// Convenience: the classic closed-form advisor over an already-built
-    /// analytical model and a join strategy.
-    pub fn analytical(model: AnalyticalModel, strategy: JoinStrategy) -> Self {
-        Self {
-            estimator: Box::new(Analytical),
-            plans: vec![WorkloadPlan::sweep_join(*model.workload(), strategy)],
-        }
-    }
-
     /// The workload plan driving the evaluations (`None` for a degenerate
     /// workload that yielded no plans — evaluation then errors).
     pub fn plan(&self) -> Option<&WorkloadPlan> {
@@ -273,19 +250,9 @@ impl DesignAdvisor {
     /// infeasible designs.
     ///
     /// The reference design itself must be feasible; any other design the
-    /// estimator refuses is recorded in [`DesignSpaceReport::infeasible`].
+    /// estimator refuses is recorded in [`RunSeries::infeasible`].
     pub fn evaluate(&self, space: &DesignSpace) -> Result<DesignSpaceReport, CoreError> {
-        let plan = self
-            .plans
-            .first()
-            .ok_or_else(|| CoreError::invalid("the advisor's workload yields no plans"))?;
-        let series =
-            crate::experiment::evaluate_series(self.estimator.as_ref(), plan, &space.designs()?)?;
-        Ok(DesignSpaceReport {
-            series: series.normalized,
-            records: series.records,
-            infeasible: series.infeasible,
-        })
+        self.evaluate_designs(&space.designs()?)
     }
 
     /// Evaluate an explicit list of candidate designs (the first is the
@@ -300,17 +267,7 @@ impl DesignAdvisor {
             .plans
             .first()
             .ok_or_else(|| CoreError::invalid("the advisor's workload yields no plans"))?;
-        if designs.is_empty() {
-            return Err(CoreError::invalid(
-                "evaluate_designs needs at least one design",
-            ));
-        }
-        let series = crate::experiment::evaluate_series(self.estimator.as_ref(), plan, designs)?;
-        Ok(DesignSpaceReport {
-            series: series.normalized,
-            records: series.records,
-            infeasible: series.infeasible,
-        })
+        evaluate_series(self.estimator.as_ref(), plan, designs)
     }
 
     /// The SLA objective for serving sweeps: evaluate the candidate designs
@@ -356,15 +313,15 @@ impl DesignAdvisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::Behavioural;
+    use crate::lens::{Analytical, Behavioural};
     use crate::model::SweepJoin;
-    use eedc_pstore::JoinQuerySpec;
+    use eedc_pstore::{JoinQuerySpec, JoinStrategy};
     use eedc_simkit::catalog::{cluster_v_node, laptop_b};
 
     fn advisor() -> DesignAdvisor {
-        DesignAdvisor::analytical(
-            AnalyticalModel::section_5_4(JoinQuerySpec::q3_dual_shuffle()).unwrap(),
-            JoinStrategy::DualShuffle,
+        DesignAdvisor::new(
+            Analytical,
+            &SweepJoin::section_5_4(JoinQuerySpec::q3_dual_shuffle()),
         )
     }
 
@@ -397,10 +354,10 @@ mod tests {
         // Every grid point is either a feasible series point or recorded
         // infeasible.
         assert_eq!(
-            report.series.points().len() + report.infeasible.len(),
+            report.normalized.points().len() + report.infeasible.len(),
             space.len()
         );
-        assert_eq!(report.records.len(), report.series.points().len());
+        assert_eq!(report.records.len(), report.normalized.points().len());
         // The 70 GB dual-shuffle hash table fits no all-Wimpy design here
         // (17.5 GB+ per 8 GB laptop), so the infeasible list is non-empty.
         assert!(!report.infeasible.is_empty());
@@ -410,11 +367,21 @@ mod tests {
             .any(|(label, _)| label.starts_with("0B,")));
         // The reference leads the records and sits at (1, 1).
         assert_eq!(report.records[0].design, "4B,0W");
-        assert_eq!(report.series.points()[0].1, NormalizedPoint::reference());
+        assert_eq!(
+            report.normalized.points()[0].1,
+            NormalizedPoint::reference()
+        );
         assert_eq!(
             report.records[0].normalized,
             Some(NormalizedPoint::reference())
         );
+        assert_eq!(report.point("4B,0W"), Some(&NormalizedPoint::reference()));
+        // The grid form is the list form over the grid's designs: the two
+        // return the same series, whole.
+        let listed = advisor()
+            .evaluate_designs(&space.designs().unwrap())
+            .unwrap();
+        assert_eq!(report, listed);
     }
 
     #[test]
@@ -429,7 +396,12 @@ mod tests {
                 pick.point.performance + 1e-9 >= target,
                 "{target}: {pick} below the floor"
             );
-            for (label, point) in report.series.points() {
+            // Picking over the records names the design the normalized
+            // series' own rule names.
+            let (label, point) = report.normalized.best_meeting_target(target).unwrap();
+            assert_eq!((&pick.label, &pick.point), (label, point), "{target}");
+            assert_eq!(pick.mode, report.record(label).unwrap().mode);
+            for (label, point) in report.normalized.points() {
                 if point.performance + 1e-9 >= target {
                     assert!(
                         pick.point.energy <= point.energy + 1e-9,
@@ -442,7 +414,7 @@ mod tests {
         // (performance above 1.0) — but a truly unreachable target yields no
         // recommendation.
         assert!(report
-            .series
+            .normalized
             .highest_performance()
             .is_some_and(|(_, p)| p.performance > 1.0));
         assert!(report.recommend(1e9).is_none());
@@ -473,7 +445,7 @@ mod tests {
 
     #[test]
     fn cheapest_meeting_p99_picks_the_lowest_energy_design_that_clears_the_floor() {
-        use crate::experiment::{Analytical, Serving};
+        use crate::lens::Serving;
         use crate::workload::ServingWorkload;
         use eedc_pstore::JoinQuerySpec;
 
@@ -548,7 +520,7 @@ mod tests {
 
     #[test]
     fn cheapest_meeting_availability_agrees_with_brute_force() {
-        use crate::experiment::{Analytical, Serving};
+        use crate::lens::Serving;
         use crate::workload::ServingWorkload;
         use eedc_dbmsim::FaultModel;
         use eedc_simkit::units::Seconds;
@@ -640,7 +612,7 @@ mod tests {
         let space = DesignSpace::new(cluster_v_node(), laptop_b(), 4, 2).unwrap();
         let report = adv.evaluate(&space).unwrap();
         assert_eq!(
-            report.series.points().len() + report.infeasible.len(),
+            report.normalized.points().len() + report.infeasible.len(),
             space.len()
         );
         let pick = report.recommend(0.75).expect("reference qualifies");

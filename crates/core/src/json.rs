@@ -202,19 +202,58 @@ impl JsonValue {
         matches!(self, JsonValue::Null)
     }
 
+    /// The value of a field that later-vintage writers added: a key that is
+    /// absent and a key holding `null` both read as `None`. This is the one
+    /// statement of the presence rule — writers omit such a key when they
+    /// have nothing to say, so a report from before the key existed
+    /// re-serializes byte-identically.
+    pub fn optional(&self, key: &str) -> Option<&JsonValue> {
+        match self.get(key) {
+            None | Some(JsonValue::Null) => None,
+            present => present,
+        }
+    }
+
     /// A required numeric field of an object.
     pub fn f64_field(&self, key: &str) -> Result<f64, CoreError> {
-        self.field(key)?
-            .as_f64()
-            .ok_or_else(|| CoreError::invalid(format!("JSON field '{key}' is not a number")))
+        self.field(key)?.number(key)
     }
 
     /// A required numeric field read as a non-negative integer.
     pub fn usize_field(&self, key: &str) -> Result<usize, CoreError> {
-        let n = self.f64_field(key)?;
+        self.field(key)?.count(key)
+    }
+
+    /// A required array field whose every element is a number.
+    pub fn f64_array_field(&self, key: &str) -> Result<Vec<f64>, CoreError> {
+        self.array_field(key)?
+            .iter()
+            .map(|item| item.number(key))
+            .collect()
+    }
+
+    /// A required array field whose every element is a non-negative integer
+    /// — [`usize_field`](Self::usize_field)'s rule, applied per element.
+    pub fn usize_array_field(&self, key: &str) -> Result<Vec<usize>, CoreError> {
+        self.array_field(key)?
+            .iter()
+            .map(|item| item.count(key))
+            .collect()
+    }
+
+    /// `self` as a number; `key` names the field it was read for.
+    fn number(&self, key: &str) -> Result<f64, CoreError> {
+        self.as_f64()
+            .ok_or_else(|| CoreError::invalid(format!("JSON field '{key}' holds a non-number")))
+    }
+
+    /// `self` as a non-negative integer; negative or fractional numbers are
+    /// errors, never truncated.
+    fn count(&self, key: &str) -> Result<usize, CoreError> {
+        let n = self.number(key)?;
         if n < 0.0 || n.fract() != 0.0 {
             return Err(CoreError::invalid(format!(
-                "JSON field '{key}' is not a non-negative integer: {n}"
+                "JSON field '{key}' holds {n}, not a non-negative integer"
             )));
         }
         Ok(n as usize)
@@ -670,6 +709,41 @@ mod tests {
         let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
         assert!(JsonValue::parse(&nested(MAX_NESTING)).is_ok());
         assert!(JsonValue::parse(&nested(MAX_NESTING + 1)).is_err());
+        // Well-formed JSON of the wrong shape: an integer array holding a
+        // negative, a fraction, a string, or not an array at all is an
+        // error naming the key — it used to truncate (`[-3, 1.5]` read as
+        // `[0, 1]`) and re-emit different bytes. Checked through the
+        // accessor and through the record reader that uses it.
+        let stats = |queued: &str| {
+            let doc = format!(
+                r#"{{"scheduler": "fcfs", "offered_qps": 1, "achieved_qps": 1, "arrivals": 2,
+                "completed": 2, "dropped": 0, "timed_out": 0, "drop_rate": 0, "p50_s": 1,
+                "p95_s": 1, "p99_s": 1, "mean_latency_s": 1, "mean_wait_s": 0,
+                "energy_per_query_j": 5, "pool_mean_depth": [0.5, 1],
+                "pool_max_queued": {queued}}}"#
+            );
+            JsonValue::parse(&doc).unwrap()
+        };
+        for hostile in ["[-3, 1]", "[1.5]", "7", r#"[1, "2"]"#] {
+            let doc = stats(hostile);
+            for err in [
+                doc.usize_array_field("pool_max_queued").unwrap_err(),
+                crate::ServingStats::from_json(&doc).unwrap_err(),
+            ] {
+                assert!(matches!(err, CoreError::Invalid(_)), "{hostile}: {err}");
+                assert!(err.to_string().contains("'pool_max_queued'"), "{err}");
+            }
+            // Fractions and negatives are fine where any number is.
+            assert_eq!(doc.f64_array_field("pool_mean_depth").unwrap(), [0.5, 1.0]);
+        }
+        let good = crate::ServingStats::from_json(&stats("[3, 0]")).unwrap();
+        assert_eq!(good.pool_max_queued, [3, 0]);
+        // `null` under a later-vintage key reads like an absent key.
+        let nulled = crate::ServingStats::from_json(&stats("null")).unwrap();
+        assert!(nulled.pool_max_queued.is_empty());
+        assert!(stats("null").optional("pool_max_queued").is_none());
+        assert!(stats("null").optional("no_such_key").is_none());
+        assert!(stats("[]").optional("pool_max_queued").is_some());
     }
 
     #[test]

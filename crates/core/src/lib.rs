@@ -8,22 +8,28 @@
 //!   ([`SweepJoin`], [`ConcurrencySweep`], Zipf-skewed [`SkewedJoin`],
 //!   profile-driven [`ProfiledQuery`], and the open-loop
 //!   [`ServingWorkload`] wrapper): *what* is evaluated.
-//! * [`experiment`] — the [`Estimator`] trait and its five lenses
+//! * [`lens`] — the [`Estimator`] trait and its five lenses, one file each
 //!   ([`Measured`] P-store runs, [`Analytical`] closed-form predictions,
 //!   [`Behavioural`] first-order scaling, [`Traced`] utilization-trace
 //!   replay under engine behaviours, [`Serving`] discrete-event query
-//!   streams with latency percentiles and energy-per-query), the
-//!   builder-style [`Experiment`] runner, and the uniform [`RunRecord`]
-//!   every lens yields: *how* it is evaluated.
+//!   streams with latency percentiles and energy-per-query): *how* it is
+//!   evaluated.
+//! * [`record`] — the uniform [`RunRecord`] every lens yields (with its
+//!   [`PhaseRecord`], [`ServingStats`] and [`FaultStats`] parts) and their
+//!   JSON codec.
+//! * [`experiment`] — the builder-style [`Experiment`] runner, the
+//!   [`RunSeries`] it produces per (estimator × plan), and the
+//!   [`ExperimentReport`] that round-trips through JSON.
 //! * [`model`] — closed-form per-phase response-time and energy predictions
 //!   for any `(b Beefy, w Wimpy)` cluster design running the sweep join
 //!   (700 GB ORDERS ⋈ 2.8 TB LINEITEM in the paper's sweeps): scan rates,
 //!   per-node port bandwidth, broadcast versus shuffle volumes, and the
 //!   homogeneous/heterogeneous mode selection shared with the P-store
 //!   runtime via [`eedc_pstore::select_execution_mode`].
-//! * [`advisor`] — enumerates the design grid under *any* estimator,
-//!   normalizes the records against the all-Beefy reference, and returns
-//!   the cheapest design meeting a performance floor.
+//! * [`advisor`] — enumerates the design grid under *any* estimator and
+//!   returns the [`RunSeries`] the runner would; the selection rules
+//!   (cheapest design meeting a performance, p99 or availability floor) are
+//!   methods on that series.
 //! * [`json`] — the hand-rolled JSON writer **and reader** that land
 //!   [`RunRecord`] series on disk for the figures pipeline and read them
 //!   back for baseline comparisons.
@@ -41,17 +47,18 @@ pub mod advisor;
 pub mod error;
 pub mod experiment;
 pub mod json;
+pub mod lens;
 pub mod model;
+pub mod record;
 pub mod workload;
 
 pub use advisor::{DesignAdvisor, DesignSpace, DesignSpaceReport, Recommendation};
 pub use error::CoreError;
-pub use experiment::{
-    Analytical, Behavioural, Estimator, Experiment, ExperimentReport, FaultStats, Measured,
-    PhaseRecord, RunRecord, RunSeries, Serving, ServingStats, Traced,
-};
+pub use experiment::{Experiment, ExperimentReport, RunSeries};
 pub use json::JsonValue;
+pub use lens::{Analytical, Behavioural, Estimator, Measured, Serving, Traced};
 pub use model::{AnalyticalModel, SweepJoin};
+pub use record::{FaultStats, PhaseRecord, RunRecord, ServingStats};
 pub use workload::{
     ConcurrencySweep, ProfiledQuery, ServingParams, ServingWorkload, SkewedJoin, Workload,
     WorkloadPlan,

@@ -285,11 +285,6 @@ impl AnalyticalModel {
         Self::new(SweepJoin::section_5_4(query))
     }
 
-    /// The workload being modeled.
-    pub fn workload(&self) -> &SweepJoin {
-        &self.workload
-    }
-
     /// Predict the per-phase response time and energy of `design` executing
     /// the workload under `strategy`.
     ///

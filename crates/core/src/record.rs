@@ -1,0 +1,412 @@
+//! The uniform result records every lens yields, and their JSON codec.
+//!
+//! [`RunRecord`] is the currency of the experiment API — response time,
+//! energy, per-node utilization and energy, per-phase breakdown
+//! ([`PhaseRecord`]), and, for [`Serving`](crate::Serving) runs, queueing
+//! statistics ([`ServingStats`], with [`FaultStats`] nested inside when the
+//! run was churned). Each struct carries its own `to_json` / `from_json`
+//! pair over [`crate::json`]; keys a later vintage added are read through
+//! [`JsonValue::optional`] and omitted by the writer when absent, so older
+//! reports re-serialize byte-identically.
+
+use crate::error::CoreError;
+use crate::json::JsonValue;
+use eedc_pstore::stats::{Bottleneck, ExecutionMode, PhaseStats};
+use eedc_pstore::JoinStrategy;
+use eedc_simkit::metrics::{Measurement, NormalizedPoint};
+use eedc_simkit::units::{Joules, Megabytes, Seconds};
+
+/// Read a key that a later vintage of the writer added: `read` runs only
+/// when the document carries the key ([`JsonValue::optional`]).
+fn later<'a, T>(
+    value: &'a JsonValue,
+    key: &str,
+    read: impl FnOnce(&'a JsonValue, &str) -> Result<T, CoreError>,
+) -> Result<Option<T>, CoreError> {
+    value.optional(key).map(|_| read(value, key)).transpose()
+}
+
+/// A normalized point as the `"normalized"` object of a record.
+fn point_to_json(point: &NormalizedPoint) -> JsonValue {
+    let mut obj = JsonValue::object();
+    obj.set("performance", point.performance)
+        .set("energy", point.energy);
+    obj
+}
+
+/// The reader half of [`point_to_json`].
+fn point_from_json(value: &JsonValue) -> Result<NormalizedPoint, CoreError> {
+    Ok(NormalizedPoint {
+        performance: value.f64_field("performance")?,
+        energy: value.f64_field("energy")?,
+    })
+}
+
+/// One execution phase of a run, shaped identically for measured and modeled
+/// runs (behavioural extrapolations carry no phase breakdown).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PhaseRecord {
+    /// Phase label (`"build"` / `"probe"`).
+    pub label: String,
+    /// Wall-clock duration of the phase.
+    pub duration: Seconds,
+    /// Cluster energy over the phase.
+    pub energy: Joules,
+    /// Bytes that crossed the network.
+    pub bytes_over_network: Megabytes,
+    /// Time the slowest producer spent scanning.
+    pub scan_time: Seconds,
+    /// Completion time of the network transfer.
+    pub network_time: Seconds,
+    /// Time the slowest consumer spent building/probing.
+    pub compute_time: Seconds,
+    /// The component that bounded the phase.
+    pub bottleneck: Bottleneck,
+}
+
+impl From<&PhaseStats> for PhaseRecord {
+    fn from(p: &PhaseStats) -> Self {
+        Self {
+            label: p.label.clone(),
+            duration: p.duration,
+            energy: p.energy,
+            bytes_over_network: p.bytes_over_network,
+            scan_time: p.scan_time,
+            network_time: p.network_time,
+            compute_time: p.compute_time,
+            bottleneck: p.bottleneck,
+        }
+    }
+}
+
+/// The uniform result of estimating one workload plan on one cluster design
+/// — the currency of the experiment API, identical across all estimators.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunRecord {
+    /// Label of the workload plan.
+    pub workload: String,
+    /// Name of the estimator that produced the record.
+    pub estimator: String,
+    /// Label of the design (`"2B,2W"` convention).
+    pub design: String,
+    /// The join strategy evaluated.
+    pub strategy: JoinStrategy,
+    /// Homogeneous or heterogeneous execution.
+    pub mode: ExecutionMode,
+    /// Number of identical concurrent queries in the batch.
+    pub concurrency: usize,
+    /// Query (batch) response time.
+    pub response_time: Seconds,
+    /// Total cluster energy.
+    pub energy: Joules,
+    /// Time-averaged per-node CPU utilization, in cluster node order.
+    pub node_utilization: Vec<f64>,
+    /// Per-node energy, in cluster node order; sums to `energy`.
+    pub node_energy: Vec<Joules>,
+    /// Per-phase breakdown (empty for behavioural extrapolations).
+    pub phases: Vec<PhaseRecord>,
+    /// Verified join output rows — measured runs only.
+    pub output_rows: Option<usize>,
+    /// Serving-level statistics (latency percentiles, drop rate,
+    /// energy-per-query) — [`Serving`](crate::Serving) runs only.
+    pub serving: Option<ServingStats>,
+    /// The record's (performance, energy) point normalized against the
+    /// experiment's reference design; filled in by
+    /// [`Experiment::run`](crate::Experiment::run).
+    pub normalized: Option<NormalizedPoint>,
+}
+
+/// Queueing statistics of one serving run — the fields only an open-loop
+/// discrete-event simulation can produce, carried alongside the closed-form
+/// shape of [`RunRecord`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServingStats {
+    /// Placement policy that scheduled the queries.
+    pub scheduler: String,
+    /// Arrival-law name (`"poisson"` / `"trace"` / `"ramp"`). `None` when
+    /// read back from a report written before arrival processes existed.
+    pub arrival: Option<String>,
+    /// Offered load (mean arrivals per second over the window).
+    pub offered_qps: f64,
+    /// Completions per second over the run.
+    pub achieved_qps: f64,
+    /// Queries that arrived / completed / were dropped / timed out.
+    pub arrivals: usize,
+    /// Queries that completed service.
+    pub completed: usize,
+    /// Arrivals rejected because the admission queue was full.
+    pub dropped: usize,
+    /// Queued queries abandoned after exceeding the configured wait bound.
+    pub timed_out: usize,
+    /// Fraction of arrivals lost to drops or timeouts.
+    pub drop_rate: f64,
+    /// Median latency.
+    pub p50: Seconds,
+    /// 95th-percentile latency.
+    pub p95: Seconds,
+    /// 99th-percentile latency.
+    pub p99: Seconds,
+    /// Mean completed-query latency.
+    pub mean_latency: Seconds,
+    /// Mean admission-queue wait before service.
+    pub mean_wait: Seconds,
+    /// Total run energy (idle power included) per completed query.
+    pub energy_per_query: Joules,
+    /// Time-averaged queries in system (waiting + in flight) per pool.
+    /// Empty when read back from a report written before queue-depth
+    /// accounting existed.
+    pub pool_mean_depth: Vec<f64>,
+    /// High-water mark of each pool's own queue (waiting only); empty for
+    /// pre-queue-depth reports.
+    pub pool_max_queued: Vec<usize>,
+    /// Availability and lifecycle accounting — present only when the run
+    /// carried an active [`FaultModel`](crate::FaultModel), so
+    /// fault-free reports keep their pre-fault byte shape.
+    pub faults: Option<FaultStats>,
+}
+
+/// Fault-injection and cluster-lifecycle accounting of one serving run:
+/// what failed, what the failures cost, and how the elastic policy moved
+/// the fleet. Rides inside [`ServingStats`] only when the run's
+/// [`FaultModel`](crate::FaultModel) actually did something.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultStats {
+    /// Fraction of pool-time not lost to failures (repair + warm-up);
+    /// deliberate parking by the scale policy does not count against it.
+    pub availability: f64,
+    /// Pool-down events (hazard draws plus scripted outages) that fired.
+    pub failures: usize,
+    /// In-flight queries killed by a pool failure.
+    pub killed: usize,
+    /// Killed queries re-admitted under the recovery policy.
+    pub readmitted: usize,
+    /// Parked pools revived by the scale policy.
+    pub scale_out_events: usize,
+    /// Idle pools parked by the scale policy.
+    pub scale_in_events: usize,
+    /// Summed pool-seconds lost to repair and restart warm-up.
+    pub fault_downtime: Seconds,
+    /// Energy billed to restarts and scale migrations (data movement).
+    pub overhead_energy: Joules,
+}
+
+impl FaultStats {
+    /// Render the stats as a JSON object (nested under the serving
+    /// object's `"faults"` key).
+    pub fn to_json(&self) -> JsonValue {
+        let mut obj = JsonValue::object();
+        obj.set("availability", self.availability)
+            .set("failures", self.failures)
+            .set("killed", self.killed)
+            .set("readmitted", self.readmitted)
+            .set("scale_out_events", self.scale_out_events)
+            .set("scale_in_events", self.scale_in_events)
+            .set("fault_downtime_s", self.fault_downtime.value())
+            .set("overhead_energy_j", self.overhead_energy.value());
+        obj
+    }
+
+    /// Reconstruct the stats from the shape [`to_json`](Self::to_json)
+    /// emits.
+    pub fn from_json(value: &JsonValue) -> Result<Self, CoreError> {
+        Ok(Self {
+            availability: value.f64_field("availability")?,
+            failures: value.usize_field("failures")?,
+            killed: value.usize_field("killed")?,
+            readmitted: value.usize_field("readmitted")?,
+            scale_out_events: value.usize_field("scale_out_events")?,
+            scale_in_events: value.usize_field("scale_in_events")?,
+            fault_downtime: Seconds(value.f64_field("fault_downtime_s")?),
+            overhead_energy: Joules(value.f64_field("overhead_energy_j")?),
+        })
+    }
+}
+
+impl ServingStats {
+    /// Render the stats as a JSON object. The later-vintage fields
+    /// (`arrival`, the queue-depth vectors, the nested `faults` object) are
+    /// emitted only when present, so stats read from an older report
+    /// re-write byte-identically.
+    pub fn to_json(&self) -> JsonValue {
+        let mut obj = JsonValue::object();
+        obj.set("scheduler", self.scheduler.clone());
+        if let Some(arrival) = &self.arrival {
+            obj.set("arrival", arrival.clone());
+        }
+        obj.set("offered_qps", self.offered_qps)
+            .set("achieved_qps", self.achieved_qps)
+            .set("arrivals", self.arrivals)
+            .set("completed", self.completed)
+            .set("dropped", self.dropped)
+            .set("timed_out", self.timed_out)
+            .set("drop_rate", self.drop_rate)
+            .set("p50_s", self.p50.value())
+            .set("p95_s", self.p95.value())
+            .set("p99_s", self.p99.value())
+            .set("mean_latency_s", self.mean_latency.value())
+            .set("mean_wait_s", self.mean_wait.value())
+            .set("energy_per_query_j", self.energy_per_query.value());
+        if !self.pool_mean_depth.is_empty() {
+            obj.set("pool_mean_depth", self.pool_mean_depth.clone());
+        }
+        if !self.pool_max_queued.is_empty() {
+            obj.set("pool_max_queued", self.pool_max_queued.clone());
+        }
+        if let Some(faults) = &self.faults {
+            obj.set("faults", faults.to_json());
+        }
+        obj
+    }
+
+    /// Reconstruct the stats from the JSON shape
+    /// [`to_json`](Self::to_json) emits. Reports written before PR 9 carry
+    /// no `arrival` / queue-depth keys; those read back as `None` / empty
+    /// and re-write with the keys absent — byte-compatible.
+    pub fn from_json(value: &JsonValue) -> Result<Self, CoreError> {
+        Ok(Self {
+            scheduler: value.str_field("scheduler")?.to_string(),
+            arrival: later(value, "arrival", JsonValue::str_field)?.map(str::to_string),
+            offered_qps: value.f64_field("offered_qps")?,
+            achieved_qps: value.f64_field("achieved_qps")?,
+            arrivals: value.usize_field("arrivals")?,
+            completed: value.usize_field("completed")?,
+            dropped: value.usize_field("dropped")?,
+            timed_out: value.usize_field("timed_out")?,
+            drop_rate: value.f64_field("drop_rate")?,
+            p50: Seconds(value.f64_field("p50_s")?),
+            p95: Seconds(value.f64_field("p95_s")?),
+            p99: Seconds(value.f64_field("p99_s")?),
+            mean_latency: Seconds(value.f64_field("mean_latency_s")?),
+            mean_wait: Seconds(value.f64_field("mean_wait_s")?),
+            energy_per_query: Joules(value.f64_field("energy_per_query_j")?),
+            pool_mean_depth: later(value, "pool_mean_depth", JsonValue::f64_array_field)?
+                .unwrap_or_default(),
+            pool_max_queued: later(value, "pool_max_queued", JsonValue::usize_array_field)?
+                .unwrap_or_default(),
+            faults: value
+                .optional("faults")
+                .map(FaultStats::from_json)
+                .transpose()?,
+        })
+    }
+}
+
+impl PhaseRecord {
+    /// Render the phase as a JSON object (one element of a record's
+    /// `"phases"` array).
+    pub fn to_json(&self) -> JsonValue {
+        let mut obj = JsonValue::object();
+        obj.set("label", self.label.clone())
+            .set("duration_s", self.duration.value())
+            .set("energy_j", self.energy.value())
+            .set("bytes_over_network_mb", self.bytes_over_network.value())
+            .set("scan_time_s", self.scan_time.value())
+            .set("network_time_s", self.network_time.value())
+            .set("compute_time_s", self.compute_time.value())
+            .set("bottleneck", self.bottleneck.to_string());
+        obj
+    }
+
+    /// Reconstruct a phase record from the shape [`to_json`](Self::to_json)
+    /// emits.
+    pub fn from_json(value: &JsonValue) -> Result<Self, CoreError> {
+        Ok(Self {
+            label: value.str_field("label")?.to_string(),
+            duration: Seconds(value.f64_field("duration_s")?),
+            energy: Joules(value.f64_field("energy_j")?),
+            bytes_over_network: Megabytes(value.f64_field("bytes_over_network_mb")?),
+            scan_time: Seconds(value.f64_field("scan_time_s")?),
+            network_time: Seconds(value.f64_field("network_time_s")?),
+            compute_time: Seconds(value.f64_field("compute_time_s")?),
+            bottleneck: value.str_field("bottleneck")?.parse()?,
+        })
+    }
+}
+
+impl RunRecord {
+    /// Collapse into a [`Measurement`] for normalization / EDP analysis.
+    pub fn measurement(&self) -> Measurement {
+        Measurement::new(self.response_time, self.energy)
+    }
+
+    /// Reconstruct a record from the JSON shape [`to_json`](Self::to_json)
+    /// emits — the reader half of the figures pipeline, used for baseline
+    /// comparisons against series already on disk.
+    pub fn from_json(value: &JsonValue) -> Result<Self, CoreError> {
+        // `output_rows` and `normalized` are always written, as `null` when
+        // there is nothing to say; only "serving" is a later-vintage key.
+        let output_rows = match value.field("output_rows")? {
+            JsonValue::Null => None,
+            _ => Some(value.usize_field("output_rows")?),
+        };
+        let normalized = match value.field("normalized")? {
+            JsonValue::Null => None,
+            point => Some(point_from_json(point)?),
+        };
+        Ok(Self {
+            workload: value.str_field("workload")?.to_string(),
+            estimator: value.str_field("estimator")?.to_string(),
+            design: value.str_field("design")?.to_string(),
+            strategy: value.str_field("strategy")?.parse()?,
+            mode: value.str_field("mode")?.parse()?,
+            concurrency: value.usize_field("concurrency")?,
+            response_time: Seconds(value.f64_field("response_time_s")?),
+            energy: Joules(value.f64_field("energy_j")?),
+            node_utilization: value.f64_array_field("node_utilization")?,
+            node_energy: value
+                .f64_array_field("node_energy_j")?
+                .into_iter()
+                .map(Joules)
+                .collect(),
+            phases: value
+                .array_field("phases")?
+                .iter()
+                .map(PhaseRecord::from_json)
+                .collect::<Result<_, _>>()?,
+            output_rows,
+            serving: value
+                .optional("serving")
+                .map(ServingStats::from_json)
+                .transpose()?,
+            normalized,
+        })
+    }
+
+    /// The Energy-Delay Product in joule·seconds.
+    pub fn edp(&self) -> f64 {
+        self.measurement().edp()
+    }
+
+    /// Render the record as a JSON object.
+    pub fn to_json(&self) -> JsonValue {
+        let mut obj = JsonValue::object();
+        obj.set("workload", self.workload.clone())
+            .set("estimator", self.estimator.clone())
+            .set("design", self.design.clone())
+            .set("strategy", self.strategy.to_string())
+            .set("mode", self.mode.to_string())
+            .set("concurrency", self.concurrency)
+            .set("response_time_s", self.response_time.value())
+            .set("energy_j", self.energy.value())
+            .set("edp_js", self.edp())
+            .set("node_utilization", self.node_utilization.clone())
+            .set(
+                "node_energy_j",
+                self.node_energy
+                    .iter()
+                    .map(|e| e.value())
+                    .collect::<Vec<_>>(),
+            );
+        let mut phases = JsonValue::array();
+        for phase in &self.phases {
+            phases.push(phase.to_json());
+        }
+        obj.set("phases", phases);
+        obj.set("output_rows", self.output_rows);
+        if let Some(serving) = &self.serving {
+            obj.set("serving", serving.to_json());
+        }
+        obj.set("normalized", self.normalized.as_ref().map(point_to_json));
+        obj
+    }
+}

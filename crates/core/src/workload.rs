@@ -19,7 +19,7 @@
 //!   SF-1000 scale-down studies of Figures 1–2.
 
 use crate::model::SweepJoin;
-use eedc_dbmsim::{ArrivalProcess, FaultModel, RampSegment};
+use eedc_dbmsim::{ArrivalProcess, FaultModel, RampSegment, ServingConfig};
 use eedc_pstore::{JoinQuerySpec, JoinSkew, JoinStrategy, RunOptions};
 use eedc_simkit::units::Seconds;
 use eedc_tpch::{QueryId, QueryProfile, ScaleFactor, TpchTable};
@@ -62,23 +62,21 @@ pub struct WorkloadPlan {
 }
 
 /// Open-loop serving parameters a [`ServingWorkload`] attaches to its plans:
-/// the arrival law, the arrival window, the template mix, the pool
-/// concurrency, and the admission queue bounds the `Serving` lens simulates.
+/// the simulator's own run configuration, carried whole, plus the three
+/// things only the `Serving` lens knows about — how it shapes the design's
+/// node pools and which queries arrive.
+///
+/// `config` *is* the [`ServingConfig`] the lens hands to
+/// `eedc_dbmsim::simulate_serving` (arrival law, window, template skew,
+/// queue bound, wait bound, seed, service law, fault model); nothing is
+/// copied field by field on the way, so a field added to the simulator's
+/// configuration reaches the run without touching this crate. The lens
+/// patches exactly one thing: a scale policy that names no migration cost
+/// gets one derived from the design's port-volume model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingParams {
-    /// The open-loop arrival law: Poisson at a mean rate, a recorded trace
-    /// of arrival instants, or a piecewise-rate diurnal ramp.
-    pub arrival: ArrivalProcess,
-    /// Length of the arrival window.
-    pub duration: Seconds,
-    /// Zipf skew of the template mix (`0.0` is uniform).
-    pub template_theta: f64,
-    /// Admission-queue bound; arrivals beyond it are dropped.
-    pub queue_capacity: usize,
-    /// Queued queries waiting longer than this time out; `None` disables.
-    pub max_wait: Option<Seconds>,
-    /// RNG seed — same seed, same report, bit for bit.
-    pub seed: u64,
+    /// The serving run configuration, passed to the simulator as-is.
+    pub config: ServingConfig,
     /// Queries each node pool serves simultaneously; beyond it they queue.
     /// Dedicated-slot pools are re-priced at this concurrency through the
     /// inner estimator (the [`ConcurrencySweep`] data), so an n-way pool's
@@ -89,22 +87,9 @@ pub struct ServingParams {
     /// (M/M/1-PS) instead of granting dedicated slots (M/M/c). Sharing
     /// itself models the contention, so profiles are then priced solo.
     pub processor_sharing: bool,
-    /// Fault-injection and lifecycle model the `Serving` lens runs the
-    /// stream under; `None` (or an inert model) keeps every pool up. When
-    /// the model's scale policy carries no explicit migration cost, the
-    /// lens derives one from the port-volume model of the design.
-    pub faults: Option<FaultModel>,
     /// The query templates arrivals draw from, in Zipf-weight order (the
     /// templates themselves carry no serving parameters).
     pub templates: Vec<WorkloadPlan>,
-}
-
-impl ServingParams {
-    /// Mean offered load over the arrival window (the configured rate for
-    /// Poisson, the realized rate for traces and ramps).
-    pub fn offered_qps(&self) -> f64 {
-        self.arrival.mean_qps(self.duration)
-    }
 }
 
 impl WorkloadPlan {
@@ -370,45 +355,35 @@ impl Workload for ProfiledQuery {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingWorkload {
     base_label: String,
-    templates: Vec<WorkloadPlan>,
     qps_levels: Vec<f64>,
-    arrival_override: Option<ArrivalProcess>,
-    duration: Seconds,
-    template_theta: f64,
-    queue_capacity: usize,
-    max_wait: Option<Seconds>,
-    seed: u64,
-    pool_concurrency: usize,
-    processor_sharing: bool,
-    faults: Option<FaultModel>,
+    /// The parameters every expanded plan carries; only the Poisson rate
+    /// varies across plans, one per QPS level.
+    params: ServingParams,
 }
 
 impl ServingWorkload {
     /// Serve the inner workload's plans as query templates at one offered
-    /// QPS over the given arrival window, with a deterministic seed.
+    /// QPS over the given arrival window, with a deterministic seed. Every
+    /// other setting starts at [`ServingConfig::new`]'s default.
     pub fn new(templates: &dyn Workload, qps: f64, duration: Seconds, seed: u64) -> Self {
         Self {
             base_label: templates.label(),
-            templates: templates
-                .plans()
-                .into_iter()
-                .map(|mut plan| {
-                    // Templates are single queries; nested serving
-                    // parameters would recurse.
-                    plan.serving = None;
-                    plan
-                })
-                .collect(),
             qps_levels: vec![qps],
-            arrival_override: None,
-            duration,
-            template_theta: 0.0,
-            queue_capacity: 1024,
-            max_wait: None,
-            seed,
-            pool_concurrency: 1,
-            processor_sharing: false,
-            faults: None,
+            params: ServingParams {
+                config: ServingConfig::new(qps, duration, seed),
+                pool_concurrency: 1,
+                processor_sharing: false,
+                templates: templates
+                    .plans()
+                    .into_iter()
+                    .map(|mut plan| {
+                        // Templates are single queries; nested serving
+                        // parameters would recurse.
+                        plan.serving = None;
+                        plan
+                    })
+                    .collect(),
+            },
         }
     }
 
@@ -418,7 +393,7 @@ impl ServingWorkload {
     /// reports availability, kill/re-admission counts, and lifecycle
     /// overhead next to the usual latency and energy figures.
     pub fn with_faults(mut self, model: FaultModel) -> Self {
-        self.faults = Some(model);
+        self.params.config.faults = Some(model);
         self
     }
 
@@ -431,19 +406,19 @@ impl ServingWorkload {
     /// Replay recorded arrival instants instead of drawing Poisson gaps
     /// (replaces any QPS sweep: a trace fixes the load).
     pub fn trace_arrivals(mut self, times: impl IntoIterator<Item = Seconds>) -> Self {
-        self.arrival_override = Some(ArrivalProcess::Trace(times.into_iter().collect()));
+        self.params.config.arrival = ArrivalProcess::Trace(times.into_iter().collect());
         self
     }
 
     /// Drive arrivals with a piecewise-constant-rate diurnal ramp given as
     /// `(segment duration, qps)` pairs (replaces any QPS sweep).
     pub fn diurnal_ramp(mut self, segments: impl IntoIterator<Item = (Seconds, f64)>) -> Self {
-        self.arrival_override = Some(ArrivalProcess::Ramp(
+        self.params.config.arrival = ArrivalProcess::Ramp(
             segments
                 .into_iter()
                 .map(|(duration, qps)| RampSegment { duration, qps })
                 .collect(),
-        ));
+        );
         self
     }
 
@@ -451,32 +426,32 @@ impl ServingWorkload {
     /// the `Serving` lens re-prices its per-query profiles at this
     /// concurrency through the inner estimator.
     pub fn pool_concurrency(mut self, limit: usize) -> Self {
-        self.pool_concurrency = limit;
+        self.params.pool_concurrency = limit;
         self
     }
 
     /// Divide each pool's rate across in-flight queries (processor sharing)
     /// instead of granting dedicated slots.
     pub fn processor_sharing(mut self) -> Self {
-        self.processor_sharing = true;
+        self.params.processor_sharing = true;
         self
     }
 
     /// Set the Zipf skew of the template mix.
     pub fn template_theta(mut self, theta: f64) -> Self {
-        self.template_theta = theta;
+        self.params.config.template_theta = theta;
         self
     }
 
     /// Set the admission-queue bound.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
+        self.params.config.queue_capacity = capacity;
         self
     }
 
     /// Enable queue-wait timeouts.
     pub fn max_wait(mut self, wait: Seconds) -> Self {
-        self.max_wait = Some(wait);
+        self.params.config.max_wait = Some(wait);
         self
     }
 
@@ -487,7 +462,7 @@ impl ServingWorkload {
 
     /// The query templates arrivals draw from.
     pub fn templates(&self) -> &[WorkloadPlan] {
-        &self.templates
+        &self.params.templates
     }
 }
 
@@ -497,42 +472,33 @@ impl Workload for ServingWorkload {
     }
 
     fn plans(&self) -> Vec<WorkloadPlan> {
-        if self.templates.is_empty() {
+        let Some(first) = self.params.templates.first() else {
             // An empty template set expands to no plans; Experiment::run
             // reports the absence rather than panicking here.
             return Vec::new();
-        }
-        let params = |arrival: ArrivalProcess| ServingParams {
-            arrival,
-            duration: self.duration,
-            template_theta: self.template_theta,
-            queue_capacity: self.queue_capacity,
-            max_wait: self.max_wait,
-            seed: self.seed,
-            pool_concurrency: self.pool_concurrency,
-            processor_sharing: self.processor_sharing,
-            faults: self.faults.clone(),
-            templates: self.templates.clone(),
         };
         // The plan's own sweep/query/strategy mirror the first template, so
         // non-serving estimators evaluate a meaningful single query instead
         // of failing.
-        if let Some(arrival) = &self.arrival_override {
+        let plan = |suffix: String, params: ServingParams| {
+            let mut plan = first.clone();
+            plan.label = format!("{} @{suffix}", self.label());
+            plan.serving = Some(params);
+            plan
+        };
+        match &self.params.config.arrival {
+            ArrivalProcess::Poisson { .. } => self
+                .qps_levels
+                .iter()
+                .map(|&qps| {
+                    let mut params = self.params.clone();
+                    params.config.arrival = ArrivalProcess::Poisson { qps };
+                    plan(format!("{qps}qps"), params)
+                })
+                .collect(),
             // A trace or ramp fixes the load: one plan, labelled by kind.
-            let mut plan = self.templates[0].clone();
-            plan.label = format!("{} @{}", self.label(), arrival.kind());
-            plan.serving = Some(params(arrival.clone()));
-            return vec![plan];
+            fixed => vec![plan(fixed.kind().to_string(), self.params.clone())],
         }
-        self.qps_levels
-            .iter()
-            .map(|&qps| {
-                let mut plan = self.templates[0].clone();
-                plan.label = format!("{} @{qps}qps", self.label());
-                plan.serving = Some(params(ArrivalProcess::Poisson { qps }));
-                plan
-            })
-            .collect()
     }
 }
 
@@ -543,6 +509,11 @@ mod tests {
 
     fn base() -> SweepJoin {
         SweepJoin::section_5_4(JoinQuerySpec::q3_dual_shuffle())
+    }
+
+    /// Mean offered load of a plan's arrival law over its window.
+    fn offered_qps(params: &ServingParams) -> f64 {
+        params.config.arrival.mean_qps(params.config.duration)
     }
 
     #[test]
@@ -615,13 +586,21 @@ mod tests {
         assert_eq!(plans.len(), 3);
         for (plan, &qps) in plans.iter().zip(serving.levels()) {
             let params = plan.serving.as_ref().expect("serving params ride along");
-            assert_eq!(params.arrival, ArrivalProcess::Poisson { qps });
-            assert_eq!(params.offered_qps(), qps);
-            assert_eq!(params.duration, Seconds(600.0));
-            assert_eq!(params.template_theta, 1.0);
-            assert_eq!(params.queue_capacity, 32);
-            assert_eq!(params.max_wait, Some(Seconds(30.0)));
-            assert_eq!(params.seed, 7);
+            // The plan carries the simulator's own configuration: exactly
+            // `ServingConfig::new`'s defaults with the builder-set fields
+            // changed, so every default is stated once, over there.
+            let expected = ServingConfig::new(qps, Seconds(600.0), 7)
+                .template_theta(1.0)
+                .queue_capacity(32)
+                .max_wait(Seconds(30.0));
+            assert_eq!(params.config, expected);
+            assert_eq!(params.config.arrival, ArrivalProcess::Poisson { qps });
+            assert_eq!(offered_qps(params), qps);
+            assert_eq!(params.config.duration, Seconds(600.0));
+            assert_eq!(params.config.template_theta, 1.0);
+            assert_eq!(params.config.queue_capacity, 32);
+            assert_eq!(params.config.max_wait, Some(Seconds(30.0)));
+            assert_eq!(params.config.seed, 7);
             assert_eq!(params.pool_concurrency, 1, "dedicated single slot");
             assert!(!params.processor_sharing);
             assert_eq!(params.templates.len(), 3);
@@ -648,11 +627,15 @@ mod tests {
         let plans = traced.plans();
         assert_eq!(plans.len(), 1, "a trace fixes the load");
         let params = plans[0].serving.as_ref().unwrap();
+        let trace = ArrivalProcess::Trace(vec![Seconds(1.0), Seconds(2.0), Seconds(4.0)]);
+        assert_eq!(params.config.arrival, trace);
+        // Untouched settings (the 1024-slot queue among them) are the
+        // simulator's defaults, not a second copy of them.
         assert_eq!(
-            params.arrival,
-            ArrivalProcess::Trace(vec![Seconds(1.0), Seconds(2.0), Seconds(4.0)])
+            params.config,
+            ServingConfig::new(0.5, Seconds(10.0), 7).arrival(trace)
         );
-        assert!((params.offered_qps() - 0.3).abs() < 1e-12);
+        assert!((offered_qps(params) - 0.3).abs() < 1e-12);
         assert_eq!(params.pool_concurrency, 4);
         assert!(plans[0].label.ends_with("@trace"), "{}", plans[0].label);
 
@@ -663,9 +646,13 @@ mod tests {
         let plans = ramped.plans();
         assert_eq!(plans.len(), 1);
         let params = plans[0].serving.as_ref().unwrap();
-        assert_eq!(params.arrival.kind(), "ramp");
+        assert_eq!(params.config.arrival.kind(), "ramp");
+        assert_eq!(
+            params.config,
+            ServingConfig::new(0.5, Seconds(300.0), 7).arrival(params.config.arrival.clone())
+        );
         assert!(params.processor_sharing);
-        assert!((params.offered_qps() - 410.0 / 300.0).abs() < 1e-12);
+        assert!((offered_qps(params) - 410.0 / 300.0).abs() < 1e-12);
         assert!(plans[0].label.ends_with("@ramp"), "{}", plans[0].label);
     }
 

@@ -127,6 +127,12 @@ fn homogeneous_scale_down_agrees_across_estimators() {
             modeled_pick, measured_pick,
             "advisor pick diverges at target {target}"
         );
+        // `RunSeries::recommend` picks over the records; it must name the
+        // design the normalized series' own rule names.
+        for (series, pick) in [(measured, measured_pick), (analytical, modeled_pick)] {
+            let recommended = series.recommend(target).map(|r| r.label);
+            assert_eq!(recommended.as_ref(), pick, "{target}");
+        }
     }
 }
 

@@ -27,12 +27,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "evaluated {} designs: {} feasible, {} infeasible (hash table fits no mode)",
         space.len(),
-        report.series.points().len(),
+        report.normalized.points().len(),
         report.infeasible.len(),
     );
     println!(
         "normalized against {} (all-Beefy reference)",
-        report.series.reference_label
+        report.normalized.reference_label
     );
 
     // A few representative rows of the design space.

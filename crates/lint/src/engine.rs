@@ -1,23 +1,22 @@
-//! The rule engine: runs every rule over every file, applies waivers,
-//! allowlists, and `#[cfg(test)]` exemptions, and folds ratcheted rules
-//! against the committed baseline.
+//! The rule engine: runs every rule over every file, applies waivers and
+//! `#[cfg(test)]` exemptions, and folds ratcheted rules against the
+//! committed baseline.
 //!
 //! Flow per file (see `docs/ARCHITECTURE.md` § "Static analysis"):
 //!
 //! ```text
 //! source ─lex─▶ tokens ─┬─▶ #[cfg(test)] line ranges ──┐
 //!                       ├─▶ waivers (// lint:allow)    ├─▶ findings ─▶ waive /
-//!                       └─▶ rule matchers ─────────────┘    allowlist / ratchet
+//!                       └─▶ rule matchers ─────────────┘    ratchet
 //! ```
 //!
-//! A finding survives as an *error* unless (a) its file is on the rule's
-//! `lint.toml` allowlist, (b) a well-formed waiver for the rule sits on the
-//! same or the preceding line, or (c) the rule is ratcheted and the file's
-//! violation count has not grown past the committed baseline. Waivers that
-//! suppress nothing are themselves errors (`waiver-hygiene`), so the escape
-//! hatches cannot rot.
+//! A finding survives as an *error* unless (a) a well-formed waiver for the
+//! rule sits on the same or the preceding line, or (b) the rule is ratcheted
+//! and the file's violation count has not grown past the committed
+//! baseline. No file can be exempted from a rule, only a line, with a
+//! reason. Waivers that suppress nothing are themselves errors
+//! (`waiver-hygiene`), so the escape hatch cannot rot.
 
-use crate::config::Config;
 use crate::lexer::{lex, Token, TokenKind};
 use crate::ratchet::Baseline;
 use crate::rules::{self, FileView, Scope, WAIVER_HYGIENE};
@@ -123,24 +122,32 @@ fn parse_waivers(tokens: &[Token]) -> Vec<Waiver> {
 
 /// Line ranges covered by `#[cfg(test)]` items (attribute line through the
 /// item's closing brace or terminating semicolon). `cfg(all(test, …))` and
-/// friends count: any `cfg` attribute mentioning the `test` ident.
+/// friends count: any `cfg` attribute mentioning the `test` ident. The inner
+/// form `#![cfg(test)]` covers the rest of its file (a `tests.rs` module
+/// file opens with it).
 fn test_line_ranges(tokens: &[Token], code: &[usize]) -> Vec<(u32, u32)> {
     let tok = |ci: usize| code.get(ci).map(|&i| &tokens[i]);
     let mut ranges = Vec::new();
     let mut i = 0;
     while i < code.len() {
-        if !(tok(i).is_some_and(|t| t.is_punct('#')) && tok(i + 1).is_some_and(|t| t.is_punct('[')))
+        let inner = tok(i + 1).is_some_and(|t| t.is_punct('!'));
+        let open = i + 1 + usize::from(inner);
+        if !(tok(i).is_some_and(|t| t.is_punct('#')) && tok(open).is_some_and(|t| t.is_punct('[')))
         {
             i += 1;
             continue;
         }
         let start_line = tok(i).map_or(0, |t| t.line);
-        let (attr, after) = attribute_body(tokens, code, i + 2);
+        let (attr, after) = attribute_body(tokens, code, open + 1);
         let is_cfg_test = attr.first().is_some_and(|t| t.is_ident("cfg"))
             && attr.iter().any(|t| t.is_ident("test"));
         if !is_cfg_test {
             i = after;
             continue;
+        }
+        if inner {
+            ranges.push((start_line, u32::MAX));
+            break;
         }
         // Skip any further attributes between #[cfg(test)] and the item.
         let mut j = after;
@@ -205,17 +212,16 @@ fn attribute_body<'a>(
 /// Per-file analysis outcome.
 #[derive(Debug, Default)]
 pub struct FileAnalysis {
-    /// Violations that survived waivers and allowlists (ratcheting is
-    /// applied later, across files).
+    /// Violations that survived waivers (ratcheting is applied later,
+    /// across files).
     pub active: Vec<Violation>,
     /// Violations suppressed by a well-formed waiver (reported for
     /// transparency, never errors).
     pub waived: Vec<Violation>,
 }
 
-/// Run every rule over one file. `config` supplies allowlists; waivers come
-/// from the source itself.
-pub fn analyze_file(path: &str, src: &str, config: &Config) -> FileAnalysis {
+/// Run every rule over one file; waivers come from the source itself.
+pub fn analyze_file(path: &str, src: &str) -> FileAnalysis {
     let tokens = lex(src);
     let code: Vec<usize> = tokens
         .iter()
@@ -236,9 +242,6 @@ pub fn analyze_file(path: &str, src: &str, config: &Config) -> FileAnalysis {
     let mut analysis = FileAnalysis::default();
     for rule in rules::RULES {
         if rule.scope == Scope::Library && category != FileCategory::Library {
-            continue;
-        }
-        if config.is_allowed(rule.name, path) {
             continue;
         }
         for finding in rules::check(rule, &view) {
@@ -268,24 +271,22 @@ pub fn analyze_file(path: &str, src: &str, config: &Config) -> FileAnalysis {
 
     // Waiver hygiene: malformed waivers and waivers that suppressed nothing
     // are errors themselves — the escape hatch must not rot.
-    if !config.is_allowed(WAIVER_HYGIENE, path) {
-        for (waiver, used) in waivers.iter().zip(&waiver_used) {
-            let message = match (&waiver.problem, used) {
-                (Some(problem), _) => problem.clone(),
-                (None, false) => format!(
-                    "stale waiver for '{}': it suppresses nothing on this or the next \
-                     line; remove it",
-                    waiver.rule
-                ),
-                (None, true) => continue,
-            };
-            analysis.active.push(Violation {
-                rule: WAIVER_HYGIENE,
-                path: path.to_string(),
-                line: waiver.line,
-                message,
-            });
-        }
+    for (waiver, used) in waivers.iter().zip(&waiver_used) {
+        let message = match (&waiver.problem, used) {
+            (Some(problem), _) => problem.clone(),
+            (None, false) => format!(
+                "stale waiver for '{}': it suppresses nothing on this or the next \
+                 line; remove it",
+                waiver.rule
+            ),
+            (None, true) => continue,
+        };
+        analysis.active.push(Violation {
+            rule: WAIVER_HYGIENE,
+            path: path.to_string(),
+            line: waiver.line,
+            message,
+        });
     }
     analysis
 }
@@ -381,7 +382,6 @@ impl LintReport {
 /// waiver-hygiene stays accurate under filtering).
 pub fn run_check(
     files: &[(String, String)],
-    config: &Config,
     baseline: &Baseline,
     filter: Option<&str>,
 ) -> LintReport {
@@ -391,8 +391,8 @@ pub fn run_check(
     };
     let ratcheted: Vec<&str> = rules::RULES
         .iter()
+        .filter(|r| r.ratcheted)
         .map(|r| r.name)
-        .filter(|name| config.rule(name).ratchet)
         .collect();
     let mut counts: BTreeMap<String, BTreeMap<String, usize>> = ratcheted
         .iter()
@@ -400,7 +400,7 @@ pub fn run_check(
         .collect();
 
     for (path, src) in files {
-        let analysis = analyze_file(path, src, config);
+        let analysis = analyze_file(path, src);
         report.waived.extend(analysis.waived);
         for violation in analysis.active {
             if ratcheted.contains(&violation.rule) {
@@ -492,7 +492,7 @@ mod tests {
     use crate::rules::{DETERMINISM, FLOAT_ORDERING, PANIC_POLICY};
 
     fn lib(src: &str) -> FileAnalysis {
-        analyze_file("crates/x/src/lib.rs", src, &Config::default())
+        analyze_file("crates/x/src/lib.rs", src)
     }
 
     #[test]
@@ -544,6 +544,11 @@ mod tests {
                    use std::collections::HashMap;\n\
                    pub fn real() {}\n";
         assert!(lib(src).active.is_empty());
+        // A module file that opens with the inner form is test code to its
+        // end; the same file without it is not.
+        let src = "//! Tests.\n#![cfg(test)]\nuse super::*;\nfn t() { x.unwrap(); }\n";
+        assert!(lib(src).active.is_empty());
+        assert_eq!(lib(&src.replace("#![cfg(test)]", "")).active.len(), 1);
     }
 
     #[test]
@@ -599,66 +604,45 @@ mod tests {
     }
 
     #[test]
-    fn allowlist_skips_rule_for_file() {
-        let config = Config::parse(
-            "[determinism]\nallow = [\"crates/x/src/lib.rs\"]\n",
-            &rules::rule_names(),
-        )
-        .unwrap();
-        let src = "let t = Instant::now();\nx.unwrap();\n";
-        let analysis = analyze_file("crates/x/src/lib.rs", src, &config);
-        let rule_names: Vec<&str> = analysis.active.iter().map(|v| v.rule).collect();
-        assert!(!rule_names.contains(&DETERMINISM), "{rule_names:?}");
-        assert!(rule_names.contains(&PANIC_POLICY));
-        // Another file is not allowlisted.
-        let other = analyze_file("crates/y/src/lib.rs", src, &config);
-        assert!(other.active.iter().any(|v| v.rule == DETERMINISM));
-    }
-
-    #[test]
     fn support_files_skip_library_rules() {
         let src = "x.unwrap(); let t = Instant::now(); a.partial_cmp(&b)";
-        let analysis = analyze_file("crates/x/tests/it.rs", src, &Config::default());
+        let analysis = analyze_file("crates/x/tests/it.rs", src);
         assert!(analysis.active.is_empty(), "{:?}", analysis.active);
         // unsafe-audit still applies everywhere.
-        let analysis = analyze_file("crates/x/tests/it.rs", "unsafe { f() }", &Config::default());
+        let analysis = analyze_file("crates/x/tests/it.rs", "unsafe { f() }");
         assert_eq!(analysis.active.len(), 1);
     }
 
     #[test]
     fn ratchet_passes_on_equal_fails_on_growth() {
-        let config =
-            Config::parse("[panic-policy]\nratchet = true\n", &rules::rule_names()).unwrap();
         let files = vec![(
             "crates/x/src/lib.rs".to_string(),
             "fn f() { a.unwrap(); b.unwrap(); }".to_string(),
         )];
         let mut baseline = Baseline::default();
         baseline.set_count(PANIC_POLICY, "crates/x/src/lib.rs", 2);
-        let report = run_check(&files, &config, &baseline, None);
+        let report = run_check(&files, &baseline, None);
         assert!(!report.failed(), "equal counts must hold the line");
         assert_eq!(report.ratchet.len(), 1);
         assert!(!report.ratchet[0].grew());
 
         baseline.set_count(PANIC_POLICY, "crates/x/src/lib.rs", 1);
-        let report = run_check(&files, &config, &baseline, None);
+        let report = run_check(&files, &baseline, None);
         assert!(report.failed(), "+1 over baseline must fail");
         assert!(report.ratchet[0].grew());
 
         baseline.set_count(PANIC_POLICY, "crates/x/src/lib.rs", 3);
-        let report = run_check(&files, &config, &baseline, None);
+        let report = run_check(&files, &baseline, None);
         assert!(!report.failed());
         assert!(report.ratchet[0].improved());
     }
 
     #[test]
     fn ratchet_burned_down_file_disappears_from_rows_only_at_zero_baseline() {
-        let config =
-            Config::parse("[panic-policy]\nratchet = true\n", &rules::rule_names()).unwrap();
         let files = vec![("crates/x/src/lib.rs".to_string(), "fn f() {}".to_string())];
         let mut baseline = Baseline::default();
         baseline.set_count(PANIC_POLICY, "crates/x/src/lib.rs", 4);
-        let report = run_check(&files, &config, &baseline, None);
+        let report = run_check(&files, &baseline, None);
         // Still listed (baseline 4, current 0) so `baseline` re-records it away.
         assert_eq!(report.ratchet.len(), 1);
         assert!(report.ratchet[0].improved());
@@ -677,10 +661,10 @@ mod tests {
                 "v.sort_by(|a, b| a.partial_cmp(b).unwrap());".to_string(),
             ),
         ];
-        let report = run_check(&files, &Config::default(), &Baseline::default(), None);
+        let report = run_check(&files, &Baseline::default(), None);
         assert!(report.failed());
-        // Sorted by path; the partial_cmp file carries float-ordering AND
-        // panic-policy (unratcheted by default config here).
+        // Sorted by path; the partial_cmp file's float-ordering site is an
+        // error (its `unwrap` is panic-policy, which is ratcheted instead).
         assert_eq!(report.errors[0].path, "crates/a/src/lib.rs");
         assert!(report.errors.iter().any(|v| v.rule == FLOAT_ORDERING));
         let rendered = report.errors[0].render();
@@ -696,12 +680,7 @@ mod tests {
              let t = Instant::now();\n"
                 .to_string(),
         )];
-        let report = run_check(
-            &files,
-            &Config::default(),
-            &Baseline::default(),
-            Some(DETERMINISM),
-        );
+        let report = run_check(&files, &Baseline::default(), Some(DETERMINISM));
         // Only the determinism error reports; the used panic-policy waiver
         // is not suddenly stale.
         assert_eq!(report.errors.len(), 1);
@@ -714,7 +693,7 @@ mod tests {
             "crates/a/src/lib.rs".to_string(),
             "let t = Instant::now();".to_string(),
         )];
-        let report = run_check(&files, &Config::default(), &Baseline::default(), None);
+        let report = run_check(&files, &Baseline::default(), None);
         let json = report.to_json();
         assert_eq!(json.usize_field("schema").unwrap(), 1);
         assert_eq!(json.usize_field("files_scanned").unwrap(), 1);

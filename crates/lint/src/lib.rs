@@ -8,11 +8,12 @@
 //! The tool is self-contained by necessity (no registry access, so no
 //! `syn`): a hand-rolled [`lexer`] resolves raw strings, byte strings,
 //! nested block comments, and char-vs-lifetime ambiguity into a token
-//! stream; [`rules`] states the policy as token patterns; [`engine`] applies
-//! inline waivers (`// lint:allow(<rule>): <reason>`), the committed
-//! `lint.toml` allowlists ([`config`]), and `#[cfg(test)]` exemptions; and
+//! stream; [`rules`] states the policy as token patterns (and which rules
+//! are ratcheted); [`engine`] applies inline waivers
+//! (`// lint:allow(<rule>): <reason>`) and `#[cfg(test)]` exemptions; and
 //! [`ratchet`] compares rules with pre-existing debt against the committed
-//! `baseline.json`, failing only on growth.
+//! `baseline.json`, failing only on growth. There is no configuration file
+//! and no per-file exemption: a line is waived in place, with a reason.
 //!
 //! ```sh
 //! cargo run -p eedc-lint -- check            # the CI gate
@@ -25,25 +26,21 @@
 //! Checking a single file programmatically:
 //!
 //! ```
-//! use eedc_lint::config::Config;
 //! use eedc_lint::engine::analyze_file;
 //!
 //! let analysis = analyze_file(
 //!     "crates/x/src/lib.rs",
 //!     "let when = std::time::Instant::now();",
-//!     &Config::default(),
 //! );
 //! assert_eq!(analysis.active.len(), 1);
 //! assert_eq!(analysis.active[0].rule, "determinism");
 //! assert!(analysis.active[0].render().contains("ambient clock"));
 //! ```
 
-pub mod config;
 pub mod engine;
 pub mod lexer;
 pub mod ratchet;
 pub mod rules;
 
-pub use config::Config;
 pub use engine::{analyze_file, collect_workspace_files, run_check, LintReport, Violation};
 pub use ratchet::Baseline;

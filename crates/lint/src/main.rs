@@ -7,9 +7,9 @@
 //! eedc-lint rules
 //! ```
 //!
-//! * `check` — lint every `.rs` file under `<root>/crates`, apply waivers,
-//!   allowlists (`crates/lint/lint.toml`), and the ratchet baseline
-//!   (`crates/lint/baseline.json`); exit non-zero naming every violation.
+//! * `check` — lint every `.rs` file under `<root>/crates`, apply waivers
+//!   and the ratchet baseline (`crates/lint/baseline.json`); exit non-zero
+//!   naming every violation.
 //!   `--json` additionally writes the machine-readable report (CI uploads
 //!   it as an artifact); `--filter` restricts reporting to one rule.
 //! * `baseline` — re-record the ratcheted rules' per-file counts. Run this
@@ -17,19 +17,16 @@
 //!   diff it produces).
 //! * `rules` — print the rule table.
 
-use eedc_lint::config::Config;
 use eedc_lint::engine::{collect_workspace_files, run_check, LintReport, RatchetRow};
 use eedc_lint::ratchet::Baseline;
 use eedc_lint::rules;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: eedc-lint <check|baseline|rules>\n\
                      \x20      check    [--json <path>] [--filter <rule>] [--root <dir>]\n\
                      \x20      baseline [--root <dir>]";
 
-/// Workspace-relative location of the committed config.
-const CONFIG_PATH: &str = "crates/lint/lint.toml";
 /// Workspace-relative location of the committed ratchet baseline.
 const BASELINE_PATH: &str = "crates/lint/baseline.json";
 
@@ -117,11 +114,10 @@ fn run(args: &Args) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let config = load_config(&args.root)?;
     let files = collect_workspace_files(&args.root)?;
 
     if args.command == Command::Baseline {
-        let report = run_check(&files, &config, &Baseline::default(), None);
+        let report = run_check(&files, &Baseline::default(), None);
         let baseline = Baseline::from_counts(&report.ratchet_counts);
         let path = args.root.join(BASELINE_PATH);
         std::fs::write(&path, baseline.to_json())
@@ -148,7 +144,7 @@ fn run(args: &Args) -> Result<ExitCode, String> {
         )
     })?;
     let baseline = Baseline::from_json(&baseline_src)?;
-    let report = run_check(&files, &config, &baseline, args.filter.as_deref());
+    let report = run_check(&files, &baseline, args.filter.as_deref());
 
     if let Some(json_path) = &args.json {
         std::fs::write(json_path, report.to_json().to_json_pretty())
@@ -160,13 +156,6 @@ fn run(args: &Args) -> Result<ExitCode, String> {
     } else {
         Ok(ExitCode::SUCCESS)
     }
-}
-
-fn load_config(root: &Path) -> Result<Config, String> {
-    let path = root.join(CONFIG_PATH);
-    let src = std::fs::read_to_string(&path)
-        .map_err(|e| format!("failed to read {}: {e}", path.display()))?;
-    Config::parse(&src, &rules::rule_names())
 }
 
 fn print_rules() {

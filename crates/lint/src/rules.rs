@@ -30,7 +30,7 @@ pub enum Scope {
 /// A rule's static description; the matching logic lives in [`check`].
 #[derive(Debug, Clone, Copy)]
 pub struct Rule {
-    /// The rule's name — also its waiver / config / baseline key.
+    /// The rule's name — also its waiver / baseline key.
     pub name: &'static str,
     /// One-line statement of the enforced invariant (for `rules` output).
     pub summary: &'static str,
@@ -38,6 +38,10 @@ pub struct Rule {
     pub scope: Scope,
     /// Whether code inside `#[cfg(test)]` items is exempt.
     pub skip_test_code: bool,
+    /// Whether the rule has pre-existing debt: per-file counts are held to
+    /// the committed `baseline.json` (growth fails, equal or lower passes)
+    /// instead of every site being an error.
+    pub ratcheted: bool,
 }
 
 /// Name of the determinism rule.
@@ -60,24 +64,28 @@ pub const RULES: &[Rule] = &[
                   in library code",
         scope: Scope::Library,
         skip_test_code: true,
+        ratcheted: false,
     },
     Rule {
         name: PANIC_POLICY,
         summary: "no unwrap()/expect()/panic! in non-test library code (ratcheted)",
         scope: Scope::Library,
         skip_test_code: true,
+        ratcheted: true,
     },
     Rule {
         name: FLOAT_ORDERING,
         summary: "float comparisons use total_cmp, never partial_cmp chains",
         scope: Scope::Library,
         skip_test_code: true,
+        ratcheted: false,
     },
     Rule {
         name: UNSAFE_AUDIT,
         summary: "every `unsafe` carries a `// SAFETY:` comment",
         scope: Scope::All,
         skip_test_code: false,
+        ratcheted: false,
     },
     Rule {
         name: WAIVER_HYGIENE,
@@ -85,6 +93,7 @@ pub const RULES: &[Rule] = &[
                   something",
         scope: Scope::All,
         skip_test_code: false,
+        ratcheted: false,
     },
 ];
 
@@ -93,13 +102,13 @@ pub fn rule_by_name(name: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.name == name)
 }
 
-/// The names of all rules, for config validation and usage text.
+/// The names of all rules, for usage text.
 pub fn rule_names() -> Vec<&'static str> {
     RULES.iter().map(|r| r.name).collect()
 }
 
 /// One raw rule match: the line it fired on and what to tell the author.
-/// Waivers, allowlists, and ratchets are applied later by the engine.
+/// Waivers and ratchets are applied later by the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// 1-based source line.

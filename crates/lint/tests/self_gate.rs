@@ -7,11 +7,9 @@
 //! * injecting a `HashMap` import or a `partial_cmp(...).unwrap()` into
 //!   `crates/dbmsim/src/serving.rs` fails the check, naming the rule, the
 //!   file, and the line,
-//! * the determinism and float-ordering rules hold at zero with empty
-//!   allowlists (the kernel thread-default site is waived inline, not
-//!   allowlisted).
+//! * the determinism and float-ordering rules hold at zero (the kernel
+//!   thread-default site is waived inline; no file is exempt).
 
-use eedc_lint::config::Config;
 use eedc_lint::engine::{collect_workspace_files, run_check};
 use eedc_lint::ratchet::Baseline;
 use eedc_lint::rules;
@@ -26,23 +24,20 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-fn load_real_tree() -> (Vec<(String, String)>, Config, Baseline) {
+fn load_real_tree() -> (Vec<(String, String)>, Baseline) {
     let root = workspace_root();
     let files = collect_workspace_files(&root).expect("workspace scan");
-    let config_src =
-        std::fs::read_to_string(root.join("crates/lint/lint.toml")).expect("committed lint.toml");
-    let config = Config::parse(&config_src, &rules::rule_names()).expect("valid lint.toml");
     let baseline_src = std::fs::read_to_string(root.join("crates/lint/baseline.json"))
         .expect("committed baseline.json");
     let baseline = Baseline::from_json(&baseline_src).expect("valid baseline.json");
-    (files, config, baseline)
+    (files, baseline)
 }
 
 #[test]
 fn workspace_passes_the_gate() {
-    let (files, config, baseline) = load_real_tree();
+    let (files, baseline) = load_real_tree();
     assert!(files.len() > 50, "workspace scan looks truncated");
-    let report = run_check(&files, &config, &baseline, None);
+    let report = run_check(&files, &baseline, None);
     let rendered: Vec<String> = report.errors.iter().map(|v| v.render()).collect();
     assert!(
         !report.failed(),
@@ -54,12 +49,12 @@ fn workspace_passes_the_gate() {
 
 #[test]
 fn determinism_and_float_ordering_are_at_zero() {
-    let (files, config, baseline) = load_real_tree();
-    // No file is exempted wholesale from either unratcheted rule.
-    assert!(config.rule(rules::DETERMINISM).allow.is_empty());
-    assert!(config.rule(rules::FLOAT_ORDERING).allow.is_empty());
+    let (files, baseline) = load_real_tree();
     for rule in [rules::DETERMINISM, rules::FLOAT_ORDERING] {
-        let report = run_check(&files, &config, &baseline, Some(rule));
+        // Not ratcheted, and no file can be exempted wholesale: every
+        // unwaived site is an error.
+        assert!(!rules::rule_by_name(rule).expect("known rule").ratcheted);
+        let report = run_check(&files, &baseline, Some(rule));
         assert!(
             report.errors.is_empty(),
             "{rule} must hold at zero: {:?}",
@@ -70,9 +65,13 @@ fn determinism_and_float_ordering_are_at_zero() {
 
 #[test]
 fn panic_policy_is_ratcheted_not_zero() {
-    let (files, config, baseline) = load_real_tree();
-    assert!(config.rule(rules::PANIC_POLICY).ratchet);
-    let report = run_check(&files, &config, &baseline, Some(rules::PANIC_POLICY));
+    let (files, baseline) = load_real_tree();
+    assert!(
+        rules::rule_by_name(rules::PANIC_POLICY)
+            .expect("known rule")
+            .ratcheted
+    );
+    let report = run_check(&files, &baseline, Some(rules::PANIC_POLICY));
     // Debt exists, is recorded, and has not grown.
     let total: usize = report
         .ratchet_counts
@@ -112,9 +111,9 @@ fn inject_into_serving(files: &mut [(String, String)], line: &str) -> u32 {
 
 #[test]
 fn injected_hashmap_import_fails_naming_rule_file_line() {
-    let (mut files, config, baseline) = load_real_tree();
+    let (mut files, baseline) = load_real_tree();
     let line = inject_into_serving(&mut files, "use std::collections::HashMap;");
-    let report = run_check(&files, &config, &baseline, None);
+    let report = run_check(&files, &baseline, None);
     assert!(report.failed());
     let hit = report
         .errors
@@ -136,12 +135,12 @@ fn injected_hashmap_import_fails_naming_rule_file_line() {
 
 #[test]
 fn injected_partial_cmp_unwrap_fails_both_rules() {
-    let (mut files, config, baseline) = load_real_tree();
+    let (mut files, baseline) = load_real_tree();
     let line = inject_into_serving(
         &mut files,
         "fn worst(a: f64, b: f64) -> std::cmp::Ordering { a.partial_cmp(&b).unwrap() }",
     );
-    let report = run_check(&files, &config, &baseline, None);
+    let report = run_check(&files, &baseline, None);
     assert!(report.failed());
     // float-ordering errors immediately…
     let float = report
@@ -163,9 +162,9 @@ fn injected_partial_cmp_unwrap_fails_both_rules() {
 
 #[test]
 fn injected_unsafe_without_safety_comment_fails() {
-    let (mut files, config, baseline) = load_real_tree();
+    let (mut files, baseline) = load_real_tree();
     let line = inject_into_serving(&mut files, "fn sneak(p: *const u8) -> u8 { unsafe { *p } }");
-    let report = run_check(&files, &config, &baseline, None);
+    let report = run_check(&files, &baseline, None);
     let hit = report
         .errors
         .iter()
@@ -182,8 +181,8 @@ fn committed_baseline_is_byte_stable_under_rerecording() {
     // `baseline` must be idempotent on an unchanged tree: what from_counts
     // produces for the current tree renders byte-identically to the
     // committed file (sorted keys, trailing newline).
-    let (files, config, _) = load_real_tree();
-    let report = run_check(&files, &config, &Baseline::default(), None);
+    let (files, _) = load_real_tree();
+    let report = run_check(&files, &Baseline::default(), None);
     let rerecorded = Baseline::from_counts(&report.ratchet_counts).to_json();
     let committed = std::fs::read_to_string(workspace_root().join("crates/lint/baseline.json"))
         .expect("committed baseline.json");

@@ -20,8 +20,10 @@ use crate::error::SimError;
 use crate::units::{Joules, Seconds};
 use std::fmt;
 
-/// Tolerance used when classifying points against the constant-EDP curve.
-const EDP_EPSILON: f64 = 1e-9;
+/// Tolerance used when classifying points against the constant-EDP curve
+/// and when holding a point to a performance floor
+/// ([`NormalizedSeries::best_meeting_target`]).
+pub const EDP_EPSILON: f64 = 1e-9;
 
 /// One measured (or modeled) execution: the query response time and the total
 /// cluster energy it consumed.

@@ -26,3 +26,5 @@ cargo run --release --manifest-path benchmark/Cargo.toml -- run --quick
 cargo run --locked --release -p eedc --bin figures -- figures-data
 
 echo "all gates passed"
+echo "== size (informational; compare with scripts/loc.sh <base-rev>) =="
+scripts/loc.sh

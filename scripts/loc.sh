@@ -1,0 +1,38 @@
+#!/usr/bin/env bash
+# "Net-negative" as a command: count the code a simplification PR is judged
+# on, the same way on any revision, so a before/after pair can be reproduced.
+#
+# For every `crates/*/src/**/*.rs` file, a line counts when it sits before the
+# file's first `#[cfg(test)]` (or `#![cfg(test)]`: a file that opens with it
+# is all test code) and is neither blank nor a comment (first non-blank
+# characters `//`, which covers `///` and `//!` docs). A public type is a
+# counted line that starts with `pub struct`, `pub enum`, `pub trait` or
+# `pub type`. Integration tests, examples and `benchmark/` are not counted.
+#
+# Prints one row per crate and a total. No threshold: it reports, the reader
+# compares.
+#
+# Usage: scripts/loc.sh [rev]   (default: the working tree; with a rev, a
+#                                `git archive` export of it, removed on exit)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+if [ $# -gt 0 ]; then
+  work="$(mktemp -d)"
+  trap 'rm -rf "$work"' EXIT
+  git archive "$(git rev-parse --verify "$1^{commit}")" crates | tar -x -C "$work"
+  cd "$work"
+fi
+
+printf '%-10s %8s %12s\n' crate lines "pub types"
+find crates -path 'crates/*/src/*' -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { in_test = 0; split(FILENAME, part, "/"); crate = part[2] }
+  /^[[:space:]]*#!?\[cfg\(test\)\]/ { in_test = 1 }
+  in_test || /^[[:space:]]*($|\/\/)/ { next }
+  { lines[crate]++ }
+  /^[[:space:]]*pub (struct|enum|trait|type) / { types[crate]++ }
+  END { for (crate in lines) printf "%-10s %8d %12d\n", crate, lines[crate], types[crate] }
+' | sort | awk '
+  { print; lines += $2; types += $3 }
+  END { printf "%-10s %8d %12d\n", "total", lines, types }
+'
