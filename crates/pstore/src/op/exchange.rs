@@ -11,7 +11,7 @@
 
 use crate::error::PStoreError;
 use eedc_netsim::{Flow, FlowSet, NodeId};
-use eedc_storage::{hash_of_value, Table};
+use eedc_storage::{hash_scatter, Table};
 
 /// Output of an exchange: what every node received, and the flows that moved.
 #[derive(Debug, Clone)]
@@ -70,17 +70,10 @@ pub fn shuffle_exchange(
     let mut flows = FlowSet::new();
 
     for (source, input) in inputs.iter().enumerate() {
-        let key_col = input.column_by_name(key)?;
-        // Scatter: one pass computes each row's destination slot, then every
-        // outgoing fragment is materialised with a per-column gather.
-        let mut indices: Vec<Vec<u32>> = vec![Vec::new(); destinations.len()];
-        for row in 0..input.row_count() {
-            let value = key_col
-                .get(row)
-                .ok_or_else(|| PStoreError::planning("row index out of bounds during shuffle"))?;
-            let slot = (hash_of_value(&value) % destinations.len() as u64) as usize;
-            indices[slot].push(row as u32);
-        }
+        // Scatter: one pass over the typed key column computes each row's
+        // destination slot, then every outgoing fragment is materialised
+        // with a per-column gather.
+        let indices = hash_scatter(input.column_by_name(key)?, destinations.len())?;
         for (slot, rows) in indices.iter().enumerate() {
             let destination = destinations[slot];
             let fragment = input.gather_rows(
@@ -146,7 +139,7 @@ pub fn broadcast_exchange(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eedc_storage::{hash_partition, PartitionSpec};
+    use eedc_storage::{hash_of_value, hash_partition, PartitionSpec};
     use eedc_tpch::gen::OrdersGenerator;
     use eedc_tpch::scale::ScaleFactor;
 

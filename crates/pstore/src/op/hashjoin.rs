@@ -36,9 +36,11 @@ pub struct HashJoinOutput {
     pub probe_rows: usize,
     /// Number of output (matching) rows.
     pub output_rows: usize,
-    /// Morsels retired by each probe worker, in worker order. With the
-    /// first-claim scheme every worker retires at least one morsel whenever
-    /// there are at least as many morsels as workers.
+    /// Morsels retired by each probe worker, in worker order: one entry per
+    /// requested thread, zero for a worker that was never started because no
+    /// morsel existed for it. With the first-claim scheme every worker
+    /// retires at least one morsel whenever there are at least as many
+    /// morsels as workers.
     pub morsels_per_worker: Vec<usize>,
 }
 
@@ -81,10 +83,14 @@ fn join_output_name(probe: &str, build: &str) -> String {
 /// `build_key` with the default [`JoinKernelConfig`], producing probe columns
 /// followed by build columns.
 ///
-/// `threads` controls the number of probe workers; values of 0 or 1 run the
-/// probe on the calling thread. The output row order depends on the thread
-/// count and morsel schedule (fragments are concatenated in worker order),
-/// but the output row *set* does not.
+/// `threads` is an upper bound on the workers of each stage; values of 0 or
+/// 1 run everything on the calling thread. A worker is spawned only if a
+/// morsel exists for it: the probe starts `min(threads, probe morsels)`
+/// workers (on the calling thread when that is one), and a build side
+/// smaller than one morsel is hashed and built on the calling thread. The
+/// output row order depends on the thread count and morsel schedule
+/// (fragments are concatenated in worker order), but the output row *set*
+/// does not.
 pub fn hash_join(
     probe: &Table,
     probe_key: &str,
@@ -125,14 +131,21 @@ pub fn hash_join_with(
 
     // ---- Stage 1: partitioned radix build -------------------------------
     let build_rows = build_keys.len();
+    // A morsel is the smallest unit of parallel work: a build side under
+    // one is hashed and built right here, with no thread to start and join.
+    let build_workers = if build_rows < config.morsel_rows {
+        1
+    } else {
+        workers
+    };
     let mut hashes = vec![0u64; build_rows];
     let hash_range = |hashes: &mut [u64], start: usize| {
         for (i, hash) in hashes.iter_mut().enumerate() {
             *hash = hash_i64(build_keys.get(start + i));
         }
     };
-    let hash_chunk = build_rows.div_ceil(workers).max(1);
-    if workers <= 1 || build_rows <= hash_chunk {
+    let hash_chunk = build_rows.div_ceil(build_workers).max(1);
+    if build_workers <= 1 || build_rows <= hash_chunk {
         hash_range(&mut hashes, 0);
     } else {
         std::thread::scope(|scope| {
@@ -174,7 +187,7 @@ pub fn hash_join_with(
         }
         table
     };
-    let build_workers = workers.min(partitions);
+    let build_workers = build_workers.min(partitions);
     let tables: Vec<RadixTable> = if build_workers <= 1 {
         (0..partitions).map(build_partition).collect()
     } else {
@@ -251,26 +264,25 @@ pub fn hash_join_with(
         Ok((batch.finish("join_fragment")?, retired))
     };
 
-    let results: Vec<(Table, usize)> = if workers <= 1 {
+    // A worker past the last morsel would find its first claim missing and
+    // the cursor drained, so it is never started; its fragment would have
+    // been empty and it reports zero morsels below.
+    let probe_workers = workers.min(cursor.morsels());
+    let results: Vec<(Table, usize)> = if probe_workers <= 1 {
         vec![probe_worker(0)?]
     } else {
-        let mut slots: Vec<Option<Result<(Table, usize), PStoreError>>> =
-            (0..workers).map(|_| None).collect();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
+            let handles: Vec<_> = (0..probe_workers)
                 .map(|w| {
                     let probe_worker = &probe_worker;
                     scope.spawn(move || probe_worker(w))
                 })
                 .collect();
-            for (slot, handle) in slots.iter_mut().zip(handles) {
-                *slot = Some(handle.join().expect("probe worker must not panic"));
-            }
-        });
-        slots
-            .into_iter()
-            .map(|r| r.expect("every worker produced a result"))
-            .collect::<Result<Vec<_>, _>>()?
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("probe worker must not panic"))
+                .collect::<Result<Vec<_>, _>>()
+        })?
     };
 
     let mut output = Table::with_capacity(
@@ -281,10 +293,10 @@ pub fn hash_join_with(
             .map(|(fragment, _)| fragment.row_count())
             .sum(),
     );
-    let mut morsels_per_worker = Vec::with_capacity(results.len());
-    for (fragment, retired) in &results {
+    let mut morsels_per_worker = vec![0; workers];
+    for ((fragment, retired), slot) in results.iter().zip(&mut morsels_per_worker) {
         output.append_table(fragment)?;
-        morsels_per_worker.push(*retired);
+        *slot = *retired;
     }
 
     Ok(HashJoinOutput {
@@ -389,6 +401,43 @@ mod tests {
         assert_eq!(joined.morsels_per_worker.len(), 4);
         let total: usize = joined.morsels_per_worker.iter().sum();
         assert_eq!(total, li.row_count().div_ceil(100));
+    }
+
+    #[test]
+    fn sub_morsel_joins_are_thread_count_invariant() {
+        // Below one morsel no worker past the first can have work: whatever
+        // `threads` says, the join runs inline and reports its morsel (or
+        // none) under worker 0 and zero for the rest.
+        let config = JoinKernelConfig::default();
+        let li = lineitem();
+        let ord = orders();
+        assert!(li.row_count() < config.morsel_rows && ord.row_count() < config.morsel_rows);
+        let one = |table: &Table| table.gather_rows(table.name(), &[0]);
+        let columns = ["L_ORDERKEY", "L_EXTENDEDPRICE", "O_ORDERKEY", "O_CUSTKEY"];
+        let cases = [
+            (li.clone(), ord.clone()),
+            (Table::empty("LINEITEM", li.schema().clone()), ord.clone()),
+            (li.clone(), Table::empty("ORDERS", ord.schema().clone())),
+            (one(&li), one(&ord)),
+        ];
+        for (probe, build) in &cases {
+            let morsels = probe.row_count().div_ceil(config.morsel_rows);
+            let mut expected = None;
+            for threads in [1, 2, 4, 8] {
+                let joined = hash_join(probe, "L_ORDERKEY", build, "O_ORDERKEY", threads).unwrap();
+                assert_eq!(joined.morsels_per_worker.len(), threads);
+                assert_eq!(joined.morsels_per_worker.iter().sum::<usize>(), morsels);
+                assert_eq!(joined.morsels_per_worker[0], morsels);
+                let signature = joined.output.sorted_row_signature(&columns).unwrap();
+                assert_eq!(
+                    expected.get_or_insert(signature.clone()),
+                    &signature,
+                    "{} x {} rows on {threads} threads",
+                    probe.row_count(),
+                    build.row_count()
+                );
+            }
+        }
     }
 
     #[test]

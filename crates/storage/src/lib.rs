@@ -36,8 +36,8 @@ pub use block::{Block, BlockIter, DEFAULT_BLOCK_ROWS};
 pub use column::{Column, ColumnType, Value};
 pub use error::StorageError;
 pub use partition::{
-    hash_i64, hash_of_value, hash_partition, replicate, round_robin_partition, PartitionSpec,
-    Partitioned,
+    hash_i64, hash_of_value, hash_partition, hash_scatter, replicate, round_robin_partition,
+    PartitionSpec, Partitioned,
 };
 pub use predicate::{CmpOp, Predicate};
 pub use scan::{scan, ScanResult};

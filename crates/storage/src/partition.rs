@@ -7,7 +7,7 @@
 //! partition-compatible (no network traffic) or requires a shuffle /
 //! broadcast — the central distinction of the whole study.
 
-use crate::column::Value;
+use crate::column::{Column, Value};
 use crate::error::StorageError;
 use crate::table::Table;
 
@@ -118,6 +118,33 @@ impl Partitioned {
     }
 }
 
+/// The scatter pass of hash placement: the row indices of `key`, ascending,
+/// per destination `hash % buckets`. The column's type is matched once and
+/// the typed slice hashed with [`hash_i64`] (`Int32` widened, `Float64` by
+/// bit pattern), which places every row exactly where a per-row
+/// [`hash_of_value`] would. [`hash_partition`] and P-store's shuffle exchange
+/// both place rows through this one function.
+pub fn hash_scatter(key: &Column, buckets: usize) -> Result<Vec<Vec<u32>>, StorageError> {
+    fn scatter<T: Copy>(values: &[T], indices: &mut [Vec<u32>], raw: impl Fn(T) -> i64) {
+        let buckets = indices.len() as u64;
+        for (row, &value) in values.iter().enumerate() {
+            indices[(hash_i64(raw(value)) % buckets) as usize].push(row as u32);
+        }
+    }
+    if buckets == 0 {
+        return Err(StorageError::invalid(
+            "cannot scatter rows across zero buckets",
+        ));
+    }
+    let mut indices = vec![Vec::with_capacity(key.len() / buckets + 1); buckets];
+    match key {
+        Column::Int64(values) => scatter(values, &mut indices, |v| v),
+        Column::Int32(values) => scatter(values, &mut indices, i64::from),
+        Column::Float64(values) => scatter(values, &mut indices, |v| v.to_bits() as i64),
+    }
+    Ok(indices)
+}
+
 /// Hash partition `table` on `column` into `nodes` fragments. Runs as a
 /// scatter: one pass computes each row's destination, then every fragment is
 /// materialised with a per-column gather.
@@ -126,19 +153,7 @@ pub fn hash_partition(
     column: &str,
     nodes: usize,
 ) -> Result<Partitioned, StorageError> {
-    if nodes == 0 {
-        return Err(StorageError::invalid("cannot partition across zero nodes"));
-    }
-    // Resolve the partition column up front so the error mentions the table.
-    let key = table.column_by_name(column)?;
-    let mut indices: Vec<Vec<u32>> = vec![Vec::with_capacity(table.row_count() / nodes + 1); nodes];
-    for row in 0..table.row_count() {
-        let value = key
-            .get(row)
-            .ok_or_else(|| StorageError::invalid(format!("row {row} out of bounds")))?;
-        let node = (hash_of_value(&value) % nodes as u64) as usize;
-        indices[node].push(row as u32);
-    }
+    let indices = hash_scatter(table.column_by_name(column)?, nodes)?;
     let fragments = indices
         .iter()
         .enumerate()
@@ -247,6 +262,46 @@ mod tests {
         for key in [0_i64, 5, -5, i64::MAX, i64::MIN, 123_456_789] {
             assert_eq!(hash_i64(key), hash_of_value(&Value::Int64(key)));
         }
+    }
+
+    #[test]
+    fn typed_scatter_places_rows_where_the_value_hash_does() {
+        // The reference: one boxed `Value` and one `hash_of_value` per row.
+        let mut table = orders();
+        table.set_name("T");
+        let reference = |column: &str, nodes: usize| -> Vec<Table> {
+            let key = table.column_by_name(column).unwrap();
+            let mut indices = vec![Vec::new(); nodes];
+            for row in 0..table.row_count() {
+                let node = hash_of_value(&key.get(row).unwrap()) % nodes as u64;
+                indices[node as usize].push(row as u32);
+            }
+            let fragments = indices.iter().enumerate();
+            fragments
+                .map(|(i, rows)| table.gather_rows(format!("T_part{i}"), rows))
+                .collect()
+        };
+        for column in ["O_ORDERKEY", "O_CUSTKEY", "O_ORDERDATE"] {
+            for nodes in [1, 3, 8] {
+                let partitioned = hash_partition(&table, column, nodes).unwrap();
+                assert_eq!(
+                    partitioned.fragments,
+                    reference(column, nodes),
+                    "{column} across {nodes} nodes"
+                );
+            }
+        }
+        // Floats hash by bit pattern, as `hash_of_value` does.
+        let floats = Column::Float64(vec![0.0, -0.0, 1.5, f64::NAN, -7.25]);
+        let scattered = hash_scatter(&floats, 3).unwrap();
+        for (bucket, rows) in scattered.iter().enumerate() {
+            for &row in rows {
+                let value = floats.get(row as usize).unwrap();
+                assert_eq!(hash_of_value(&value) % 3, bucket as u64);
+            }
+        }
+        assert_eq!(scattered.iter().map(Vec::len).sum::<usize>(), floats.len());
+        assert!(hash_scatter(&floats, 0).is_err());
     }
 
     #[test]

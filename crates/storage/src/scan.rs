@@ -56,10 +56,9 @@ pub fn scan_with_block_rows(
     projection: Option<&[&str]>,
     block_rows: usize,
 ) -> Result<ScanResult, StorageError> {
-    let output_schema = match projection {
-        Some(names) => table.schema().project(names)?,
-        None => table.schema().clone(),
-    };
+    let projected_schema = projection
+        .map(|names| table.schema().project(names))
+        .transpose()?;
     // Validate predicate columns eagerly so errors are not order-dependent.
     for column in predicate.referenced_columns() {
         if table.schema().index_of(column).is_none() {
@@ -70,25 +69,27 @@ pub fn scan_with_block_rows(
         }
     }
 
-    let projected_source = match projection {
-        Some(names) => Some(table.project(names)?),
-        None => None,
-    };
-    let source_for_output: &Table = projected_source.as_ref().unwrap_or(table);
-
-    // Collect qualifying row indices, then materialise the output with one
-    // per-column gather instead of a row-at-a-time append.
+    // Select, then gather: the predicate appends each block's qualifying row
+    // indices column-at-a-time, and the output is materialised with one
+    // gather per output column — straight from `table`, so a projected scan
+    // allocates what it returns and nothing else.
     let mut passing: Vec<u32> = Vec::new();
     for block in BlockIter::with_block_rows(table, block_rows) {
-        for row in block.row_indices() {
-            if predicate.matches_row(table, row)? {
-                passing.push(row as u32);
-            }
-        }
+        predicate.select_into(table, block.row_indices(), &mut passing)?;
     }
     let rows_passed = passing.len();
-    let output = source_for_output.gather_rows(format!("{}_scan", table.name()), &passing);
-    debug_assert_eq!(output.schema(), &output_schema);
+    let name = format!("{}_scan", table.name());
+    let output = match projected_schema {
+        None => table.gather_rows(name, &passing),
+        Some(schema) => {
+            let columns = schema
+                .columns()
+                .iter()
+                .map(|(column, _)| Ok(table.column_by_name(column)?.gathered(&passing)))
+                .collect::<Result<_, StorageError>>()?;
+            Table::from_columns(name, schema, columns)?
+        }
+    };
 
     let rows_scanned = table.row_count();
     Ok(ScanResult {
@@ -152,6 +153,23 @@ mod tests {
         assert_eq!(result.output.schema().len(), 1);
         assert!(result.bytes_passed.value() < result.bytes_scanned.value());
         assert!(result.rows_passed > 0);
+    }
+
+    #[test]
+    fn projected_scan_equals_projecting_the_full_scan() {
+        // Gathering the named columns straight from the input must give the
+        // rows, column order, schema and name that projecting first gave.
+        let orders = Table::from_orders(OrdersGenerator::new(SCALE, 6));
+        let predicate = Predicate::orders_custkey_at_most(50);
+        let names = ["O_CUSTKEY", "O_ORDERKEY"];
+        let projected = scan(&orders, &predicate, Some(&names)).unwrap();
+        let full = scan(&orders, &predicate, None).unwrap();
+        let mut expected = full.output.project(&names).unwrap();
+        expected.set_name("ORDERS_scan");
+        assert_eq!(projected.output, expected);
+        assert_eq!(projected.rows_passed, full.rows_passed);
+        assert_eq!(projected.bytes_passed, expected.byte_size());
+        assert_eq!(projected.bytes_scanned, orders.byte_size());
     }
 
     #[test]

@@ -1,0 +1,133 @@
+#!/usr/bin/env bash
+# "N alternating parent/change pairs of the contract command" as a command —
+# the measurement a PR that claims a gain reports (choosing-metrics §8, and
+# "The rule for later issues" in benchmark/README.md).
+#
+# Exports `base-rev` into a temporary directory (`git archive`, its own
+# target dir, removed on exit — set `TMPDIR` to choose where; the
+# `same-output.sh` pattern), builds the `benchmark` binary of both trees,
+# then runs the `BENCHMARK.json` command for one workload `pairs` times per
+# side: one seed per pair (`first-seed`, `first-seed + 1`, …), each tree run
+# from its own root, and which side goes first alternates per pair. Every
+# run's `run-<workload>.json` is kept under `target/bench-pair/<workload>/`
+# (replacing what an earlier run of this script left there).
+#
+# Prints, per end-to-end metric of `BENCHMARK.json`: both medians, both
+# quartile ranges (linear interpolation between order statistics), the ratio
+# change ÷ base, and wins/pairs in the metric's own direction (a tie counts
+# for neither) — and, under `gain`, whether the §8 rule for *claiming* that
+# metric holds: the change wins at least nine tenths of the pairs and the
+# medians differ by more than the distance between the base's quartiles.
+# Exits non-zero if any run reports `correct: false` or fails to run.
+#
+# It only *calls* the benchmark; nothing under benchmark/ is read for
+# numbers other than what the command prints. One run is ≈ 16 s, so the
+# default ten pairs take about six minutes after the two builds.
+#
+# Usage: scripts/bench-pair.sh <base-rev> <workload> [pairs=10] [first-seed=7]
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+if [ "$#" -lt 2 ] || [ "$#" -gt 4 ]; then
+  sed -n 's/^# \(Usage:.*\)/\1/p' "$0" >&2
+  exit 2
+fi
+base="$1"
+workload="$2"
+pairs="${3:-10}"
+first_seed="${4:-7}"
+
+# Each tree builds into, and writes its result file under, its own directory.
+unset CARGO_TARGET_DIR
+head_tree="$PWD"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/base"
+git archive "$(git rev-parse --verify "$base^{commit}")" | tar -x -C "$work/base"
+keep="$head_tree/target/bench-pair/$workload"
+rm -rf "$keep"
+mkdir -p "$keep"
+
+# The contract command, as BENCHMARK.json declares it.
+seconds="$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)"
+command=(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --)
+# `name better` per end-to-end metric.
+metrics="$(awk '/"end_to_end"/ {on = 1; next} on && /\]/ {exit} on' BENCHMARK.json |
+  sed -n 's/.*"name": *"\([^"]*\)".*"better": *"\([^"]*\)".*/\1 \2/p')"
+
+for tree in "$work/base" "$head_tree"; do
+  echo "== build: $tree ==" >&2
+  (cd "$tree" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
+done
+
+# run_side <side> <tree> <pair> <seed>: one contract run; its result line
+# goes to $work/<side>.lines and its result file to $keep.
+status=0
+run_side() {
+  local side="$1" tree="$2" pair="$3" seed="$4" line
+  line="$(cd "$tree" && "${command[@]}" --workload "$workload" --seed "$seed" \
+    --seconds "$seconds" --trace 0 2>"$work/stderr" | tail -n 1)" || {
+    cat "$work/stderr" >&2
+    echo "bench-pair: $side run of pair $pair (seed $seed) did not run" >&2
+    exit 1
+  }
+  case "$line" in
+    '{"correct":true,'*) ;;
+    *)
+      echo "bench-pair: $side run of pair $pair (seed $seed) is not correct: ${line:0:120}" >&2
+      status=1
+      ;;
+  esac
+  echo "$line" >>"$work/$side.lines"
+  cp "$tree/target/benchmark/run-$workload.json" "$keep/pair$pair-seed$seed-$side.json"
+}
+
+for ((pair = 1; pair <= pairs; pair++)); do
+  seed=$((first_seed + pair - 1))
+  if ((pair % 2)); then order=(base head); else order=(head base); fi
+  echo "== pair $pair/$pairs: seed $seed, ${order[0]} first ==" >&2
+  for side in "${order[@]}"; do
+    if [ "$side" = base ]; then tree="$work/base"; else tree="$head_tree"; fi
+    run_side "$side" "$tree" "$pair" "$seed"
+  done
+done
+
+# value <side> <metric>: that metric's value from every result line, in
+# pair order.
+value() {
+  sed -n 's/.*"'"$2"'":{"value":\([^,}]*\)[,}].*/\1/p' "$work/$1.lines"
+}
+
+echo
+echo "$workload: $pairs alternating pairs, base $base vs the working tree, seeds $first_seed..$((first_seed + pairs - 1)), ${seconds} s per run"
+printf '%-16s %-6s %14s %14s %14s %14s %14s %14s %9s %6s  %s\n' \
+  metric better base_median base_q1 base_q3 head_median head_q1 head_q3 head/base wins gain
+while read -r metric better; do
+  paste <(value base "$metric") <(value head "$metric") |
+    awk -v metric="$metric" -v better="$better" -v pairs="$pairs" '
+      function quantile(sorted, n, q,    h, lo) {
+        h = (n - 1) * q + 1; lo = int(h)
+        if (lo >= n) return sorted[n]
+        return sorted[lo] + (h - lo) * (sorted[lo + 1] - sorted[lo])
+      }
+      function insert(sorted, n, x,    i) {
+        for (i = n; i >= 1 && sorted[i] > x; i--) sorted[i + 1] = sorted[i]
+        sorted[i + 1] = x
+      }
+      NF == 2 {
+        n++; insert(b, n - 1, $1 + 0); insert(h, n - 1, $2 + 0)
+        if (better == "higher" ? $2 > $1 : $2 < $1) wins++
+      }
+      END {
+        if (n != pairs) { printf "%-16s only %d of %d pairs reported it\n", metric, n, pairs; exit 1 }
+        bm = quantile(b, n, 0.5); hm = quantile(h, n, 0.5)
+        b1 = quantile(b, n, 0.25); b3 = quantile(b, n, 0.75)
+        gap = better == "higher" ? hm - bm : bm - hm
+        gain = (wins >= 0.9 * n && gap > b3 - b1) ? "yes" : "no"
+        printf "%-16s %-6s %14.6g %14.6g %14.6g %14.6g %14.6g %14.6g %9.4f %3d/%-2d  %s\n", \
+          metric, better, bm, b1, b3, hm, quantile(h, n, 0.25), quantile(h, n, 0.75), \
+          hm / bm, wins, n, gain
+      }' || status=1
+done <<<"$metrics"
+echo "result files: target/bench-pair/$workload/"
+exit "$status"
