@@ -197,11 +197,6 @@ impl JsonValue {
         }
     }
 
-    /// Whether `self` is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
-    }
-
     /// The value of a field that later-vintage writers added: a key that is
     /// absent and a key holding `null` both read as `None`. This is the one
     /// statement of the presence rule — writers omit such a key when they
@@ -673,7 +668,7 @@ mod tests {
         let v = JsonValue::parse(r#"  { "a" : [ 1 , 2.5e-1, null ], "b": "xAé" } "#).unwrap();
         assert_eq!(v.field("a").unwrap().as_array().unwrap().len(), 3);
         assert_eq!(v.array_field("a").unwrap()[1].as_f64(), Some(0.25));
-        assert!(v.array_field("a").unwrap()[2].is_null());
+        assert_eq!(v.array_field("a").unwrap()[2], JsonValue::Null);
         assert_eq!(v.str_field("b").unwrap(), "xAé");
         // Surrogate pairs decode to one scalar value.
         let v = JsonValue::parse(r#""😀""#).unwrap();

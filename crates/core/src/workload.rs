@@ -112,21 +112,6 @@ impl WorkloadPlan {
             serving: None,
         }
     }
-
-    /// The same plan under a different join strategy.
-    pub fn with_strategy(mut self, strategy: JoinStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// The same plan with the measured runtime executing a different query
-    /// spec (the analytical `sweep` volumes are left untouched — used when
-    /// the sweep already carries *realized* selectivities derived from a
-    /// loaded cluster).
-    pub fn with_query(mut self, query: JoinQuerySpec) -> Self {
-        self.query = query;
-        self
-    }
 }
 
 /// Something that can be evaluated by any [`crate::Estimator`]: a workload
@@ -156,8 +141,8 @@ impl Workload for WorkloadPlan {
 
 /// The plain sweep join evaluates under the dual-shuffle repartitioning plan
 /// (the paper's default execution method); use
-/// [`Experiment::strategy`](crate::Experiment::strategy) or
-/// [`WorkloadPlan::with_strategy`] for the other strategies.
+/// [`Experiment::strategy`](crate::Experiment::strategy) for the other
+/// strategies.
 impl Workload for SweepJoin {
     fn label(&self) -> String {
         WorkloadPlan::sweep_join(*self, JoinStrategy::DualShuffle).label
@@ -529,17 +514,6 @@ mod tests {
         // The plan is itself a single-plan workload.
         assert_eq!(plan.plans(), plans);
         assert_eq!(Workload::label(plan), plan.label);
-    }
-
-    #[test]
-    fn plan_overrides_patch_strategy_and_query() {
-        let plan = WorkloadPlan::sweep_join(base(), JoinStrategy::DualShuffle)
-            .with_strategy(JoinStrategy::Broadcast)
-            .with_query(JoinQuerySpec::new(0.01, 0.05));
-        assert_eq!(plan.strategy, JoinStrategy::Broadcast);
-        assert_eq!(plan.query.build_selectivity, 0.01);
-        // The analytical volumes are untouched by the query override.
-        assert_eq!(plan.sweep.build_selectivity, 0.05);
     }
 
     #[test]

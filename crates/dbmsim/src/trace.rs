@@ -19,11 +19,8 @@
 //!   exports it here, no cluster load required.
 //!
 //! Either way, [`crate::replay()`] integrates the trace through the node
-//! power models to produce time / energy / per-node series, and
-//! [`UtilizationTrace::node_cpu_trace`] lowers one node's row to the
-//! one-dimensional `eedc_simkit::trace::UtilizationSignal` (the simulated
-//! 1 Hz power-meter readout) for direct integration against a
-//! `PowerModel`.
+//! power models to produce time / energy / per-node series; it is the one
+//! path from a trace to joules.
 //!
 //! ## The busy-share ↔ utilization convention
 //!
@@ -296,31 +293,6 @@ impl UtilizationTrace {
         }
         prefix
     }
-
-    /// Lower one node's row of the trace to the one-dimensional CPU
-    /// utilization signal of `eedc_simkit::trace` — the simulated power-meter
-    /// stream — using the node's engine floor to map busy shares to
-    /// utilizations.
-    pub fn node_cpu_trace(
-        &self,
-        id: usize,
-        spec: &NodeSpec,
-    ) -> Result<eedc_simkit::trace::UtilizationSignal, SimError> {
-        if id >= self.node_count() {
-            return Err(SimError::invalid(format!(
-                "node {id} outside the trace's {} nodes",
-                self.node_count()
-            )));
-        }
-        let mut signal = eedc_simkit::trace::UtilizationSignal::new();
-        for phase in &self.phases {
-            signal.push(
-                phase.duration,
-                utilization_from_busy_share(phase.node_shares[id].cpu, spec.utilization_floor),
-            )?;
-        }
-        Ok(signal)
-    }
 }
 
 #[cfg(test)]
@@ -398,30 +370,6 @@ mod tests {
         // A prefix past the end is the whole trace; a zero prefix is empty.
         assert_eq!(trace.prefix(Seconds(100.0)), trace);
         assert!(trace.prefix(Seconds(0.0)).is_empty());
-    }
-
-    #[test]
-    fn node_cpu_trace_integrates_like_the_power_model() {
-        let spec = cluster_v_node();
-        let mut trace = UtilizationTrace::new("q");
-        trace
-            .push_phase("build", Seconds(5.0), vec![shares(1.0, 0.0, 0.0); 2])
-            .unwrap();
-        trace
-            .push_phase("probe", Seconds(5.0), vec![shares(0.0, 0.0, 1.0); 2])
-            .unwrap();
-        let signal = trace.node_cpu_trace(0, &spec).unwrap();
-        assert_eq!(signal.len(), 2);
-        // Busy phase at utilization 1, stalled phase at the engine floor.
-        assert_eq!(signal.utilization_at(Seconds(1.0)), Some(1.0));
-        assert_eq!(
-            signal.utilization_at(Seconds(6.0)),
-            Some(spec.utilization_floor)
-        );
-        let energy = signal.energy_with(&spec.power_model);
-        let expected = spec.peak_power() * Seconds(5.0) + spec.floor_power() * Seconds(5.0);
-        assert!((energy.value() - expected.value()).abs() < 1e-9);
-        assert!(trace.node_cpu_trace(5, &spec).is_err());
     }
 
     #[test]

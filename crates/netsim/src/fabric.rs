@@ -1,8 +1,6 @@
-//! The physical cluster interconnect: per-node NIC capacities, an optional
-//! switch backplane limit, and an interference model.
+//! The physical cluster interconnect: one full-duplex port per node.
 
 use crate::error::NetError;
-use crate::interference::InterferenceModel;
 use eedc_simkit::units::MegabytesPerSec;
 
 /// Index of a node within the fabric (0-based).
@@ -11,24 +9,37 @@ pub type NodeId = usize;
 /// The cluster interconnect.
 ///
 /// The paper's clusters use a single 1 Gb/s switch (a 10/100/1000 SMCGS5 in
-/// the prototype), so the default fabric is a uniform full-duplex 1 Gb/s port
-/// per node and an unconstrained backplane. All parameters can be overridden
-/// through the [`FabricBuilder`].
+/// the prototype) and its Section 5.4 model has one network parameter, the
+/// per-node port bandwidth — so a fabric is exactly that: one full-duplex
+/// port bandwidth per node over a non-blocking switch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fabric {
-    ingress: Vec<MegabytesPerSec>,
-    egress: Vec<MegabytesPerSec>,
-    switch_capacity: Option<MegabytesPerSec>,
-    interference: InterferenceModel,
+    ports: Vec<MegabytesPerSec>,
 }
 
 impl Fabric {
+    /// A fabric with one full-duplex port per entry of `ports`, node `i`
+    /// sending and receiving at `ports[i]`. An empty list and a bandwidth
+    /// that is not positive and finite are errors.
+    pub fn from_ports(ports: Vec<MegabytesPerSec>) -> Result<Self, NetError> {
+        if ports.is_empty() {
+            return Err(NetError::invalid("a fabric needs at least one node"));
+        }
+        for (node, bandwidth) in ports.iter().enumerate() {
+            if !bandwidth.value().is_finite() || bandwidth.value() <= 0.0 {
+                return Err(NetError::invalid(format!(
+                    "port bandwidth of node {node} must be positive and finite, got {}",
+                    bandwidth.value()
+                )));
+            }
+        }
+        Ok(Self { ports })
+    }
+
     /// A fabric of `nodes` identical full-duplex ports of `port_bandwidth`
-    /// each, with an unconstrained switch backplane and no interference.
+    /// each.
     pub fn uniform(nodes: usize, port_bandwidth: MegabytesPerSec) -> Result<Self, NetError> {
-        FabricBuilder::new(nodes)
-            .uniform_ports(port_bandwidth)
-            .build()
+        Self::from_ports(vec![port_bandwidth; nodes])
     }
 
     /// The paper's 1 Gb/s gigabit-switch fabric (100 MB/s full-duplex ports).
@@ -36,48 +47,28 @@ impl Fabric {
         Self::uniform(nodes, MegabytesPerSec::from_gigabits_per_sec(0.8))
     }
 
-    /// Start building a fabric of `nodes` nodes.
-    pub fn builder(nodes: usize) -> FabricBuilder {
-        FabricBuilder::new(nodes)
-    }
-
     /// Number of nodes attached to the fabric.
     pub fn len(&self) -> usize {
-        self.ingress.len()
+        self.ports.len()
     }
 
-    /// Whether the fabric has no nodes.
+    /// Whether the fabric has no nodes (never true for a built fabric).
     pub fn is_empty(&self) -> bool {
-        self.ingress.is_empty()
+        self.ports.is_empty()
     }
 
     /// Ingress (receive) capacity of a node's port.
     pub fn ingress(&self, node: NodeId) -> Result<MegabytesPerSec, NetError> {
-        self.ingress
-            .get(node)
-            .copied()
-            .ok_or(NetError::UnknownNode {
-                node,
-                fabric_size: self.len(),
-            })
+        self.port(node)
     }
 
     /// Egress (send) capacity of a node's port.
     pub fn egress(&self, node: NodeId) -> Result<MegabytesPerSec, NetError> {
-        self.egress.get(node).copied().ok_or(NetError::UnknownNode {
-            node,
-            fabric_size: self.len(),
-        })
+        self.port(node)
     }
 
-    /// The switch backplane capacity, if constrained.
-    pub fn switch_capacity(&self) -> Option<MegabytesPerSec> {
-        self.switch_capacity
-    }
-
-    /// The interference model applied to concurrent flows.
-    pub fn interference(&self) -> &InterferenceModel {
-        &self.interference
+    fn port(&self, node: NodeId) -> Result<MegabytesPerSec, NetError> {
+        self.check_node(node).map(|()| self.ports[node])
     }
 
     /// Validate that a node id refers to a node of this fabric.
@@ -93,104 +84,6 @@ impl Fabric {
     }
 }
 
-/// Builder for [`Fabric`].
-#[derive(Debug, Clone)]
-pub struct FabricBuilder {
-    nodes: usize,
-    ingress: Vec<MegabytesPerSec>,
-    egress: Vec<MegabytesPerSec>,
-    switch_capacity: Option<MegabytesPerSec>,
-    interference: InterferenceModel,
-}
-
-impl FabricBuilder {
-    /// Start a builder for a fabric of `nodes` nodes with default 1 Gb/s
-    /// full-duplex ports.
-    pub fn new(nodes: usize) -> Self {
-        let default_port = MegabytesPerSec::from_gigabits_per_sec(0.8);
-        Self {
-            nodes,
-            ingress: vec![default_port; nodes],
-            egress: vec![default_port; nodes],
-            switch_capacity: None,
-            interference: InterferenceModel::None,
-        }
-    }
-
-    /// Give every node the same full-duplex port bandwidth.
-    pub fn uniform_ports(mut self, bandwidth: MegabytesPerSec) -> Self {
-        self.ingress = vec![bandwidth; self.nodes];
-        self.egress = vec![bandwidth; self.nodes];
-        self
-    }
-
-    /// Set one node's port bandwidth (both directions).
-    pub fn port(mut self, node: NodeId, bandwidth: MegabytesPerSec) -> Self {
-        if node < self.nodes {
-            self.ingress[node] = bandwidth;
-            self.egress[node] = bandwidth;
-        }
-        self
-    }
-
-    /// Set one node's ingress and egress bandwidths independently.
-    pub fn asymmetric_port(
-        mut self,
-        node: NodeId,
-        ingress: MegabytesPerSec,
-        egress: MegabytesPerSec,
-    ) -> Self {
-        if node < self.nodes {
-            self.ingress[node] = ingress;
-            self.egress[node] = egress;
-        }
-        self
-    }
-
-    /// Constrain the total traffic through the switch backplane.
-    pub fn switch_capacity(mut self, capacity: MegabytesPerSec) -> Self {
-        self.switch_capacity = Some(capacity);
-        self
-    }
-
-    /// Set the interference model applied to concurrent flows.
-    pub fn interference(mut self, model: InterferenceModel) -> Self {
-        self.interference = model;
-        self
-    }
-
-    /// Validate and produce the fabric.
-    pub fn build(self) -> Result<Fabric, NetError> {
-        if self.nodes == 0 {
-            return Err(NetError::invalid("a fabric needs at least one node"));
-        }
-        for (label, values) in [("ingress", &self.ingress), ("egress", &self.egress)] {
-            for (node, bw) in values.iter().enumerate() {
-                if !bw.value().is_finite() || bw.value() <= 0.0 {
-                    return Err(NetError::invalid(format!(
-                        "{label} bandwidth of node {node} must be positive and finite, got {}",
-                        bw.value()
-                    )));
-                }
-            }
-        }
-        if let Some(cap) = self.switch_capacity {
-            if !cap.value().is_finite() || cap.value() <= 0.0 {
-                return Err(NetError::invalid(format!(
-                    "switch capacity must be positive and finite, got {}",
-                    cap.value()
-                )));
-            }
-        }
-        Ok(Fabric {
-            ingress: self.ingress,
-            egress: self.egress,
-            switch_capacity: self.switch_capacity,
-            interference: self.interference,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,8 +96,6 @@ mod tests {
             assert_eq!(fabric.ingress(node).unwrap(), MegabytesPerSec(100.0));
             assert_eq!(fabric.egress(node).unwrap(), MegabytesPerSec(100.0));
         }
-        assert!(fabric.switch_capacity().is_none());
-        assert_eq!(*fabric.interference(), InterferenceModel::None);
     }
 
     #[test]
@@ -225,45 +116,28 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides_individual_ports() {
-        let fabric = Fabric::builder(3)
-            .uniform_ports(MegabytesPerSec(100.0))
-            .port(1, MegabytesPerSec(50.0))
-            .asymmetric_port(2, MegabytesPerSec(200.0), MegabytesPerSec(25.0))
-            .switch_capacity(MegabytesPerSec(400.0))
-            .build()
-            .unwrap();
-        assert_eq!(fabric.ingress(1).unwrap(), MegabytesPerSec(50.0));
-        assert_eq!(fabric.ingress(2).unwrap(), MegabytesPerSec(200.0));
-        assert_eq!(fabric.egress(2).unwrap(), MegabytesPerSec(25.0));
-        assert_eq!(fabric.switch_capacity(), Some(MegabytesPerSec(400.0)));
-    }
-
-    #[test]
-    fn builder_ignores_out_of_range_overrides() {
-        // Overriding a node that does not exist is a no-op rather than a
-        // panic; validation still happens at build time.
-        let fabric = Fabric::builder(2)
-            .port(9, MegabytesPerSec(1.0))
-            .build()
-            .unwrap();
+    fn from_ports_keeps_each_nodes_bandwidth_and_rejects_degenerate_lists() {
+        let ports = vec![MegabytesPerSec(100.0), MegabytesPerSec(12.5)];
+        let fabric = Fabric::from_ports(ports.clone()).unwrap();
         assert_eq!(fabric.len(), 2);
-    }
-
-    #[test]
-    fn builder_rejects_degenerate_parameters() {
-        assert!(Fabric::builder(0).build().is_err());
-        assert!(Fabric::builder(2)
-            .uniform_ports(MegabytesPerSec(0.0))
-            .build()
-            .is_err());
-        assert!(Fabric::builder(2)
-            .port(0, MegabytesPerSec(-5.0))
-            .build()
-            .is_err());
-        assert!(Fabric::builder(2)
-            .switch_capacity(MegabytesPerSec(f64::NAN))
-            .build()
-            .is_err());
+        for (node, port) in ports.iter().enumerate() {
+            assert_eq!(fabric.ingress(node).unwrap(), *port);
+            assert_eq!(fabric.egress(node).unwrap(), *port);
+        }
+        for bad in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            let ports = vec![MegabytesPerSec(100.0), MegabytesPerSec(bad)];
+            match Fabric::from_ports(ports) {
+                Err(NetError::InvalidParameter { reason }) => {
+                    assert!(reason.contains("node 1"), "{bad}: {reason}")
+                }
+                other => panic!("{bad}: expected InvalidParameter, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            Fabric::from_ports(Vec::new()),
+            Err(NetError::InvalidParameter { .. })
+        ));
+        assert!(Fabric::uniform(0, MegabytesPerSec(100.0)).is_err());
+        assert!(Fabric::uniform(2, MegabytesPerSec(0.0)).is_err());
     }
 }

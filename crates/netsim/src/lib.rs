@@ -5,21 +5,19 @@
 //! The paper identifies the cluster interconnect as the dominant hardware
 //! bottleneck behind sub-linear speedup ("the repartitioning step is often
 //! gated by the speed of the network interconnect", Section 4.1). This crate
-//! simulates exactly the two effects the paper attributes that behaviour to:
-//!
-//! * **per-NIC capacity limits** — every node has a finite ingress and egress
-//!   bandwidth (1 Gb/s ≈ 100 MB/s in the paper's clusters), so a node that
-//!   must ingest data from the entire cluster (the Beefy nodes of a
-//!   heterogeneous plan, or every node of a broadcast join) is limited by its
-//!   inbound port no matter how many senders there are;
-//! * **switch interference** — concurrent flows through the shared switch
-//!   degrade each other ("an increase in network traffic on the cluster
-//!   switches causes interference and further delays in communication").
+//! simulates the one effect the paper's Section 5.4 model parameterises:
+//! **per-NIC capacity limits**. Every node has one full-duplex port of finite
+//! bandwidth (1 Gb/s ≈ 100 MB/s in the paper's clusters), so a node that must
+//! ingest data from the entire cluster (the Beefy nodes of a heterogeneous
+//! plan, or every node of a broadcast join) is limited by its inbound port no
+//! matter how many senders there are. The switch itself is non-blocking: the
+//! interference the paper mentions in passing (Section 4.1) has no parameter
+//! in its model and none here.
 //!
 //! The simulator is *flow-level*: it never models individual packets. A
 //! [`flow::Flow`] is a (source, destination, bytes) triple; the
 //! [`fairshare`] module allocates max–min fair rates to all concurrently
-//! active flows subject to the port and switch capacities of a
+//! active flows subject to the port capacities of a
 //! [`fabric::Fabric`]; and the [`transfer::TransferSimulator`] advances time
 //! from flow completion to flow completion, producing per-flow finish times
 //! and per-node busy intervals that the execution layers convert into CPU
@@ -37,14 +35,10 @@ pub mod error;
 pub mod fabric;
 pub mod fairshare;
 pub mod flow;
-pub mod interference;
 pub mod transfer;
 
 pub use error::NetError;
-pub use fabric::{Fabric, FabricBuilder, NodeId};
+pub use fabric::{Fabric, NodeId};
 pub use fairshare::{FairShareAllocation, FlowRate};
 pub use flow::{Flow, FlowId, FlowSet};
-pub use interference::InterferenceModel;
-pub use transfer::{
-    broadcast_flows, gather_flows, shuffle_flows, TransferOutcome, TransferSimulator,
-};
+pub use transfer::{broadcast_flows, shuffle_flows, TransferOutcome, TransferSimulator};

@@ -1,9 +1,9 @@
 //! Transfer plans and the flow-completion simulator.
 //!
 //! A *transfer* is a set of flows executed concurrently over the fabric: the
-//! repartitioning shuffle of a partition-incompatible join, the broadcast of a
-//! small build table, or the gather of filtered tuples into the Beefy nodes of
-//! a heterogeneous plan. The [`TransferSimulator`] advances simulated time
+//! repartitioning shuffle of a partition-incompatible join (onto all nodes, or
+//! onto the Beefy nodes of a heterogeneous plan) or the broadcast of a small
+//! build table. The [`TransferSimulator`] advances simulated time
 //! from flow completion to flow completion, recomputing the max–min fair
 //! rates whenever a flow finishes, and reports per-flow and per-node
 //! completion times.
@@ -67,20 +67,6 @@ pub fn broadcast_flows(qualifying: &[Megabytes], destinations: &[NodeId], group:
     set
 }
 
-/// Build the flow set of a *gather*: every node ships its full qualifying
-/// data to a single coordinator node (e.g. the final aggregation step of a
-/// scan-heavy query).
-pub fn gather_flows(qualifying: &[Megabytes], destination: NodeId, group: usize) -> FlowSet {
-    let mut set = FlowSet::new();
-    for (source, &bytes) in qualifying.iter().enumerate() {
-        if bytes.value() <= 0.0 {
-            continue;
-        }
-        set.push(Flow::with_group(source, destination, bytes, group));
-    }
-    set
-}
-
 /// The result of simulating a transfer to completion.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransferOutcome {
@@ -97,33 +83,6 @@ pub struct TransferOutcome {
     /// Per-node time until the node finished receiving all of its inbound
     /// flows.
     pub node_receive_completion: Vec<Seconds>,
-}
-
-impl TransferOutcome {
-    /// The time at which a node has neither outstanding sends nor receives.
-    pub fn node_completion(&self, node: NodeId) -> Seconds {
-        let send = self
-            .node_send_completion
-            .get(node)
-            .copied()
-            .unwrap_or(Seconds::zero());
-        let recv = self
-            .node_receive_completion
-            .get(node)
-            .copied()
-            .unwrap_or(Seconds::zero());
-        send.max(recv)
-    }
-
-    /// Average effective throughput of the whole transfer (network bytes over
-    /// total time); zero for an instantaneous transfer.
-    pub fn effective_throughput(&self, flows: &FlowSet) -> f64 {
-        if self.total_time.value() <= f64::EPSILON {
-            0.0
-        } else {
-            flows.network_bytes().value() / self.total_time.value()
-        }
-    }
 }
 
 /// Flow-completion simulator over one fabric.
@@ -243,7 +202,6 @@ mod tests {
         let flows = FlowSet::from_flows([Flow::new(0, 1, Megabytes(500.0))]);
         let outcome = TransferSimulator::new(&fabric).run(&flows).unwrap();
         assert!((outcome.total_time.value() - 5.0).abs() < 1e-9);
-        assert!((outcome.effective_throughput(&flows) - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -305,18 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_is_limited_by_the_receiver_ingress() {
-        let fabric = Fabric::uniform(4, MegabytesPerSec(100.0)).unwrap();
-        let flows = gather_flows(&uniform(300.0, 4), 0, 0);
-        let outcome = TransferSimulator::new(&fabric).run(&flows).unwrap();
-        // Node 0's own 300 MB are local; 900 MB arrive through its 100 MB/s
-        // ingress port.
-        assert!((outcome.total_time.value() - 9.0).abs() < 1e-6);
-        assert_eq!(outcome.node_receive_completion[0], outcome.total_time);
-        assert_eq!(outcome.node_receive_completion[1], Seconds::zero());
-    }
-
-    #[test]
     fn heterogeneous_shuffle_is_bound_by_beefy_ingestion() {
         // 2 Beefy receivers (nodes 0, 1) ingest data scanned by all 4 nodes.
         // Paper, Section 5.3: "the Beefy nodes that are building the hash
@@ -344,7 +290,7 @@ mod tests {
         assert!(g1 < g2);
         assert!((g2.value() - 4.0).abs() < 1e-6);
         assert_eq!(outcome.total_time, g2);
-        assert_eq!(outcome.node_completion(1), g2);
+        assert_eq!(outcome.node_receive_completion[1], g2);
     }
 
     #[test]
@@ -392,7 +338,5 @@ mod tests {
         // Broadcast: every node receives the full 600 MB (local copy included).
         assert!((broadcast.total_bytes().value() - 1800.0).abs() < 1e-9);
         assert!((broadcast.network_bytes().value() - 1200.0).abs() < 1e-9);
-        let gather = gather_flows(&qualifying, 1, 0);
-        assert!((gather.network_bytes().value() - 400.0).abs() < 1e-9);
     }
 }

@@ -71,17 +71,10 @@ impl ClusterSpec {
     }
 
     /// A cluster from an explicit node list. The fabric gives every node a
-    /// full-duplex port at its own NIC bandwidth over an unconstrained
-    /// switch.
+    /// full-duplex port at its own NIC bandwidth; an empty list or a NIC
+    /// bandwidth that is not positive and finite is the fabric's error.
     pub fn from_nodes(nodes: Vec<NodeSpec>) -> Result<Self, PStoreError> {
-        if nodes.is_empty() {
-            return Err(PStoreError::planning("a cluster needs at least one node"));
-        }
-        let mut builder = Fabric::builder(nodes.len());
-        for (id, node) in nodes.iter().enumerate() {
-            builder = builder.port(id, node.network_bandwidth);
-        }
-        let fabric = builder.build()?;
+        let fabric = Fabric::from_ports(nodes.iter().map(|n| n.network_bandwidth).collect())?;
         Ok(Self { nodes, fabric })
     }
 
@@ -733,6 +726,45 @@ mod tests {
         assert_eq!(all_beefy.label(), "4B,0W");
         assert_eq!(all_wimpy.label(), "0B,4W");
         assert_ne!(all_beefy.label(), all_wimpy.label());
+    }
+
+    #[test]
+    fn from_nodes_gives_each_node_its_own_port_and_propagates_fabric_errors() {
+        use eedc_netsim::NetError;
+        use eedc_simkit::units::MegabytesPerSec;
+
+        let mixed = ClusterSpec::heterogeneous(cluster_v_node(), 2, laptop_b(), 2).unwrap();
+        assert_ne!(
+            mixed.nodes()[0].network_bandwidth,
+            mixed.nodes()[3].network_bandwidth
+        );
+        for (id, node) in mixed.nodes().iter().enumerate() {
+            assert_eq!(mixed.fabric().egress(id).unwrap(), node.network_bandwidth);
+            assert_eq!(mixed.fabric().ingress(id).unwrap(), node.network_bandwidth);
+        }
+
+        let with_nic = |bandwidth: f64| {
+            let mut bad = laptop_b();
+            bad.network_bandwidth = MegabytesPerSec(bandwidth);
+            vec![cluster_v_node(), bad]
+        };
+        let rejected = [
+            ("no nodes", Vec::new()),
+            ("zero", with_nic(0.0)),
+            ("negative", with_nic(-100.0)),
+            ("NaN", with_nic(f64::NAN)),
+            ("infinite", with_nic(f64::INFINITY)),
+        ];
+        for (case, nodes) in rejected {
+            let error = ClusterSpec::from_nodes(nodes).unwrap_err();
+            assert!(
+                matches!(
+                    error,
+                    PStoreError::Network(NetError::InvalidParameter { .. })
+                ),
+                "{case}: {error:?}"
+            );
+        }
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!
 //! * physical [`op`]erators: a cache-conscious, morsel-driven parallel hash
 //!   join (partitioned radix build, morsel-stealing probe, columnar batch
-//!   materialization — see [`op`] for the full pipeline), a grouped
-//!   aggregate, and the network [`op::exchange`] operator (shuffle /
-//!   broadcast / gather) that is the paper's "workhorse",
+//!   materialization — see [`op`] for the full pipeline) and the network
+//!   [`op::exchange`] operator (shuffle / broadcast) that is the paper's
+//!   "workhorse",
 //! * [`plan`]s for the three ways the paper executes a two-table join:
 //!   dual-shuffle repartitioning, small-table broadcast, and pre-partitioned
 //!   (partition-compatible) execution,

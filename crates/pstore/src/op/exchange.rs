@@ -24,13 +24,6 @@ pub struct ExchangeOutput {
     pub flows: FlowSet,
 }
 
-impl ExchangeOutput {
-    /// Total rows received across all nodes.
-    pub fn total_received_rows(&self) -> usize {
-        self.received.iter().map(Table::row_count).sum()
-    }
-}
-
 fn empty_like(template: &Table, node: usize, label: &str) -> Table {
     Table::with_capacity(
         format!("{}_{label}_node{node}", template.name()),
@@ -152,12 +145,16 @@ mod tests {
         hash_partition(&orders, "O_CUSTKEY", 4).unwrap().fragments
     }
 
+    fn received_rows(exchanged: &ExchangeOutput) -> usize {
+        exchanged.received.iter().map(Table::row_count).sum()
+    }
+
     #[test]
     fn shuffle_preserves_every_row_exactly_once() {
         let fragments = orders_fragments();
         let total: usize = fragments.iter().map(Table::row_count).sum();
         let exchanged = shuffle_exchange(&fragments, "O_ORDERKEY", &[0, 1, 2, 3], 0).unwrap();
-        assert_eq!(exchanged.total_received_rows(), total);
+        assert_eq!(received_rows(&exchanged), total);
         // Rows with the same key land on the same node: every row received
         // by node `d` must hash to destination `d`.
         for (node, node_table) in exchanged.received.iter().enumerate() {
@@ -177,7 +174,7 @@ mod tests {
         let fragments = orders_fragments();
         let total: usize = fragments.iter().map(Table::row_count).sum();
         let exchanged = shuffle_exchange(&fragments, "O_ORDERKEY", &[0, 1], 0).unwrap();
-        assert_eq!(exchanged.total_received_rows(), total);
+        assert_eq!(received_rows(&exchanged), total);
         assert!(exchanged.received[2].is_empty());
         assert!(exchanged.received[3].is_empty());
         assert!(!exchanged.received[0].is_empty());
@@ -236,6 +233,6 @@ mod tests {
         assert_eq!(direct.spec, PartitionSpec::hash("O_ORDERKEY"));
         // Row counts per node won't be identical (different modulus bases),
         // but totals must agree and every row must be present exactly once.
-        assert_eq!(exchanged.total_received_rows(), direct.total_rows());
+        assert_eq!(received_rows(&exchanged), direct.total_rows());
     }
 }

@@ -80,8 +80,9 @@ fn join_output_name(probe: &str, build: &str) -> String {
 }
 
 /// Join `probe` against `build` on integer key columns `probe_key` /
-/// `build_key` with the default [`JoinKernelConfig`], producing probe columns
-/// followed by build columns.
+/// `build_key`, producing probe columns followed by build columns. Every
+/// `config` (morsel size, radix bits) produces the same output row multiset;
+/// the tunables trade cache locality against scheduling overhead.
 ///
 /// `threads` is an upper bound on the workers of each stage; values of 0 or
 /// 1 run everything on the calling thread. A worker is spawned only if a
@@ -91,26 +92,6 @@ fn join_output_name(probe: &str, build: &str) -> String {
 /// output row order depends on the thread count and morsel schedule
 /// (fragments are concatenated in worker order), but the output row *set*
 /// does not.
-pub fn hash_join(
-    probe: &Table,
-    probe_key: &str,
-    build: &Table,
-    build_key: &str,
-    threads: usize,
-) -> Result<HashJoinOutput, PStoreError> {
-    hash_join_with(
-        probe,
-        probe_key,
-        build,
-        build_key,
-        threads,
-        JoinKernelConfig::default(),
-    )
-}
-
-/// [`hash_join`] with explicit kernel tunables (morsel size, radix bits).
-/// Every configuration produces the same output row multiset; the tunables
-/// trade cache locality against scheduling overhead.
 pub fn hash_join_with(
     probe: &Table,
     probe_key: &str,
@@ -323,6 +304,18 @@ mod tests {
 
     fn orders() -> Table {
         Table::from_orders(OrdersGenerator::new(SCALE, 1))
+    }
+
+    /// [`hash_join_with`] under the default kernel configuration.
+    fn hash_join(
+        probe: &Table,
+        probe_key: &str,
+        build: &Table,
+        build_key: &str,
+        threads: usize,
+    ) -> Result<HashJoinOutput, PStoreError> {
+        let config = JoinKernelConfig::default();
+        hash_join_with(probe, probe_key, build, build_key, threads, config)
     }
 
     #[test]

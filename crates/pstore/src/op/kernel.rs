@@ -11,9 +11,7 @@
 //!   row ranges (*morsels*) from until the probe side is drained,
 //! * [`RadixTable`] — an open-addressing hash table over `(key, row)` pairs
 //!   with intrusive duplicate chains: one flat allocation per partition, no
-//!   per-key `Vec`s,
-//! * [`GroupMap`] — the same open-addressing scheme specialised for grouped
-//!   aggregation (key → dense group id).
+//!   per-key `Vec`s.
 //!
 //! [`Value`]: eedc_storage::Value
 
@@ -292,92 +290,6 @@ impl RadixTable {
     }
 }
 
-/// An open-addressing map from `i64` group key to a dense group id
-/// (`0..len`), the hash-table half of grouped aggregation. Grows by
-/// rehashing when the load factor passes 0.5; keys are retained in insertion
-/// order so accumulator state can live in flat arrays indexed by group id.
-#[derive(Debug)]
-pub struct GroupMap {
-    slots: Vec<i32>,
-    keys: Vec<i64>,
-    mask: u64,
-}
-
-impl GroupMap {
-    /// An empty map.
-    pub fn new() -> Self {
-        Self::with_capacity(16)
-    }
-
-    /// An empty map sized for `expected` distinct keys.
-    pub fn with_capacity(expected: usize) -> Self {
-        let slot_count = (expected.max(8) * 2).next_power_of_two();
-        Self {
-            slots: vec![-1; slot_count],
-            keys: Vec::with_capacity(expected),
-            mask: (slot_count - 1) as u64,
-        }
-    }
-
-    /// Number of distinct keys seen.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether no keys have been seen.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// The distinct keys in insertion (group-id) order.
-    pub fn keys(&self) -> &[i64] {
-        &self.keys
-    }
-
-    /// The dense group id of `key`, inserting it if new.
-    #[inline]
-    pub fn get_or_insert(&mut self, key: i64) -> usize {
-        if self.keys.len() * 2 >= self.slots.len() {
-            self.grow();
-        }
-        let hash = eedc_storage::hash_i64(key);
-        let mut slot = (hash & self.mask) as usize;
-        loop {
-            let entry = self.slots[slot];
-            if entry < 0 {
-                let id = self.keys.len();
-                self.slots[slot] = id as i32;
-                self.keys.push(key);
-                return id;
-            }
-            if self.keys[entry as usize] == key {
-                return entry as usize;
-            }
-            slot = (slot + 1) & self.mask as usize;
-        }
-    }
-
-    fn grow(&mut self) {
-        let slot_count = self.slots.len() * 2;
-        self.slots = vec![-1; slot_count];
-        self.mask = (slot_count - 1) as u64;
-        for (id, &key) in self.keys.iter().enumerate() {
-            let hash = eedc_storage::hash_i64(key);
-            let mut slot = (hash & self.mask) as usize;
-            while self.slots[slot] >= 0 {
-                slot = (slot + 1) & self.mask as usize;
-            }
-            self.slots[slot] = id as i32;
-        }
-    }
-}
-
-impl Default for GroupMap {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,23 +388,6 @@ mod tests {
             assert_eq!(table.probe_into(key, hash_i64(key), &mut matches), 1);
             assert_eq!(matches, vec![row as u32]);
         }
-    }
-
-    #[test]
-    fn group_map_assigns_dense_ids_and_grows() {
-        let mut map = GroupMap::new();
-        assert!(map.is_empty());
-        // More keys than the initial capacity, including negatives.
-        for i in 0..1000_i64 {
-            let id = map.get_or_insert(i - 500);
-            assert_eq!(id, i as usize);
-        }
-        assert_eq!(map.len(), 1000);
-        // Re-inserting returns the existing id.
-        assert_eq!(map.get_or_insert(-500), 0);
-        assert_eq!(map.get_or_insert(499), 999);
-        assert_eq!(map.keys()[0], -500);
-        assert_eq!(GroupMap::default().len(), 0);
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //!
 //! P-store's operator set is deliberately small (Section 4.2): scans,
 //! selections and projections come from the storage engine; this module adds
-//! the operators the paper built on top of it — the morsel-driven
-//! [`hashjoin`], the grouped [`mod@aggregate`] used by scan-heavy queries such as
-//! TPC-H Q1, and the network [`exchange`] operator (shuffle, broadcast,
-//! gather) whose behaviour under load is the subject of the whole study.
+//! the two operators the paper built on top of it — the morsel-driven
+//! [`hashjoin`] and the network [`exchange`] operator (shuffle, broadcast)
+//! whose behaviour under load is the subject of the whole study. P-store is a
+//! join engine: scan-aggregate queries such as TPC-H Q1 are priced from their
+//! profiles (`eedc_tpch::QueryProfile`), never executed.
 //!
 //! # The morsel-driven execution kernel
 //!
-//! The compute operators share one execution discipline, implemented in
-//! [`kernel`] and wired through the join and aggregate:
+//! The join runs in three stages, built from the primitives in [`kernel`]:
 //!
 //! 1. **Build: partitioned radix build.** Build-side keys are hashed once
 //!    (`hash_i64`, the same splitmix64 mix used for cluster placement) and
@@ -40,12 +40,10 @@
 //! [`kernel::JoinKernelConfig`]; every configuration yields the same output
 //! row multiset.
 
-pub mod aggregate;
 pub mod exchange;
 pub mod hashjoin;
 pub mod kernel;
 
-pub use aggregate::{aggregate, aggregate_par, AggregateFn, AggregateResult, AggregateSpec};
 pub use exchange::{broadcast_exchange, shuffle_exchange, ExchangeOutput};
-pub use hashjoin::{hash_join, hash_join_with, HashJoinOutput};
+pub use hashjoin::{hash_join_with, HashJoinOutput};
 pub use kernel::{default_worker_threads, JoinKernelConfig};

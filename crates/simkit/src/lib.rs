@@ -12,7 +12,6 @@
 //! * per-node hardware descriptions ([`node::NodeSpec`]) and a [`catalog`] of the
 //!   exact machines used in the paper (Cluster-V servers, the Beefy L5630 nodes,
 //!   the Wimpy "Laptop B", the Atom desktop, and the two workstations),
-//! * one node's CPU utilization [`trace`] over time ([`UtilizationSignal`]),
 //! * the energy-efficiency [`metrics`] used throughout the paper: response time,
 //!   performance (1 / response time), energy, the Energy-Delay-Product (EDP) and
 //!   normalized energy-vs-performance points relative to a reference
@@ -34,7 +33,6 @@ pub mod metrics;
 pub mod node;
 pub mod power;
 pub mod sim;
-pub mod trace;
 pub mod units;
 
 pub use catalog::HardwareCatalog;
@@ -42,6 +40,5 @@ pub use error::SimError;
 pub use metrics::{Measurement, NormalizedPoint, NormalizedSeries};
 pub use node::{NodeClass, NodeSpec, NodeSpecBuilder};
 pub use power::{FitReport, PowerModel, PowerSample};
-pub use sim::{Event, EventHandler, Simulation};
-pub use trace::UtilizationSignal;
+pub use sim::{EventHandler, Simulation};
 pub use units::{Joules, Megabytes, MegabytesPerSec, Seconds, Watts};

@@ -134,18 +134,6 @@ impl NormalizedPoint {
     pub fn is_above_edp(&self) -> bool {
         self.energy > self.performance + EDP_EPSILON
     }
-
-    /// Fractional energy saving relative to the reference (positive is a
-    /// saving). The paper quotes these as e.g. "a 16% decrease in energy".
-    pub fn energy_saving(&self) -> f64 {
-        1.0 - self.energy
-    }
-
-    /// Fractional performance loss relative to the reference (positive is a
-    /// loss). The paper quotes these as e.g. "a 24% penalty in performance".
-    pub fn performance_loss(&self) -> f64 {
-        1.0 - self.performance
-    }
 }
 
 impl fmt::Display for NormalizedPoint {
@@ -187,20 +175,6 @@ impl NormalizedSeries {
         }
     }
 
-    /// Build a series from raw measurements: the first element of
-    /// `measurements` tagged `reference_label` is used as the reference.
-    pub fn from_measurements(
-        reference_label: impl Into<String>,
-        reference: Measurement,
-        measurements: impl IntoIterator<Item = (String, Measurement)>,
-    ) -> Result<Self, SimError> {
-        let mut series = Self::with_reference(reference_label);
-        for (label, m) in measurements {
-            series.push(label, m.normalized_against(&reference)?);
-        }
-        Ok(series)
-    }
-
     /// Append a labelled point.
     pub fn push(&mut self, label: impl Into<String>, point: NormalizedPoint) {
         self.points.push((label.into(), point));
@@ -209,18 +183,6 @@ impl NormalizedSeries {
     /// The labelled points.
     pub fn points(&self) -> &[(String, NormalizedPoint)] {
         &self.points
-    }
-
-    /// Points lying strictly below the constant-EDP curve.
-    pub fn below_edp(&self) -> impl Iterator<Item = &(String, NormalizedPoint)> {
-        self.points.iter().filter(|(_, p)| p.is_below_edp())
-    }
-
-    /// The point with the lowest normalized energy, if any.
-    pub fn lowest_energy(&self) -> Option<&(String, NormalizedPoint)> {
-        self.points
-            .iter()
-            .min_by(|a, b| a.1.energy.total_cmp(&b.1.energy))
     }
 
     /// The point with the highest normalized performance, if any.
@@ -267,8 +229,6 @@ mod tests {
         // 33% slower for 20% energy saving → above the EDP curve.
         assert!(p.is_above_edp());
         assert!(!p.is_below_edp());
-        assert!((p.energy_saving() - 0.2).abs() < 1e-12);
-        assert!((p.performance_loss() - (1.0 - 100.0 / 150.0)).abs() < 1e-12);
     }
 
     #[test]
@@ -319,19 +279,18 @@ mod tests {
     #[test]
     fn series_selection_helpers() {
         let reference = measurement(100.0, 10_000.0);
-        let series = NormalizedSeries::from_measurements(
-            "16B,0W",
-            reference,
-            vec![
-                ("14B,0W".to_string(), measurement(110.0, 9_500.0)),
-                ("12B,0W".to_string(), measurement(125.0, 9_000.0)),
-                ("10B,0W".to_string(), measurement(132.0, 8_400.0)),
-                ("8B,0W".to_string(), measurement(156.0, 8_000.0)),
-            ],
-        )
-        .unwrap();
+        let mut series = NormalizedSeries::with_reference("16B,0W");
+        for (label, m) in [
+            ("14B,0W", measurement(110.0, 9_500.0)),
+            ("12B,0W", measurement(125.0, 9_000.0)),
+            ("10B,0W", measurement(132.0, 8_400.0)),
+            ("8B,0W", measurement(156.0, 8_000.0)),
+        ] {
+            series.push(label, m.normalized_against(&reference).unwrap());
+        }
         assert_eq!(series.points().len(), 5);
-        assert_eq!(series.lowest_energy().unwrap().0, "8B,0W");
+        // No performance floor at all: the lowest-energy point.
+        assert_eq!(series.best_meeting_target(0.0).unwrap().0, "8B,0W");
         assert_eq!(series.highest_performance().unwrap().0, "16B,0W");
         // With a 0.75 performance floor, 10 nodes (perf 0.7576) is the most
         // efficient admissible configuration.
@@ -339,7 +298,7 @@ mod tests {
         // An unreachable target returns the reference (perf 1.0) only.
         assert_eq!(series.best_meeting_target(1.0).unwrap().0, "16B,0W");
         // Homogeneous scale-down points sit above the EDP curve.
-        assert_eq!(series.below_edp().count(), 0);
+        assert!(series.points().iter().all(|(_, p)| !p.is_below_edp()));
     }
 
     #[test]

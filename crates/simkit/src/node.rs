@@ -93,12 +93,6 @@ impl NodeSpec {
         self.power_model.power_at(utilization)
     }
 
-    /// Wall power at the engine utilization floor (a node that is running
-    /// P-store but stalled on the network or disk).
-    pub fn floor_power(&self) -> Watts {
-        self.power_at(self.utilization_floor)
-    }
-
     /// Peak wall power at 100% CPU utilization.
     pub fn peak_power(&self) -> Watts {
         self.power_model.peak_power()
@@ -113,11 +107,6 @@ impl NodeSpec {
             return self.utilization_floor.clamp(0.0, 1.0);
         }
         (self.utilization_floor + rate.value() / c).clamp(0.0, 1.0)
-    }
-
-    /// Wall power drawn while processing data at `rate`.
-    pub fn power_at_rate(&self, rate: MegabytesPerSec) -> Watts {
-        self.power_at(self.utilization_at_rate(rate))
     }
 
     /// Whether a hash table of `hash_table_size` fits in this node's memory,
@@ -357,9 +346,10 @@ mod tests {
     #[test]
     fn power_at_rate_is_monotonic() {
         let n = wimpy();
-        let mut prev = n.power_at_rate(MegabytesPerSec(0.0)).value();
+        let power_at_rate = |rate: f64| n.power_at(n.utilization_at_rate(MegabytesPerSec(rate)));
+        let mut prev = power_at_rate(0.0).value();
         for i in 1..=10 {
-            let cur = n.power_at_rate(MegabytesPerSec(i as f64 * 112.9)).value();
+            let cur = power_at_rate(i as f64 * 112.9).value();
             assert!(cur + 1e-9 >= prev);
             prev = cur;
         }

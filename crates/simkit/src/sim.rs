@@ -14,7 +14,7 @@
 //!   increasing sequence number gives **stable FIFO tie-breaking** for events
 //!   scheduled at the same timestamp, which is what makes runs reproducible,
 //! * an [`EventHandler`] trait the owning component implements, driven by
-//!   [`Simulation::step`] / [`Simulation::run`],
+//!   [`Simulation::run`] until the queue is empty,
 //! * a deterministic seeded RNG ([`Simulation::sample_unit`],
 //!   [`Simulation::sample_exponential`]) so every draw in a run is a pure
 //!   function of the seed.
@@ -47,18 +47,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// A scheduled occurrence: the payload plus the kernel bookkeeping that
-/// orders it. Returned by [`Simulation::step`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Event<E> {
-    /// Simulated time at which the event fires.
-    pub time: f64,
-    /// Kernel-assigned sequence number; the FIFO tie-breaker at equal times.
-    pub seq: u64,
-    /// The caller's event payload.
-    pub payload: E,
-}
 
 /// Heap entry. `BinaryHeap` is a max-heap, so `Ord` is inverted to pop the
 /// *earliest* `(time, seq)` first.
@@ -143,19 +131,9 @@ impl<E> Simulation<E> {
         self.seed
     }
 
-    /// Number of events waiting in the queue.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Number of events popped so far.
     pub fn processed(&self) -> u64 {
         self.processed
-    }
-
-    /// Timestamp of the next event, if any.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.queue.peek().map(|s| s.time)
     }
 
     /// Schedule `payload` to fire `delay` simulated seconds from now.
@@ -188,41 +166,22 @@ impl<E> Simulation<E> {
         Ok(seq)
     }
 
-    /// Pop the earliest event, advancing the clock to its timestamp.
-    /// Events at equal times pop in scheduling (FIFO) order.
-    pub fn step(&mut self) -> Option<Event<E>> {
+    /// Pop the earliest event's payload, advancing the clock to its
+    /// timestamp. Events at equal times pop in scheduling (FIFO) order.
+    fn step(&mut self) -> Option<E> {
         let next = self.queue.pop()?;
         debug_assert!(next.time >= self.clock, "event queue went backwards");
         self.clock = next.time;
         self.processed += 1;
-        Some(Event {
-            time: next.time,
-            seq: next.seq,
-            payload: next.payload,
-        })
+        Some(next.payload)
     }
 
     /// Drive `handler` until the event queue is empty; returns the number of
     /// events processed by this call.
     pub fn run(&mut self, handler: &mut impl EventHandler<E>) -> u64 {
         let before = self.processed;
-        while let Some(event) = self.step() {
-            handler.on_event(self, event.payload);
-        }
-        self.processed - before
-    }
-
-    /// Drive `handler` until the queue is empty or the next event lies
-    /// strictly beyond `horizon`; returns the number of events processed.
-    /// Events left beyond the horizon stay queued.
-    pub fn run_until(&mut self, horizon: f64, handler: &mut impl EventHandler<E>) -> u64 {
-        let before = self.processed;
-        while let Some(next) = self.peek_time() {
-            if next > horizon {
-                break;
-            }
-            let event = self.step().expect("peeked event must pop");
-            handler.on_event(self, event.payload);
+        while let Some(payload) = self.step() {
+            handler.on_event(self, payload);
         }
         self.processed - before
     }
@@ -281,7 +240,7 @@ mod tests {
             recorder.fired,
             vec![(0.5, 30), (1.0, 20), (1.0, 21), (1.0, 22), (2.0, 10)]
         );
-        assert_eq!(sim.pending(), 0);
+        assert!(sim.step().is_none());
         assert_eq!(sim.processed(), 5);
     }
 
@@ -291,13 +250,11 @@ mod tests {
         assert_eq!(sim.time(), 0.0);
         sim.schedule_in(3.0, 1).unwrap();
         sim.schedule_in(1.0, 2).unwrap();
-        assert_eq!(sim.peek_time(), Some(1.0));
-        let mut last = 0.0;
-        while let Some(event) = sim.step() {
-            assert!(event.time >= last);
-            assert_eq!(sim.time(), event.time);
-            last = event.time;
+        let mut seen = Vec::new();
+        while let Some(payload) = sim.step() {
+            seen.push((sim.time(), payload));
         }
+        assert_eq!(seen, vec![(1.0, 2), (3.0, 1)]);
         assert_eq!(sim.time(), 3.0);
     }
 
@@ -311,20 +268,6 @@ mod tests {
         sim.step();
         assert!(sim.schedule_at(4.0, 0).is_err(), "past is rejected");
         assert!(sim.schedule_at(5.0, 0).is_ok(), "present is allowed");
-    }
-
-    #[test]
-    fn run_until_leaves_later_events_queued() {
-        let mut sim: Simulation<u8> = Simulation::new(1);
-        for t in 1..=5 {
-            sim.schedule_at(t as f64, t).unwrap();
-        }
-        let mut recorder = Recorder { fired: Vec::new() };
-        assert_eq!(sim.run_until(3.0, &mut recorder), 3);
-        assert_eq!(sim.pending(), 2);
-        assert_eq!(sim.time(), 3.0);
-        assert_eq!(sim.run(&mut recorder), 2);
-        assert_eq!(recorder.fired.len(), 5);
     }
 
     #[test]
@@ -362,9 +305,9 @@ mod tests {
         let mut expected: Vec<(f64, usize)> = times.iter().copied().zip(0..times.len()).collect();
         expected.sort_by(|a, b| a.0.total_cmp(&b.0)); // sort_by is stable
         let mut popped = Vec::new();
-        while let Some(event) = sim.step() {
-            popped.push((event.time, event.seq as usize));
-            assert_eq!(event.payload, event.seq as usize);
+        // Payload `i` was the `i`-th event scheduled, so it is also the seq.
+        while let Some(payload) = sim.step() {
+            popped.push((sim.time(), payload));
         }
         assert_eq!(popped, expected);
     }

@@ -198,11 +198,6 @@ impl Megabytes {
         Megabytes(gb * 1_000.0)
     }
 
-    /// Construct from terabytes.
-    pub fn from_terabytes(tb: f64) -> Self {
-        Megabytes(tb * 1_000_000.0)
-    }
-
     /// Construct from raw bytes.
     pub fn from_bytes(bytes: u64) -> Self {
         Megabytes(bytes as f64 / 1.0e6)
@@ -263,7 +258,6 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(Megabytes::from_gigabytes(1.5), Megabytes(1500.0));
-        assert_eq!(Megabytes::from_terabytes(2.8), Megabytes(2_800_000.0));
         assert_eq!(Megabytes::from_bytes(2_000_000), Megabytes(2.0));
         assert!((Megabytes(1500.0).as_gigabytes() - 1.5).abs() < 1e-12);
         assert_eq!(

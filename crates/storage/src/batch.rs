@@ -64,11 +64,6 @@ impl ColumnBuilder {
         let ty = self.column.column_type();
         std::mem::replace(&mut self.column, Column::empty(ty))
     }
-
-    /// Borrow the column built so far.
-    pub fn as_column(&self) -> &Column {
-        &self.column
-    }
 }
 
 /// A reusable builder for whole output batches: one [`ColumnBuilder`] per
@@ -179,12 +174,8 @@ mod tests {
             .gather(&Column::Int64(vec![10, 20, 30]), &[2, 0])
             .unwrap();
         assert_eq!(builder.len(), 3);
-        assert_eq!(
-            builder.as_column().as_i64_slice(),
-            Some(&[1i64, 30, 10][..])
-        );
         let column = builder.take();
-        assert_eq!(column.len(), 3);
+        assert_eq!(column.as_i64_slice(), Some(&[1i64, 30, 10][..]));
         assert!(builder.is_empty());
         assert_eq!(builder.column_type(), ColumnType::Int64);
         // The emptied builder is immediately reusable.

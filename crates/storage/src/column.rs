@@ -196,15 +196,6 @@ impl Column {
         }
     }
 
-    /// Append the value at `index` of `source` (which must have the same
-    /// type).
-    pub fn push_from(&mut self, source: &Column, index: usize) -> Result<(), StorageError> {
-        let value = source
-            .get(index)
-            .ok_or_else(|| StorageError::invalid(format!("row index {index} out of bounds")))?;
-        self.push(value)
-    }
-
     /// Reserve capacity for at least `additional` more values.
     pub fn reserve(&mut self, additional: usize) {
         match self {
@@ -319,16 +310,6 @@ mod tests {
         assert!(col.push(Value::Int64(1)).is_err());
         assert!(col.push(Value::Float64(1.0)).is_err());
         assert!(col.push(Value::Int32(1)).is_ok());
-    }
-
-    #[test]
-    fn push_from_copies_values() {
-        let mut source = Column::empty(ColumnType::Float64);
-        source.push(Value::Float64(3.25)).unwrap();
-        let mut dest = Column::with_capacity(ColumnType::Float64, 4);
-        dest.push_from(&source, 0).unwrap();
-        assert_eq!(dest.get(0), Some(Value::Float64(3.25)));
-        assert!(dest.push_from(&source, 5).is_err());
     }
 
     #[test]

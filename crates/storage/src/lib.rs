@@ -13,7 +13,7 @@
 //! * a [`block`] iterator that hands out fixed-size row ranges so operators
 //!   never materialise whole tables,
 //! * [`predicate`]s (comparison, conjunction, disjunction) for selection,
-//! * [`partition`]ing: hash partitioning and replication of tables across
+//! * [`partition`]ing: hash (and round-robin) partitioning of tables across
 //!   cluster nodes, exactly like Vertica's hash segmentation in Section 3.1,
 //! * a [`scan()`] operator combining block iteration, predicate evaluation and
 //!   column projection, and reporting the scanned/qualifying volumes that the
@@ -36,8 +36,8 @@ pub use block::{Block, BlockIter, DEFAULT_BLOCK_ROWS};
 pub use column::{Column, ColumnType, Value};
 pub use error::StorageError;
 pub use partition::{
-    hash_i64, hash_of_value, hash_partition, hash_scatter, replicate, round_robin_partition,
-    PartitionSpec, Partitioned,
+    hash_i64, hash_of_value, hash_partition, hash_scatter, round_robin_partition, PartitionSpec,
+    Partitioned,
 };
 pub use predicate::{CmpOp, Predicate};
 pub use scan::{scan, ScanResult};

@@ -1,11 +1,11 @@
 //! Table partitioning across cluster nodes.
 //!
-//! The paper's clusters place data exactly two ways (Section 3.1): large
-//! tables are *hash partitioned* ("hash segmentation") on a chosen attribute,
-//! and small tables are *replicated* on every node. Whether a join's inputs
-//! are hash partitioned on the join key decides whether the join is
+//! The paper's clusters *hash partition* ("hash segmentation") large tables
+//! on a chosen attribute (Section 3.1). Whether a join's inputs are hash
+//! partitioned on the join key decides whether the join is
 //! partition-compatible (no network traffic) or requires a shuffle /
-//! broadcast — the central distinction of the whole study.
+//! broadcast — the central distinction of the whole study. (Replicating a
+//! small build table is what P-store's broadcast exchange does at run time.)
 
 use crate::column::{Column, Value};
 use crate::error::StorageError;
@@ -19,8 +19,6 @@ pub enum PartitionSpec {
         /// The partitioning column.
         column: String,
     },
-    /// Full copy of the table on every node.
-    Replicated,
     /// Round-robin placement (used for tables scanned without joins).
     RoundRobin,
 }
@@ -30,20 +28,6 @@ impl PartitionSpec {
     pub fn hash(column: impl Into<String>) -> Self {
         PartitionSpec::Hash {
             column: column.into(),
-        }
-    }
-
-    /// Whether two specs co-partition their tables for a join on the given
-    /// pair of key columns: both must be hash partitioned on exactly those
-    /// columns. Replicated build sides are also join-compatible (every node
-    /// already holds the whole table).
-    pub fn join_compatible(&self, probe_key: &str, build: &PartitionSpec, build_key: &str) -> bool {
-        match (self, build) {
-            (PartitionSpec::Hash { column: a }, PartitionSpec::Hash { column: b }) => {
-                a == probe_key && b == build_key
-            }
-            (_, PartitionSpec::Replicated) => true,
-            _ => false,
         }
     }
 }
@@ -162,17 +146,6 @@ pub fn hash_partition(
     Ok(Partitioned {
         spec: PartitionSpec::hash(column),
         fragments,
-    })
-}
-
-/// Replicate `table` onto `nodes` nodes (every fragment is a full copy).
-pub fn replicate(table: &Table, nodes: usize) -> Result<Partitioned, StorageError> {
-    if nodes == 0 {
-        return Err(StorageError::invalid("cannot replicate across zero nodes"));
-    }
-    Ok(Partitioned {
-        spec: PartitionSpec::Replicated,
-        fragments: vec![table.clone(); nodes],
     })
 }
 
@@ -305,16 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn replication_copies_everything_everywhere() {
-        let table = orders();
-        let replicated = replicate(&table, 3).unwrap();
-        assert_eq!(replicated.len(), 3);
-        assert_eq!(replicated.total_rows(), 3 * table.row_count());
-        assert_eq!(replicated.imbalance(), 1.0);
-        assert_eq!(replicated.spec, PartitionSpec::Replicated);
-    }
-
-    #[test]
     fn round_robin_is_balanced() {
         let partitioned = round_robin_partition(&orders(), 7).unwrap();
         assert_eq!(partitioned.total_rows(), orders().row_count());
@@ -325,44 +288,12 @@ mod tests {
     fn zero_nodes_is_an_error() {
         let table = orders();
         assert!(hash_partition(&table, "O_ORDERKEY", 0).is_err());
-        assert!(replicate(&table, 0).is_err());
         assert!(round_robin_partition(&table, 0).is_err());
     }
 
     #[test]
     fn unknown_partition_column_is_an_error() {
         assert!(hash_partition(&orders(), "O_NOPE", 4).is_err());
-    }
-
-    #[test]
-    fn join_compatibility_rules() {
-        let lineitem_on_orderkey = PartitionSpec::hash("L_ORDERKEY");
-        let orders_on_orderkey = PartitionSpec::hash("O_ORDERKEY");
-        let orders_on_custkey = PartitionSpec::hash("O_CUSTKEY");
-        // Vertica setup in Section 3.1: LINEITEM on L_ORDERKEY joined with
-        // ORDERS repartitioned on O_ORDERKEY is compatible; ORDERS hashed on
-        // O_CUSTKEY is not.
-        assert!(lineitem_on_orderkey.join_compatible(
-            "L_ORDERKEY",
-            &orders_on_orderkey,
-            "O_ORDERKEY"
-        ));
-        assert!(!lineitem_on_orderkey.join_compatible(
-            "L_ORDERKEY",
-            &orders_on_custkey,
-            "O_ORDERKEY"
-        ));
-        // A replicated build side is always compatible.
-        assert!(lineitem_on_orderkey.join_compatible(
-            "L_ORDERKEY",
-            &PartitionSpec::Replicated,
-            "O_ORDERKEY"
-        ));
-        assert!(!PartitionSpec::RoundRobin.join_compatible(
-            "L_ORDERKEY",
-            &orders_on_orderkey,
-            "O_ORDERKEY"
-        ));
     }
 
     #[test]

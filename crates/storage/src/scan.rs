@@ -6,7 +6,7 @@
 //! quantities the energy model cares about (scanned bytes drive the disk /
 //! CPU phase, qualifying bytes drive the network phase).
 
-use crate::block::{BlockIter, DEFAULT_BLOCK_ROWS};
+use crate::block::BlockIter;
 use crate::error::StorageError;
 use crate::predicate::Predicate;
 use crate::table::Table;
@@ -45,17 +45,6 @@ pub fn scan(
     predicate: &Predicate,
     projection: Option<&[&str]>,
 ) -> Result<ScanResult, StorageError> {
-    scan_with_block_rows(table, predicate, projection, DEFAULT_BLOCK_ROWS)
-}
-
-/// [`scan`] with an explicit block size (exposed for benchmarking the block
-/// iterator itself).
-pub fn scan_with_block_rows(
-    table: &Table,
-    predicate: &Predicate,
-    projection: Option<&[&str]>,
-    block_rows: usize,
-) -> Result<ScanResult, StorageError> {
     let projected_schema = projection
         .map(|names| table.schema().project(names))
         .transpose()?;
@@ -74,7 +63,7 @@ pub fn scan_with_block_rows(
     // gather per output column — straight from `table`, so a projected scan
     // allocates what it returns and nothing else.
     let mut passing: Vec<u32> = Vec::new();
-    for block in BlockIter::with_block_rows(table, block_rows) {
+    for block in BlockIter::new(table) {
         predicate.select_into(table, block.row_indices(), &mut passing)?;
     }
     let rows_passed = passing.len();
@@ -170,16 +159,6 @@ mod tests {
         assert_eq!(projected.rows_passed, full.rows_passed);
         assert_eq!(projected.bytes_passed, expected.byte_size());
         assert_eq!(projected.bytes_scanned, orders.byte_size());
-    }
-
-    #[test]
-    fn block_size_does_not_change_the_result() {
-        let orders = Table::from_orders(OrdersGenerator::new(SCALE, 4));
-        let predicate = Predicate::orders_custkey_at_most(50);
-        let a = scan_with_block_rows(&orders, &predicate, None, 7).unwrap();
-        let b = scan_with_block_rows(&orders, &predicate, None, 100_000).unwrap();
-        assert_eq!(a.rows_passed, b.rows_passed);
-        assert_eq!(a.output, b.output);
     }
 
     #[test]

@@ -62,30 +62,17 @@ impl Schema {
         self.columns.iter().position(|(n, _)| n == name)
     }
 
-    /// Type of a column by name.
-    pub fn type_of(&self, name: &str) -> Option<ColumnType> {
-        self.columns
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, ty)| *ty)
-    }
-
-    /// Bytes per row (sum of column widths).
-    pub fn row_bytes(&self) -> u32 {
-        self.columns.iter().map(|(_, ty)| ty.width_bytes()).sum()
-    }
-
     /// A schema containing only the named columns, in the given order.
     pub fn project(&self, names: &[&str]) -> Result<Schema, StorageError> {
         let mut columns = Vec::with_capacity(names.len());
         for &name in names {
-            let ty = self
-                .type_of(name)
+            let index = self
+                .index_of(name)
                 .ok_or_else(|| StorageError::UnknownColumn {
                     column: name.into(),
                     table: "<schema>".into(),
                 })?;
-            columns.push((name.to_string(), ty));
+            columns.push(self.columns[index].clone());
         }
         Ok(Schema { columns })
     }
@@ -341,21 +328,6 @@ impl Table {
         Ok(rows)
     }
 
-    /// Copy the row at `index` of `source` into this table. The schemas must
-    /// be identical.
-    pub fn append_row_from(&mut self, source: &Table, index: usize) -> Result<(), StorageError> {
-        if self.schema != source.schema {
-            return Err(StorageError::schema(format!(
-                "cannot copy rows from {} into {}: schemas differ",
-                source.name, self.name
-            )));
-        }
-        for (dest, src) in self.columns.iter_mut().zip(&source.columns) {
-            dest.push_from(src, index)?;
-        }
-        Ok(())
-    }
-
     /// Read a full row as a vector of values.
     pub fn row(&self, index: usize) -> Option<Vec<Value>> {
         if index >= self.row_count() {
@@ -422,12 +394,17 @@ mod tests {
     fn schema_round_trip() {
         let schema = Schema::lineitem_projection();
         assert_eq!(schema.len(), 4);
-        assert_eq!(schema.row_bytes(), 8 + 8 + 4 + 4);
         assert_eq!(schema.index_of("L_SHIPDATE"), Some(3));
-        assert_eq!(schema.type_of("L_ORDERKEY"), Some(ColumnType::Int64));
-        assert_eq!(schema.type_of("NOPE"), None);
+        assert_eq!(schema.index_of("NOPE"), None);
         let projected = schema.project(&["L_SHIPDATE", "L_ORDERKEY"]).unwrap();
-        assert_eq!(projected.columns()[0].0, "L_SHIPDATE");
+        assert_eq!(
+            projected.columns()[0],
+            ("L_SHIPDATE".into(), ColumnType::Int32)
+        );
+        assert_eq!(
+            projected.columns()[1],
+            ("L_ORDERKEY".into(), ColumnType::Int64)
+        );
         assert!(schema.project(&["MISSING"]).is_err());
     }
 
@@ -436,8 +413,9 @@ mod tests {
         // The paper stores 20-byte projected tuples; our typed layout uses 24
         // bytes per LINEITEM row (two i64 + two i32) which preserves the same
         // four-column shape. The byte_size accessor reflects the real layout.
-        let schema = Schema::orders_projection();
-        assert_eq!(schema.row_bytes(), 24);
+        let orders = small_orders();
+        let bytes = 24 * orders.row_count() as u64;
+        assert_eq!(orders.byte_size(), Megabytes::from_bytes(bytes));
     }
 
     #[test]
@@ -556,10 +534,8 @@ mod tests {
     #[test]
     fn sorted_row_signature_is_order_insensitive() {
         let orders = small_orders();
-        let mut reversed = Table::empty("R", orders.schema().clone());
-        for i in (0..orders.row_count()).rev() {
-            reversed.append_row_from(&orders, i).unwrap();
-        }
+        let backwards: Vec<u32> = (0..orders.row_count() as u32).rev().collect();
+        let reversed = orders.gather_rows("R", &backwards);
         let cols = ["O_ORDERKEY", "O_CUSTKEY"];
         assert_eq!(
             orders.sorted_row_signature(&cols).unwrap(),

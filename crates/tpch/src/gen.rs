@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 
 /// Number of distinct ship/order dates in the generated date domain
 /// (1992-01-01 .. 1998-08-02, as in the TPC-H specification).
-pub const DATE_DOMAIN_DAYS: i32 = 2405;
+const DATE_DOMAIN_DAYS: i32 = 2405;
 
 /// A projected LINEITEM tuple: the four columns used by the paper's joins,
 /// 20 bytes of payload plus the row's line number for verification.

@@ -151,20 +151,6 @@ impl QueryProfile {
     pub fn network_fraction(&self) -> f64 {
         self.repartition_fraction + self.broadcast_fraction
     }
-
-    /// Whether the paper would call the query "highly scalable": effectively
-    /// all of its work is node-local (Figures 2(a), 2(b), 12(a)).
-    pub fn is_highly_scalable(&self) -> bool {
-        self.network_fraction() < 0.10
-    }
-
-    /// All four paper profiles.
-    pub fn all_paper_profiles() -> Vec<QueryProfile> {
-        [QueryId::Q1, QueryId::Q3, QueryId::Q12, QueryId::Q21]
-            .into_iter()
-            .map(QueryProfile::paper)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +159,8 @@ mod tests {
 
     #[test]
     fn fractions_sum_to_one() {
-        for profile in QueryProfile::all_paper_profiles() {
+        for query in [QueryId::Q1, QueryId::Q3, QueryId::Q12, QueryId::Q21] {
+            let profile = QueryProfile::paper(query);
             let total =
                 profile.local_fraction + profile.repartition_fraction + profile.broadcast_fraction;
             assert!((total - 1.0).abs() < 1e-9, "{:?}", profile.query);
@@ -192,11 +179,14 @@ mod tests {
 
     #[test]
     fn scalability_classification_matches_the_paper() {
-        // Q1 and Q21 scale nearly linearly; Q12 and Q3 are network-bound.
-        assert!(QueryProfile::paper(QueryId::Q1).is_highly_scalable());
-        assert!(QueryProfile::paper(QueryId::Q21).is_highly_scalable());
-        assert!(!QueryProfile::paper(QueryId::Q12).is_highly_scalable());
-        assert!(!QueryProfile::paper(QueryId::Q3).is_highly_scalable());
+        // Q1 and Q21 scale nearly linearly — effectively all of their work
+        // is node-local (Figures 2(a), 2(b), 12(a)); Q12 and Q3 are
+        // network-bound.
+        let network = |query| QueryProfile::paper(query).network_fraction();
+        assert!(network(QueryId::Q1) < 0.10);
+        assert!(network(QueryId::Q21) < 0.10);
+        assert!(network(QueryId::Q12) >= 0.10);
+        assert!(network(QueryId::Q3) >= 0.10);
     }
 
     #[test]

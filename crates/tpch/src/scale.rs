@@ -51,25 +51,6 @@ impl ScaleFactor {
     pub fn projected_size(self, table: TpchTable) -> Megabytes {
         Megabytes::from_bytes(self.cardinality(table) * u64::from(projected_tuple_bytes(table)))
     }
-
-    /// Size of the full-width table at this scale factor, using the average
-    /// row widths of the TPC-H specification. (The Section 5.4 model sweeps
-    /// quote 700 GB ORDERS / 2.8 TB LINEITEM working sets; those are carried
-    /// as explicit parameters in `eedc-core::params` rather than derived from
-    /// a scale factor.)
-    pub fn full_size(self, table: TpchTable) -> Megabytes {
-        Megabytes::from_bytes(self.cardinality(table) * u64::from(table.average_row_bytes()))
-    }
-
-    /// Average number of LINEITEM rows per ORDERS row (4 in TPC-H).
-    pub fn lineitems_per_order(self) -> f64 {
-        let orders = self.cardinality(TpchTable::Orders);
-        if orders == 0 {
-            0.0
-        } else {
-            self.cardinality(TpchTable::Lineitem) as f64 / orders as f64
-        }
-    }
 }
 
 impl fmt::Display for ScaleFactor {
@@ -113,36 +94,10 @@ mod tests {
     }
 
     #[test]
-    fn sf1000_full_sizes_are_roughly_a_terabyte() {
-        // TPC-H at scale factor 1000 is "1TB (scale 1000)" in Table 1; the
-        // LINEITEM table dominates the total size.
-        let sf = ScaleFactor::SF1000;
-        let total: f64 = [
-            TpchTable::Lineitem,
-            TpchTable::Orders,
-            TpchTable::Customer,
-            TpchTable::Part,
-            TpchTable::PartSupp,
-            TpchTable::Supplier,
-            TpchTable::Nation,
-            TpchTable::Region,
-        ]
-        .into_iter()
-        .map(|t| sf.full_size(t).as_gigabytes())
-        .sum();
-        assert!(total > 700.0 && total < 1400.0, "total {total} GB");
-        assert!(
-            sf.full_size(TpchTable::Lineitem).value()
-                > sf.full_size(TpchTable::Orders).value() * 3.0
-        );
-    }
-
-    #[test]
     fn fractional_scale_factors_shrink_proportionally() {
         let sf = ScaleFactor::new(0.01);
         assert_eq!(sf.cardinality(TpchTable::Lineitem), 60_000);
         assert_eq!(sf.cardinality(TpchTable::Orders), 15_000);
-        assert!((sf.lineitems_per_order() - 4.0).abs() < 1e-9);
     }
 
     #[test]

@@ -85,15 +85,6 @@ pub fn projected_tuple_bytes(table: TpchTable) -> u32 {
     }
 }
 
-/// Columns of the LINEITEM projection used throughout the paper's
-/// experiments.
-pub const LINEITEM_PROJECTION: [&str; 4] =
-    ["L_ORDERKEY", "L_EXTENDEDPRICE", "L_DISCOUNT", "L_SHIPDATE"];
-
-/// Columns of the ORDERS projection used throughout the paper's experiments.
-pub const ORDERS_PROJECTION: [&str; 4] =
-    ["O_ORDERKEY", "O_ORDERDATE", "O_SHIPPRIORITY", "O_CUSTKEY"];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,12 +97,6 @@ mod tests {
             projected_tuple_bytes(TpchTable::Supplier),
             TpchTable::Supplier.average_row_bytes()
         );
-    }
-
-    #[test]
-    fn projections_have_four_columns() {
-        assert_eq!(LINEITEM_PROJECTION.len(), 4);
-        assert_eq!(ORDERS_PROJECTION.len(), 4);
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl ZipfKeys {
     }
 
     /// Probability of the key at `rank` (1-based; rank 1 is the hottest key).
-    pub fn probability_of_rank(&self, rank: u64) -> f64 {
+    fn probability_of_rank(&self, rank: u64) -> f64 {
         if rank == 0 || rank > self.n {
             return 0.0;
         }
@@ -111,11 +111,6 @@ impl ZipfKeys {
         (k.ceil() as u64).clamp(EXACT_LIMIT + 1, self.n)
     }
 
-    /// Generate `count` keys.
-    pub fn take_keys(&mut self, count: usize) -> Vec<u64> {
-        (0..count).map(|_| self.next_key()).collect()
-    }
-
     /// The theoretical load fraction of each of `partitions` hash partitions
     /// when keys are assigned round-robin by rank (mirroring hash placement
     /// of distinct keys). The fractions sum to 1; a perfectly uniform
@@ -152,19 +147,6 @@ impl ZipfKeys {
         }
         load
     }
-
-    /// The theoretical load fraction of the most loaded of `partitions` hash
-    /// partitions when keys are assigned round-robin by rank. A perfectly
-    /// uniform distribution yields `1 / partitions`; heavy skew approaches the
-    /// probability of the single hottest key.
-    pub fn max_partition_fraction(&self, partitions: usize) -> f64 {
-        if partitions == 0 {
-            return 1.0;
-        }
-        self.partition_weights(partitions)
-            .into_iter()
-            .fold(0.0, f64::max)
-    }
 }
 
 /// Number of head ranks whose probability mass is summed (and tabulated)
@@ -200,12 +182,16 @@ fn tail_mass(from: u64, to: u64, theta: f64) -> f64 {
 mod tests {
     use super::*;
 
+    fn take_keys(gen: &mut ZipfKeys, count: usize) -> Vec<u64> {
+        (0..count).map(|_| gen.next_key()).collect()
+    }
+
     #[test]
     fn zero_theta_is_uniform() {
         let mut gen = ZipfKeys::new(100, 0.0, 1);
         assert!((gen.probability_of_rank(1) - 0.01).abs() < 1e-9);
         assert!((gen.probability_of_rank(100) - 0.01).abs() < 1e-9);
-        let keys = gen.take_keys(20_000);
+        let keys = take_keys(&mut gen, 20_000);
         let hot = keys.iter().filter(|&&k| k == 1).count() as f64 / keys.len() as f64;
         assert!(hot < 0.03, "uniform hottest key fraction {hot}");
     }
@@ -213,7 +199,7 @@ mod tests {
     #[test]
     fn high_theta_concentrates_on_the_head() {
         let mut gen = ZipfKeys::new(1000, 1.0, 2);
-        let keys = gen.take_keys(50_000);
+        let keys = take_keys(&mut gen, 50_000);
         let head = keys.iter().filter(|&&k| k <= 10).count() as f64 / keys.len() as f64;
         // With theta=1 over 1000 keys, the top-10 ranks carry ~39% of the mass.
         assert!(head > 0.30, "head fraction {head}");
@@ -233,9 +219,9 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_per_seed() {
-        let a = ZipfKeys::new(100, 0.9, 7).take_keys(100);
-        let b = ZipfKeys::new(100, 0.9, 7).take_keys(100);
-        let c = ZipfKeys::new(100, 0.9, 8).take_keys(100);
+        let a = take_keys(&mut ZipfKeys::new(100, 0.9, 7), 100);
+        let b = take_keys(&mut ZipfKeys::new(100, 0.9, 7), 100);
+        let c = take_keys(&mut ZipfKeys::new(100, 0.9, 8), 100);
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -243,22 +229,25 @@ mod tests {
     #[test]
     fn keys_stay_in_domain() {
         let mut gen = ZipfKeys::new(64, 1.2, 11);
-        for key in gen.take_keys(10_000) {
+        for key in take_keys(&mut gen, 10_000) {
             assert!((1..=64).contains(&key));
         }
     }
 
     #[test]
     fn partition_imbalance_grows_with_skew() {
-        let uniform = ZipfKeys::new(10_000, 0.0, 1).max_partition_fraction(8);
-        let skewed = ZipfKeys::new(10_000, 1.0, 1).max_partition_fraction(8);
+        let hottest = |theta: f64| {
+            let weights = ZipfKeys::new(10_000, theta, 1).partition_weights(8);
+            weights.into_iter().fold(0.0, f64::max)
+        };
+        let uniform = hottest(0.0);
+        let skewed = hottest(1.0);
         assert!((uniform - 0.125).abs() < 0.01, "uniform {uniform}");
         assert!(
             skewed > uniform * 1.5,
             "skewed {skewed} vs uniform {uniform}"
         );
         // Degenerate partition count.
-        assert_eq!(ZipfKeys::new(10, 0.5, 1).max_partition_fraction(0), 1.0);
         assert!(ZipfKeys::new(10, 0.5, 1).partition_weights(0).is_empty());
     }
 
@@ -269,11 +258,9 @@ mod tests {
         assert_eq!(weights.len(), 8);
         let total: f64 = weights.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "weights sum {total}");
-        // Rank 1 lands on partition 0, so partition 0 is the hottest, and
-        // the maximum matches the dedicated helper.
+        // Rank 1 lands on partition 0, so partition 0 is the hottest.
         let max = weights.iter().copied().fold(0.0, f64::max);
         assert_eq!(max, weights[0]);
-        assert_eq!(max, gen.max_partition_fraction(8));
         // Uniform distributions split evenly.
         for w in ZipfKeys::new(10_000, 0.0, 1).partition_weights(4) {
             assert!((w - 0.25).abs() < 1e-3, "uniform weight {w}");
@@ -290,7 +277,6 @@ mod tests {
         let total: f64 = weights.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "weights sum {total}");
         assert!(weights[0] > 1.0 / 8.0, "hot weight {}", weights[0]);
-        assert_eq!(gen.max_partition_fraction(8), weights[0]);
     }
 
     #[test]
@@ -313,7 +299,7 @@ mod tests {
         // here. The draws must also actually exercise the closed-form tail
         // inversion (ranks beyond the tabulated head).
         let mut gen = ZipfKeys::new(1_000_000_000, 0.9, 13);
-        let keys = gen.take_keys(50_000);
+        let keys = take_keys(&mut gen, 50_000);
         assert_eq!(keys.len(), 50_000);
         assert!(keys.iter().all(|&k| (1..=1_000_000_000).contains(&k)));
         let beyond_head = keys.iter().filter(|&&k| k > 10_000).count();
@@ -324,7 +310,7 @@ mod tests {
         assert!(head > keys.len() / 10, "head draws {head}");
         // Determinism is preserved across the fast path.
         assert_eq!(
-            ZipfKeys::new(1_000_000_000, 0.9, 13).take_keys(100),
+            take_keys(&mut ZipfKeys::new(1_000_000_000, 0.9, 13), 100),
             keys[..100]
         );
     }
@@ -333,7 +319,7 @@ mod tests {
     fn tail_inversion_matches_the_tabulated_distribution_shape() {
         // theta = 1 exercises the logarithmic branch of the tail inversion.
         let mut gen = ZipfKeys::new(10_000_000, 1.0, 21);
-        let keys = gen.take_keys(30_000);
+        let keys = take_keys(&mut gen, 30_000);
         let head = keys.iter().filter(|&&k| k <= 10_000).count() as f64 / keys.len() as f64;
         // With theta = 1, mass of the first 10k ranks ≈ H(10k)/H(10M) ≈
         // ln(10^4)/ln(10^7) ≈ 0.57.

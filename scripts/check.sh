@@ -28,3 +28,5 @@ cargo run --locked --release -p eedc --bin figures -- figures-data
 echo "all gates passed"
 echo "== size (informational; compare with scripts/loc.sh <base-rev>) =="
 scripts/loc.sh
+echo "== callerless public items (informational; compare with scripts/callers.sh <base-rev>) =="
+scripts/callers.sh
