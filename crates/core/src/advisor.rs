@@ -99,19 +99,26 @@ impl DesignSpace {
 
     /// Every design in the grid, row by row (`b` outer, `w` inner), the
     /// reference first.
+    ///
+    /// The node specs are built once, as the `(max_beefy B, max_wimpy W)`
+    /// cluster; design `(b, w)` is its window of the last `b` Beefy and the
+    /// first `w` Wimpy nodes ([`ClusterSpec::sub_cluster`]), each with its
+    /// own validated fabric.
     pub fn designs(&self) -> Result<Vec<ClusterSpec>, CoreError> {
-        let mut designs = vec![self.reference()?];
+        let full = ClusterSpec::heterogeneous(
+            self.beefy.clone(),
+            self.max_beefy,
+            self.wimpy.clone(),
+            self.max_wimpy,
+        )?;
+        let mut designs = Vec::with_capacity(self.len());
+        designs.push(full.sub_cluster(0..self.max_beefy)?);
         for b in (0..=self.max_beefy).rev() {
             for w in 0..=self.max_wimpy {
                 if b + w == 0 || (b == self.max_beefy && w == 0) {
                     continue;
                 }
-                designs.push(ClusterSpec::heterogeneous(
-                    self.beefy.clone(),
-                    b,
-                    self.wimpy.clone(),
-                    w,
-                )?);
+                designs.push(full.sub_cluster(self.max_beefy - b..self.max_beefy + w)?);
             }
         }
         Ok(designs)
@@ -338,6 +345,52 @@ mod tests {
             assert!(labels.contains(&expected.to_string()), "missing {expected}");
         }
         assert_eq!(space.reference().unwrap().label(), "2B,0W");
+    }
+
+    #[test]
+    fn designs_are_windows_over_one_shared_node_list() {
+        // Same designs as building each with `ClusterSpec::heterogeneous`, in
+        // the same order — and all of them slices of one (4B,8W) allocation.
+        let (max_b, max_w) = (4, 8);
+        let space = DesignSpace::new(cluster_v_node(), laptop_b(), max_b, max_w).unwrap();
+        let designs = space.designs().unwrap();
+        let mut grid = vec![(max_b, 0)];
+        for b in (0..=max_b).rev() {
+            for w in 0..=max_w {
+                if b + w > 0 && (b, w) != (max_b, 0) {
+                    grid.push((b, w));
+                }
+            }
+        }
+        assert_eq!(designs.len(), space.len());
+        assert_eq!(designs.len(), grid.len());
+        for (design, &(b, w)) in designs.iter().zip(&grid) {
+            let built = ClusterSpec::heterogeneous(cluster_v_node(), b, laptop_b(), w).unwrap();
+            assert_eq!(design.label(), built.label());
+            assert_eq!(design.label(), format!("{b}B,{w}W"));
+            assert_eq!(design.nodes(), built.nodes());
+            assert_eq!(design.fabric().len(), built.fabric().len());
+            for id in 0..design.len() {
+                assert_eq!(design.fabric().egress(id), built.fabric().egress(id));
+                assert_eq!(design.fabric().ingress(id), built.fabric().ingress(id));
+            }
+        }
+
+        // One allocation: the largest design spans it, and every design's
+        // node slice lies inside that span.
+        let full = designs
+            .iter()
+            .find(|d| d.len() == max_b + max_w)
+            .expect("the (max_b, max_w) design is in the grid");
+        let shared = full.nodes().as_ptr_range();
+        for design in &designs {
+            let window = design.nodes().as_ptr_range();
+            assert!(
+                shared.start <= window.start && window.end <= shared.end,
+                "{} owns its node specs",
+                design.label()
+            );
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 #![cfg(test)]
 
 use super::*;
+use crate::advisor::DesignSpace;
 use crate::lens::{Analytical, Behavioural, Measured, Serving, Traced};
 use crate::model::SweepJoin;
 use crate::record::ServingStats;
@@ -312,7 +313,11 @@ fn traced_pstore_engine_reproduces_the_analytical_lens() {
     // tolerance — on concurrent, skewed and heterogeneous (demoted-Wimpy)
     // inputs too, whose per-node port shares differ across nodes.
     let mixed = ClusterSpec::heterogeneous(cluster_v_node(), 12, laptop_b(), 4).unwrap();
-    let designs = [homogeneous(16), homogeneous(8), homogeneous(4), mixed];
+    // Four hand-picked designs, then a whole 6×12 grid of windows: `close`
+    // finds runs in the model's volumes, the replay derives every node.
+    let mut designs = vec![homogeneous(16), homogeneous(8), homogeneous(4), mixed];
+    let grid = DesignSpace::new(cluster_v_node(), laptop_b(), 6, 12).unwrap();
+    designs.extend(grid.designs().unwrap());
     let plain = sweep();
     let concurrent = ConcurrencySweep::new(sweep(), [4]);
     let skewed = SkewedJoin::zipf(sweep().with_concurrency(4), 1.5);

@@ -42,12 +42,24 @@ use eedc_tpch::gen::{
     custkey_cutoff_for_selectivity, date_cutoff_for_selectivity, LineitemGenerator, OrdersGenerator,
 };
 use eedc_tpch::ScaleFactor;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// The hardware composition of a P-store cluster: the per-node specs plus the
 /// interconnect fabric derived from their NIC bandwidths.
+///
+/// A spec is a *window* over a shared, immutable list of node specs: cloning
+/// one, or cutting a smaller design out of it with
+/// [`sub_cluster`](Self::sub_cluster), copies no [`NodeSpec`]. That is what
+/// lets the Section 6 design grid — every `(b, w)` design a contiguous slice
+/// of the one `(max_b Beefy, max_w Wimpy)` cluster — cost one node list
+/// instead of one per design. Every spec, however it was built, owns a fabric
+/// validated for exactly its own nodes.
 #[derive(Debug, Clone)]
 pub struct ClusterSpec {
-    nodes: Vec<NodeSpec>,
+    /// The shared node list; this spec is the nodes in `window`.
+    shared: Arc<[NodeSpec]>,
+    window: Range<usize>,
     fabric: Fabric,
 }
 
@@ -74,23 +86,60 @@ impl ClusterSpec {
     /// full-duplex port at its own NIC bandwidth; an empty list or a NIC
     /// bandwidth that is not positive and finite is the fabric's error.
     pub fn from_nodes(nodes: Vec<NodeSpec>) -> Result<Self, PStoreError> {
-        let fabric = Fabric::from_ports(nodes.iter().map(|n| n.network_bandwidth).collect())?;
-        Ok(Self { nodes, fabric })
+        let window = 0..nodes.len();
+        Self::over(nodes.into(), window)
+    }
+
+    /// The cluster of this one's nodes `range` (ids relative to this spec, so
+    /// a window of a window composes), sharing the node list instead of
+    /// copying it. The fabric is built and validated for the narrower node
+    /// set exactly as [`from_nodes`](Self::from_nodes) would: an empty range
+    /// is the fabric's error. A range that is reversed or reaches past
+    /// [`len`](Self::len) is a planning error.
+    pub fn sub_cluster(&self, range: Range<usize>) -> Result<Self, PStoreError> {
+        if range.start > range.end || range.end > self.len() {
+            return Err(PStoreError::planning(format!(
+                "sub-cluster {}..{} is not a range of a {}-node cluster",
+                range.start,
+                range.end,
+                self.len()
+            )));
+        }
+        let offset = self.window.start;
+        Self::over(
+            Arc::clone(&self.shared),
+            offset + range.start..offset + range.end,
+        )
+    }
+
+    /// The one place a spec is made: the fabric is derived from, and checked
+    /// against, the nodes in `window`.
+    fn over(shared: Arc<[NodeSpec]>, window: Range<usize>) -> Result<Self, PStoreError> {
+        let ports = shared[window.clone()]
+            .iter()
+            .map(|n| n.network_bandwidth)
+            .collect();
+        let fabric = Fabric::from_ports(ports)?;
+        Ok(Self {
+            shared,
+            window,
+            fabric,
+        })
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.window.len()
     }
 
     /// Whether the cluster has no nodes (never true for a built spec).
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.window.is_empty()
     }
 
     /// The node specs, in cluster node order.
     pub fn nodes(&self) -> &[NodeSpec] {
-        &self.nodes
+        &self.shared[self.window.clone()]
     }
 
     /// The interconnect fabric.
@@ -109,7 +158,7 @@ impl ClusterSpec {
     }
 
     fn ids_of(&self, class: NodeClass) -> Vec<NodeId> {
-        self.nodes
+        self.nodes()
             .iter()
             .enumerate()
             .filter(|(_, n)| n.class == class)
@@ -124,8 +173,15 @@ impl ClusterSpec {
     /// `"{n}N"` shorthand made an all-Wimpy cluster indistinguishable from an
     /// all-Beefy one of the same size in advisor output and figure legends.
     pub fn label(&self) -> String {
-        let beefy = self.beefy_ids().len();
-        let wimpy = self.wimpy_ids().len();
+        let (mut beefy, mut wimpy) = (0usize, 0usize);
+        for node in self.nodes() {
+            // No wildcard arm: a third class must be given a place in the
+            // label before this compiles, rather than vanish from it.
+            match node.class {
+                NodeClass::Beefy => beefy += 1,
+                NodeClass::Wimpy => wimpy += 1,
+            }
+        }
         format!("{beefy}B,{wimpy}W")
     }
 }
@@ -765,6 +821,60 @@ mod tests {
                 "{case}: {error:?}"
             );
         }
+    }
+
+    #[test]
+    fn sub_cluster_is_a_checked_window_that_shares_the_node_list() {
+        use eedc_netsim::NetError;
+
+        let full = ClusterSpec::heterogeneous(cluster_v_node(), 3, laptop_b(), 4).unwrap();
+        let window = full.sub_cluster(1..5).unwrap();
+        assert_eq!(window.label(), "2B,2W");
+        assert_eq!(window.len(), 4);
+        assert!(!window.is_empty());
+        assert_eq!(window.nodes(), &full.nodes()[1..5]);
+        assert_eq!(window.beefy_ids(), vec![0, 1]);
+        assert_eq!(window.wimpy_ids(), vec![2, 3]);
+        assert_eq!(window.fabric().len(), 4);
+        assert!(std::ptr::eq(window.nodes().as_ptr(), &full.nodes()[1]));
+
+        // A window of a window counts from the inner window's first node.
+        let inner = window.sub_cluster(1..4).unwrap();
+        assert_eq!(inner.label(), "1B,2W");
+        assert!(std::ptr::eq(inner.nodes().as_ptr(), &full.nodes()[2]));
+        for (id, node) in inner.nodes().iter().enumerate() {
+            assert_eq!(inner.fabric().egress(id).unwrap(), node.network_bandwidth);
+        }
+        // The whole range is the same design again; a clone shares too.
+        let whole = inner.sub_cluster(0..inner.len()).unwrap();
+        assert_eq!(whole.nodes(), inner.nodes());
+        assert!(std::ptr::eq(
+            inner.clone().nodes().as_ptr(),
+            inner.nodes().as_ptr()
+        ));
+
+        // An empty range is the fabric's error, as an empty node list is.
+        assert!(matches!(
+            full.sub_cluster(3..3).unwrap_err(),
+            PStoreError::Network(NetError::InvalidParameter { .. })
+        ));
+        // A range that is no range of this spec is a planning error — judged
+        // against the window's own length, not the shared list's.
+        let reversed = Range { start: 2, end: 1 };
+        for range in [reversed, 0..full.len() + 1] {
+            assert!(matches!(
+                full.sub_cluster(range).unwrap_err(),
+                PStoreError::Planning { .. }
+            ));
+        }
+        assert!(matches!(
+            window.sub_cluster(0..5).unwrap_err(),
+            PStoreError::Planning { .. }
+        ));
+
+        // A spec can cross threads: the shared list is an `Arc`.
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<ClusterSpec>();
     }
 
     #[test]

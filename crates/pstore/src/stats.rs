@@ -150,6 +150,24 @@ impl PhaseStats {
     /// bytes moved are the summed egress. The per-node port times bound a
     /// simulated completion time from below either way.
     ///
+    /// # Runs
+    ///
+    /// Every per-node term above is a function of the node's spec and its
+    /// four volumes (plus values shared by the whole phase). A node
+    /// *repeats* its predecessor when its [`NodeSpec`] is equal under the
+    /// full `PartialEq` — never class or name alone — and its `scanned` /
+    /// `computed` / egress / ingress are the same down to the bit; a *run*
+    /// is a node and the successors that repeat it. Each run is derived
+    /// once, at its first node, and its port time, utilization and joules
+    /// fill the run. The same inputs through the same arithmetic give the
+    /// same bits, folding an operand into a `max` a second time changes
+    /// nothing, and the energy sum still adds every node's joules one by
+    /// one in node order, so every field is bit-identical to deriving each
+    /// node on its own. The closed-form model, without key skew, hands in a
+    /// design's nodes in at most two runs; the runtime's measured volumes
+    /// differ from node to node, so there every run is one node long and
+    /// every node is derived.
+    ///
     /// # Panics
     ///
     /// If a volume slice is shorter than `nodes` — a caller bug, not an
@@ -167,11 +185,22 @@ impl PhaseStats {
         fabric: Option<(Seconds, Megabytes)>,
         in_memory: bool,
     ) -> Self {
+        // Where each run starts, closed by `nodes.len()`.
+        let volumes: [&[Megabytes]; 4] = [scanned, computed, &node_egress, &node_ingress];
+        let repeats = |id: usize| {
+            nodes[id] == nodes[id - 1] && volumes.iter().all(|v| same_volume(v[id], v[id - 1]))
+        };
+        let mut runs: Vec<usize> = (0..nodes.len())
+            .filter(|&id| id == 0 || !repeats(id))
+            .collect();
+        runs.push(nodes.len());
+
         let mut scan_time = Seconds::zero();
         let mut compute_time = Seconds::zero();
         let mut busiest_port = Seconds::zero();
         let mut node_network_time = Vec::with_capacity(nodes.len());
-        for (id, node) in nodes.iter().enumerate() {
+        for run in runs.windows(2) {
+            let (id, node) = (run[0], &nodes[run[0]]);
             let scan_rate = if in_memory {
                 node.cpu_bandwidth
             } else {
@@ -181,7 +210,7 @@ impl PhaseStats {
             compute_time = compute_time.max(computed[id] * batch / node.cpu_bandwidth);
             let port = node_egress[id].max(node_ingress[id]);
             let port_time = port * batch / node.network_bandwidth;
-            node_network_time.push(port_time);
+            node_network_time.resize(run[1], port_time);
             busiest_port = busiest_port.max(port_time);
         }
         let (network_time, bytes_over_network) = fabric.unwrap_or_else(|| {
@@ -194,7 +223,8 @@ impl PhaseStats {
         let mut energy = Joules::zero();
         let mut node_utilization = Vec::with_capacity(nodes.len());
         let mut node_energy = Vec::with_capacity(nodes.len());
-        for (id, node) in nodes.iter().enumerate() {
+        for run in runs.windows(2) {
+            let (id, node) = (run[0], &nodes[run[0]]);
             let processed = (scanned[id] + computed[id]) * batch;
             let rate = if duration.value() > f64::EPSILON {
                 processed / duration
@@ -202,10 +232,14 @@ impl PhaseStats {
                 MegabytesPerSec::zero()
             };
             let utilization = node.utilization_at_rate(rate);
-            node_utilization.push(utilization);
             let joules = node.power_at(utilization) * duration;
-            node_energy.push(joules);
-            energy += joules;
+            // One addition per node, in node order: the sum rounds as the
+            // straight-line loop's does.
+            for _ in run[0]..run[1] {
+                node_utilization.push(utilization);
+                node_energy.push(joules);
+                energy += joules;
+            }
         }
         for volume in node_egress.iter_mut().chain(&mut node_ingress) {
             *volume = *volume * batch;
@@ -270,6 +304,13 @@ impl PhaseStats {
         }
         (busy.value() / self.duration.value()).clamp(0.0, 1.0)
     }
+}
+
+/// Whether two per-node volumes are the same for [`PhaseStats::close`]'s run
+/// rule: equal as values, so a `NaN` never repeats, and as bit patterns, so
+/// `0.0` never stands in for `-0.0` (the two divide to different bits).
+fn same_volume(a: Megabytes, b: Megabytes) -> bool {
+    a == b && a.value().to_bits() == b.value().to_bits()
 }
 
 /// One query (or one batch of concurrent queries) on one cluster design,
@@ -527,6 +568,253 @@ mod tests {
             true,
         );
         assert_eq!(p.scan_time, Seconds(540.0 / 1129.0));
+    }
+
+    /// `PhaseStats::close` as it was before it closed by runs: every node
+    /// derived on its own, in two straight-line loops. The oracle for
+    /// `close_by_runs_is_bit_identical_to_the_straight_line_loop`.
+    #[allow(clippy::too_many_arguments)]
+    fn close_reference(
+        nodes: &[NodeSpec],
+        label: &str,
+        scanned: &[Megabytes],
+        computed: &[Megabytes],
+        mut node_egress: Vec<Megabytes>,
+        mut node_ingress: Vec<Megabytes>,
+        batch: f64,
+        fabric: Option<(Seconds, Megabytes)>,
+        in_memory: bool,
+    ) -> PhaseStats {
+        let mut scan_time = Seconds::zero();
+        let mut compute_time = Seconds::zero();
+        let mut busiest_port = Seconds::zero();
+        let mut node_network_time = Vec::with_capacity(nodes.len());
+        for (id, node) in nodes.iter().enumerate() {
+            let scan_rate = if in_memory {
+                node.cpu_bandwidth
+            } else {
+                node.disk_bandwidth.min(node.cpu_bandwidth)
+            };
+            scan_time = scan_time.max(scanned[id] * batch / scan_rate);
+            compute_time = compute_time.max(computed[id] * batch / node.cpu_bandwidth);
+            let port = node_egress[id].max(node_ingress[id]);
+            let port_time = port * batch / node.network_bandwidth;
+            node_network_time.push(port_time);
+            busiest_port = busiest_port.max(port_time);
+        }
+        let (network_time, bytes_over_network) = fabric.unwrap_or_else(|| {
+            let sent: Megabytes = node_egress.iter().copied().sum();
+            (busiest_port, sent * batch)
+        });
+
+        let duration = network_time.max(scan_time).max(compute_time);
+
+        let mut energy = Joules::zero();
+        let mut node_utilization = Vec::with_capacity(nodes.len());
+        let mut node_energy = Vec::with_capacity(nodes.len());
+        for (id, node) in nodes.iter().enumerate() {
+            let processed = (scanned[id] + computed[id]) * batch;
+            let rate = if duration.value() > f64::EPSILON {
+                processed / duration
+            } else {
+                MegabytesPerSec::zero()
+            };
+            let utilization = node.utilization_at_rate(rate);
+            node_utilization.push(utilization);
+            let joules = node.power_at(utilization) * duration;
+            node_energy.push(joules);
+            energy += joules;
+        }
+        for volume in node_egress.iter_mut().chain(&mut node_ingress) {
+            *volume = *volume * batch;
+        }
+
+        PhaseStats {
+            label: label.into(),
+            duration,
+            energy,
+            bytes_scanned: scanned.iter().copied().sum::<Megabytes>() * batch,
+            bytes_over_network,
+            scan_time,
+            network_time,
+            compute_time,
+            bottleneck: Bottleneck::slowest(scan_time, network_time, compute_time),
+            node_utilization,
+            node_energy,
+            node_egress,
+            node_ingress,
+            node_network_time,
+        }
+    }
+
+    /// Every float of a `PhaseStats` as its bit pattern, in field order —
+    /// what "bit-identical" compares, `NaN`s and signed zeros included.
+    fn float_bits(p: &PhaseStats) -> Vec<u64> {
+        let scalars = [
+            p.duration.value(),
+            p.energy.value(),
+            p.bytes_scanned.value(),
+            p.bytes_over_network.value(),
+            p.scan_time.value(),
+            p.network_time.value(),
+            p.compute_time.value(),
+        ];
+        scalars
+            .into_iter()
+            .chain(p.node_utilization.iter().copied())
+            .chain(p.node_energy.iter().map(|j| j.value()))
+            .chain(p.node_egress.iter().map(|v| v.value()))
+            .chain(p.node_ingress.iter().map(|v| v.value()))
+            .chain(p.node_network_time.iter().map(|t| t.value()))
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn close_by_runs_is_bit_identical_to_the_straight_line_loop() {
+        use eedc_simkit::catalog::{cluster_v_node, laptop_b};
+        use eedc_simkit::PowerModel;
+
+        let (b, w) = (cluster_v_node(), laptop_b());
+        let only = |edit: fn(&mut NodeSpec)| {
+            let mut node = cluster_v_node();
+            edit(&mut node);
+            node
+        };
+        let node_lists: Vec<(&str, Vec<NodeSpec>)> = vec![
+            ("no nodes", Vec::new()),
+            ("one node", vec![b.clone()]),
+            ("homogeneous run", vec![b.clone(); 6]),
+            (
+                "B..B W..W",
+                [vec![b.clone(); 3], vec![w.clone(); 4]].concat(),
+            ),
+            (
+                "interrupted run B W B",
+                vec![b.clone(), w.clone(), b.clone()],
+            ),
+            (
+                "B B W W B B",
+                [vec![b.clone(); 2], vec![w.clone(); 2], vec![b.clone(); 2]].concat(),
+            ),
+            (
+                "differ only in power_model",
+                vec![
+                    b.clone(),
+                    only(|n| n.power_model = PowerModel::linear(90.0, 60.0)),
+                    b.clone(),
+                ],
+            ),
+            (
+                "differ only in name",
+                vec![b.clone(), only(|n| n.name.push('2')), b.clone()],
+            ),
+            (
+                "differ only in utilization_floor",
+                vec![b.clone(), only(|n| n.utilization_floor = 0.5), b.clone()],
+            ),
+        ];
+
+        // Per-node volume patterns: [scanned, computed, egress, ingress] of
+        // node `id` in a list of `nodes`.
+        type Pattern = fn(usize, &[NodeSpec]) -> [f64; 4];
+        let patterns: [(&str, Pattern); 8] = [
+            ("zero-duration phase", |_, _| [0.0; 4]),
+            ("uniform", |_, _| [9000.0, 450.0, 400.0, 410.0]),
+            ("uniform within a class", |id, nodes| {
+                if nodes[id].is_beefy() {
+                    [9000.0, 900.0, 300.0, 800.0]
+                } else {
+                    [9000.0, 0.0, 450.0, 0.0]
+                }
+            }),
+            ("skewed per-destination weights, no runs", |id, _| {
+                // A small LCG on the node id: every node its own volumes.
+                let x = (id as u64 + 1).wrapping_mul(6_364_136_223_846_793_005) >> 40;
+                let share = 1.0 + (x % 1000) as f64 / 250.0;
+                [9000.0, 450.0 * share, 400.0 / share, 410.0 * share]
+            }),
+            ("runs of length two", |id, _| {
+                let step = (id / 2) as f64;
+                [9000.0 + step, 450.0, 400.0 + 10.0 * step, 410.0]
+            }),
+            ("0.0 against -0.0", |id, _| {
+                let zero = if id % 2 == 0 { 0.0 } else { -0.0 };
+                [zero, 450.0, zero, zero]
+            }),
+            ("all -0.0", |_, _| [-0.0; 4]),
+            ("NaN volumes", |id, _| {
+                let nan = if id % 3 == 2 { 7.0 } else { f64::NAN };
+                [9000.0, nan, 400.0, nan]
+            }),
+        ];
+
+        type Close = fn(
+            &[NodeSpec],
+            &str,
+            &[Megabytes],
+            &[Megabytes],
+            Vec<Megabytes>,
+            Vec<Megabytes>,
+            f64,
+            Option<(Seconds, Megabytes)>,
+            bool,
+        ) -> PhaseStats;
+        let mut compared = 0;
+        for (list, nodes) in &node_lists {
+            for (pattern, volume) in &patterns {
+                let column = |k: usize| -> Vec<Megabytes> {
+                    (0..nodes.len())
+                        .map(|id| Megabytes(volume(id, nodes)[k]))
+                        .collect()
+                };
+                let [scanned, computed, egress, ingress] = [0, 1, 2, 3].map(column);
+                for batch in [1.0, 4.0] {
+                    for in_memory in [true, false] {
+                        for fabric in [None, Some((Seconds(3.5), Megabytes(1234.0)))] {
+                            let case = format!(
+                                "{list} / {pattern} / batch {batch} / in_memory {in_memory} / fabric {fabric:?}"
+                            );
+                            let [by_runs, straight] = [PhaseStats::close as Close, close_reference]
+                                .map(|close| {
+                                    close(
+                                        nodes,
+                                        "probe",
+                                        &scanned,
+                                        &computed,
+                                        egress.clone(),
+                                        ingress.clone(),
+                                        batch,
+                                        fabric,
+                                        in_memory,
+                                    )
+                                });
+                            // Every float, `energy` and `duration` among them.
+                            assert_eq!(float_bits(&by_runs), float_bits(&straight), "{case}");
+                            assert_eq!(by_runs.label, straight.label, "{case}");
+                            assert_eq!(by_runs.bottleneck, straight.bottleneck, "{case}");
+                            // `==` on the whole struct wherever it can hold
+                            // (a NaN is not equal to itself).
+                            if float_bits(&straight)
+                                .iter()
+                                .all(|&bits| !f64::from_bits(bits).is_nan())
+                            {
+                                assert_eq!(by_runs, straight, "{case}");
+                            }
+                            compared += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(compared, node_lists.len() * patterns.len() * 8);
+
+        // The run rule itself: a NaN never repeats, and neither does a zero
+        // of the other sign.
+        assert!(same_volume(Megabytes(2.5), Megabytes(2.5)));
+        assert!(same_volume(Megabytes(-0.0), Megabytes(-0.0)));
+        assert!(!same_volume(Megabytes(0.0), Megabytes(-0.0)));
+        assert!(!same_volume(Megabytes(f64::NAN), Megabytes(f64::NAN)));
     }
 
     #[test]

@@ -10,9 +10,13 @@
 # side: one seed per pair (`first-seed`, `first-seed + 1`, …), each tree run
 # from its own root, and which side goes first alternates per pair. Every
 # run's `run-<workload>.json` is kept under `target/bench-pair/<workload>/`
-# (replacing what an earlier run of this script left there).
+# (replacing what an earlier run of this script left there). The workload
+# `all` is every workload `BENCHMARK.json` names, one after the other on the
+# one pair of builds, reported in one table at the end — what a PR that must
+# show the other workloads unmoved runs.
 #
-# Prints, per end-to-end metric of `BENCHMARK.json`: both medians, both
+# Prints every run's value of every end-to-end metric of `BENCHMARK.json` in
+# pair order, then per workload and metric one table row: both medians, both
 # quartile ranges (linear interpolation between order statistics), the ratio
 # change ÷ base, and wins/pairs in the metric's own direction (a tie counts
 # for neither) — and, under `gain`, whether the §8 rule for *claiming* that
@@ -22,9 +26,9 @@
 #
 # It only *calls* the benchmark; nothing under benchmark/ is read for
 # numbers other than what the command prints. One run is ≈ 16 s, so the
-# default ten pairs take about six minutes after the two builds.
+# default ten pairs take about six minutes per workload after the two builds.
 #
-# Usage: scripts/bench-pair.sh <base-rev> <workload> [pairs=10] [first-seed=7]
+# Usage: scripts/bench-pair.sh <base-rev> <workload>|all [pairs=10] [first-seed=7]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,9 +48,12 @@ work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 mkdir "$work/base"
 git archive "$(git rev-parse --verify "$base^{commit}")" | tar -x -C "$work/base"
-keep="$head_tree/target/bench-pair/$workload"
-rm -rf "$keep"
-mkdir -p "$keep"
+if [ "$workload" = all ]; then
+  workloads="$(awk '/"workloads"/ {on = 1; next} on && /\]/ {exit} on' BENCHMARK.json |
+    sed -n 's/.*{"name": *"\([^"]*\)".*/\1/p')"
+else
+  workloads="$workload"
+fi
 
 # The contract command, as BENCHMARK.json declares it.
 seconds="$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)"
@@ -60,74 +67,93 @@ for tree in "$work/base" "$head_tree"; do
   (cd "$tree" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
 done
 
-# run_side <side> <tree> <pair> <seed>: one contract run; its result line
-# goes to $work/<side>.lines and its result file to $keep.
+# run_side <workload> <side> <tree> <pair> <seed>: one contract run; its
+# result line goes to $work/<workload>.<side>.lines and its result file to
+# target/bench-pair/<workload>/.
 status=0
 run_side() {
-  local side="$1" tree="$2" pair="$3" seed="$4" line
+  local workload="$1" side="$2" tree="$3" pair="$4" seed="$5" line
+  local keep="$head_tree/target/bench-pair/$workload"
   line="$(cd "$tree" && "${command[@]}" --workload "$workload" --seed "$seed" \
     --seconds "$seconds" --trace 0 2>"$work/stderr" | tail -n 1)" || {
     cat "$work/stderr" >&2
-    echo "bench-pair: $side run of pair $pair (seed $seed) did not run" >&2
+    echo "bench-pair: $workload: $side run of pair $pair (seed $seed) did not run" >&2
     exit 1
   }
   case "$line" in
     '{"correct":true,'*) ;;
     *)
-      echo "bench-pair: $side run of pair $pair (seed $seed) is not correct: ${line:0:120}" >&2
+      echo "bench-pair: $workload: $side run of pair $pair (seed $seed) is not correct: ${line:0:120}" >&2
       status=1
       ;;
   esac
-  echo "$line" >>"$work/$side.lines"
+  echo "$line" >>"$work/$workload.$side.lines"
   cp "$tree/target/benchmark/run-$workload.json" "$keep/pair$pair-seed$seed-$side.json"
 }
 
-for ((pair = 1; pair <= pairs; pair++)); do
-  seed=$((first_seed + pair - 1))
-  if ((pair % 2)); then order=(base head); else order=(head base); fi
-  echo "== pair $pair/$pairs: seed $seed, ${order[0]} first ==" >&2
-  for side in "${order[@]}"; do
-    if [ "$side" = base ]; then tree="$work/base"; else tree="$head_tree"; fi
-    run_side "$side" "$tree" "$pair" "$seed"
+for workload in $workloads; do
+  rm -rf "$head_tree/target/bench-pair/$workload"
+  mkdir -p "$head_tree/target/bench-pair/$workload"
+  for ((pair = 1; pair <= pairs; pair++)); do
+    seed=$((first_seed + pair - 1))
+    if ((pair % 2)); then order=(base head); else order=(head base); fi
+    echo "== $workload pair $pair/$pairs: seed $seed, ${order[0]} first ==" >&2
+    for side in "${order[@]}"; do
+      if [ "$side" = base ]; then tree="$work/base"; else tree="$head_tree"; fi
+      run_side "$workload" "$side" "$tree" "$pair" "$seed"
+    done
   done
 done
 
-# value <side> <metric>: that metric's value from every result line, in
-# pair order.
+# value <workload> <side> <metric>: that metric's value from every result
+# line, in pair order.
 value() {
-  sed -n 's/.*"'"$2"'":{"value":\([^,}]*\)[,}].*/\1/p' "$work/$1.lines"
+  sed -n 's/.*"'"$3"'":{"value":\([^,}]*\)[,}].*/\1/p' "$work/$1.$2.lines"
 }
 
 echo
-echo "$workload: $pairs alternating pairs, base $base vs the working tree, seeds $first_seed..$((first_seed + pairs - 1)), ${seconds} s per run"
-printf '%-16s %-6s %14s %14s %14s %14s %14s %14s %9s %6s  %s\n' \
-  metric better base_median base_q1 base_q3 head_median head_q1 head_q3 head/base wins gain
-while read -r metric better; do
-  paste <(value base "$metric") <(value head "$metric") |
-    awk -v metric="$metric" -v better="$better" -v pairs="$pairs" '
-      function quantile(sorted, n, q,    h, lo) {
-        h = (n - 1) * q + 1; lo = int(h)
-        if (lo >= n) return sorted[n]
-        return sorted[lo] + (h - lo) * (sorted[lo + 1] - sorted[lo])
-      }
-      function insert(sorted, n, x,    i) {
-        for (i = n; i >= 1 && sorted[i] > x; i--) sorted[i + 1] = sorted[i]
-        sorted[i + 1] = x
-      }
-      NF == 2 {
-        n++; insert(b, n - 1, $1 + 0); insert(h, n - 1, $2 + 0)
-        if (better == "higher" ? $2 > $1 : $2 < $1) wins++
-      }
-      END {
-        if (n != pairs) { printf "%-16s only %d of %d pairs reported it\n", metric, n, pairs; exit 1 }
-        bm = quantile(b, n, 0.5); hm = quantile(h, n, 0.5)
-        b1 = quantile(b, n, 0.25); b3 = quantile(b, n, 0.75)
-        gap = better == "higher" ? hm - bm : bm - hm
-        gain = (wins >= 0.9 * n && gap > b3 - b1) ? "yes" : "no"
-        printf "%-16s %-6s %14.6g %14.6g %14.6g %14.6g %14.6g %14.6g %9.4f %3d/%-2d  %s\n", \
-          metric, better, bm, b1, b3, hm, quantile(h, n, 0.25), quantile(h, n, 0.75), \
-          hm / bm, wins, n, gain
-      }' || status=1
-done <<<"$metrics"
-echo "result files: target/bench-pair/$workload/"
+echo "$pairs alternating pairs, base $base vs the working tree, seeds $first_seed..$((first_seed + pairs - 1)), ${seconds} s per run"
+echo
+echo "every run, in pair order:"
+for workload in $workloads; do
+  while read -r metric _; do
+    for side in base head; do
+      printf '%-16s %-16s %-4s %s\n' "$workload" "$metric" "$side" \
+        "$(value "$workload" "$side" "$metric" | paste -s -d ' ')"
+    done
+  done <<<"$metrics"
+done
+echo
+printf '%-16s %-16s %-6s %14s %14s %14s %14s %14s %14s %9s %6s  %s\n' \
+  workload metric better base_median base_q1 base_q3 head_median head_q1 head_q3 head/base wins gain
+for workload in $workloads; do
+  while read -r metric better; do
+    paste <(value "$workload" base "$metric") <(value "$workload" head "$metric") |
+      awk -v workload="$workload" -v metric="$metric" -v better="$better" -v pairs="$pairs" '
+        function quantile(sorted, n, q,    h, lo) {
+          h = (n - 1) * q + 1; lo = int(h)
+          if (lo >= n) return sorted[n]
+          return sorted[lo] + (h - lo) * (sorted[lo + 1] - sorted[lo])
+        }
+        function insert(sorted, n, x,    i) {
+          for (i = n; i >= 1 && sorted[i] > x; i--) sorted[i + 1] = sorted[i]
+          sorted[i + 1] = x
+        }
+        NF == 2 {
+          n++; insert(b, n - 1, $1 + 0); insert(h, n - 1, $2 + 0)
+          if (better == "higher" ? $2 > $1 : $2 < $1) wins++
+        }
+        END {
+          if (n != pairs) { printf "%-16s %-16s only %d of %d pairs reported it\n", workload, metric, n, pairs; exit 1 }
+          bm = quantile(b, n, 0.5); hm = quantile(h, n, 0.5)
+          b1 = quantile(b, n, 0.25); b3 = quantile(b, n, 0.75)
+          gap = better == "higher" ? hm - bm : bm - hm
+          gain = (wins >= 0.9 * n && gap > b3 - b1) ? "yes" : "no"
+          printf "%-16s %-16s %-6s %14.6g %14.6g %14.6g %14.6g %14.6g %14.6g %9.4f %3d/%-2d  %s\n", \
+            workload, metric, better, bm, b1, b3, hm, quantile(h, n, 0.25), quantile(h, n, 0.75), \
+            hm / bm, wins, n, gain
+        }' || status=1
+  done <<<"$metrics"
+done
+echo "result files: target/bench-pair/<workload>/"
 exit "$status"
