@@ -11,6 +11,7 @@
 
 use crate::error::PStoreError;
 use eedc_netsim::{Flow, FlowSet, NodeId};
+use eedc_simkit::units::Megabytes;
 use eedc_storage::{hash_scatter, Table};
 
 /// Output of an exchange: what every node received, and the flows that moved.
@@ -61,25 +62,27 @@ pub fn shuffle_exchange(
         .map(|n| empty_like(template, n, "shuffle"))
         .collect();
     let mut flows = FlowSet::new();
+    let row_bytes: u64 = template
+        .schema()
+        .columns()
+        .iter()
+        .map(|(_, ty)| u64::from(ty.width_bytes()))
+        .sum();
 
     for (source, input) in inputs.iter().enumerate() {
         // Scatter: one pass over the typed key column computes each row's
-        // destination slot, then every outgoing fragment is materialised
-        // with a per-column gather.
+        // destination slot, then the rows are gathered straight onto the
+        // end of their destination's table — written once, no fragment.
         let indices = hash_scatter(input.column_by_name(key)?, destinations.len())?;
         for (slot, rows) in indices.iter().enumerate() {
             let destination = destinations[slot];
-            let fragment = input.gather_rows(
-                format!("{}_shuffle_frag_node{destination}", input.name()),
-                rows,
-            );
             flows.push(Flow::with_group(
                 source,
                 destination,
-                fragment.byte_size(),
+                Megabytes::from_bytes(rows.len() as u64 * row_bytes),
                 group,
             ));
-            received[destination].append_table(&fragment)?;
+            received[destination].append_gathered(input, rows)?;
         }
     }
 
@@ -145,6 +148,37 @@ mod tests {
         hash_partition(&orders, "O_CUSTKEY", 4).unwrap().fragments
     }
 
+    /// The construction `shuffle_exchange` replaced, kept as its oracle:
+    /// materialise a fragment per (source, destination), size the flow from
+    /// it, then copy it onto the destination.
+    fn shuffle_by_fragments(
+        inputs: &[Table],
+        key: &str,
+        destinations: &[NodeId],
+        group: usize,
+    ) -> ExchangeOutput {
+        let mut received: Vec<Table> = (0..inputs.len())
+            .map(|n| empty_like(&inputs[0], n, "shuffle"))
+            .collect();
+        let mut flows = FlowSet::new();
+        for (source, input) in inputs.iter().enumerate() {
+            let indices =
+                hash_scatter(input.column_by_name(key).unwrap(), destinations.len()).unwrap();
+            for (slot, rows) in indices.iter().enumerate() {
+                let destination = destinations[slot];
+                let fragment = input.gather_rows("fragment", rows);
+                flows.push(Flow::with_group(
+                    source,
+                    destination,
+                    fragment.byte_size(),
+                    group,
+                ));
+                received[destination].append_table(&fragment).unwrap();
+            }
+        }
+        ExchangeOutput { received, flows }
+    }
+
     fn received_rows(exchanged: &ExchangeOutput) -> usize {
         exchanged.received.iter().map(Table::row_count).sum()
     }
@@ -164,6 +198,23 @@ mod tests {
                 let expected = (hash_of_value(&key) % 4) as usize;
                 assert_eq!(expected, node);
             }
+        }
+    }
+
+    #[test]
+    fn shuffle_gathers_what_fragment_then_append_built() {
+        // Node 2 holds nothing, so every (2, destination) pair is empty and
+        // still owes its zero-byte flow.
+        let mut fragments = orders_fragments();
+        fragments[2] = Table::empty(fragments[2].name(), fragments[2].schema().clone());
+        for destinations in [&[0, 1, 2, 3][..], &[3, 1], &[2]] {
+            let direct = shuffle_exchange(&fragments, "O_ORDERKEY", destinations, 5).unwrap();
+            let staged = shuffle_by_fragments(&fragments, "O_ORDERKEY", destinations, 5);
+            assert_eq!(direct.flows, staged.flows, "{destinations:?}");
+            assert_eq!(direct.received, staged.received, "{destinations:?}");
+            assert_eq!(direct.flows.len(), 4 * destinations.len());
+            let from_empty = direct.flows.flows()[2 * destinations.len()];
+            assert_eq!((from_empty.source, from_empty.bytes), (2, Megabytes(0.0)));
         }
     }
 

@@ -1,8 +1,8 @@
 //! The morsel-driven in-memory hash join operator.
 //!
 //! This is the paper's workhorse compute operator: "our hash join code is
-//! cache-conscious and multi-threaded" (Section 5.1). The kernel runs in
-//! three stages:
+//! cache-conscious and multi-threaded" (Section 5.1). One rule governs its
+//! output — **match first, write once** — and the kernel runs in four stages:
 //!
 //! 1. **Partitioned radix build** — build-side keys are hashed once, rows are
 //!    radix-partitioned on the low hash bits (counting sort, no per-key
@@ -11,18 +11,24 @@
 //! 2. **Morsel-stealing probe** — probe rows are consumed in fixed-size
 //!    *morsels* claimed from a shared atomic [`MorselCursor`], so fast
 //!    workers steal work from slow ones instead of idling at a static chunk
-//!    boundary.
-//! 3. **Columnar batch materialization** — each worker accumulates matching
-//!    `(probe_row, build_row)` index pairs per morsel and flushes them with a
-//!    per-column gather into a reusable [`BatchBuilder`]; no row-at-a-time
-//!    `Value` boxing anywhere on the hot path.
+//!    boundary. A worker only *records* its matches: a `(probe_row,
+//!    build_row)` pair of `u32` index lists, and where each morsel it retired
+//!    ends in them. No output cell is written yet.
+//! 3. **Order** — the match lists are laid end to end in *morsel* order,
+//!    which is probe-row order, whatever the schedule was.
+//! 4. **Columnar materialization** — every output column is one gather from
+//!    its source column through the ordered index list, allocated once at its
+//!    final length; workers steal whole columns. No row-at-a-time `Value`
+//!    boxing, no per-worker fragment, no second copy.
 //!
-//! Worker fragments are concatenated column-wise at the end — operators never
-//! materialise intermediate tuples beyond their own output.
+//! The output is therefore the same table, bit for bit, for every thread
+//! count, morsel size and radix width: rows in probe-row order, and a probe
+//! row's several matches in the build's chain order (latest build row first).
 
 use crate::error::PStoreError;
 use crate::op::kernel::{JoinKernelConfig, KeySlice, MorselCursor, RadixTable};
-use eedc_storage::{hash_i64, BatchBuilder, Schema, Table};
+use eedc_storage::{hash_i64, Column, Schema, Table};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Output of a hash join.
@@ -79,19 +85,81 @@ fn join_output_name(probe: &str, build: &str) -> String {
     name
 }
 
+/// The kernel addresses rows with `u32` ids — half the index traffic of
+/// `usize` through the build chains and the match lists — so a side must have
+/// at most `u32::MAX` rows. Checked once here; the `as u32` in the build and
+/// probe loops cannot truncate after it.
+fn addressable_rows(side: &str, rows: usize) -> Result<usize, PStoreError> {
+    match u32::try_from(rows) {
+        Ok(_) => Ok(rows),
+        Err(_) => Err(PStoreError::planning(format!(
+            "{side} side has {rows} rows; the join kernel addresses at most {} per side",
+            u32::MAX
+        ))),
+    }
+}
+
+/// Run `task(i)` for every `i` in `0..items` and return the results in index
+/// order. Up to `workers` scoped threads share the items: worker `w` starts
+/// on item `w` and then steals the next unclaimed index off a shared counter
+/// until none is left. With one worker, or at most one item, everything runs
+/// on the calling thread.
+fn steal<T: Send>(workers: usize, items: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = workers.min(items);
+    if workers <= 1 {
+        return (0..items).map(task).collect();
+    }
+    // The counter publishes nothing: results travel through `join`.
+    let next = AtomicUsize::new(workers);
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|first| {
+                let (task, next) = (&task, &next);
+                scope.spawn(move || {
+                    let mut mine = Vec::new();
+                    let mut item = first;
+                    while item < items {
+                        mine.push((item, task(item)));
+                        item = next.fetch_add(1, Ordering::Relaxed);
+                    }
+                    mine
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("kernel worker must not panic"))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(item, _)| item);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+/// What one probe worker found: the matching `(probe row, build row)` pairs
+/// in the order it probed them, and where each morsel it retired ends in them.
+struct ProbeRun {
+    probe_idx: Vec<u32>,
+    build_idx: Vec<u32>,
+    /// `(morsel, match count once it was retired)`, in claim order.
+    morsels: Vec<(usize, usize)>,
+}
+
 /// Join `probe` against `build` on integer key columns `probe_key` /
-/// `build_key`, producing probe columns followed by build columns. Every
-/// `config` (morsel size, radix bits) produces the same output row multiset;
-/// the tunables trade cache locality against scheduling overhead.
+/// `build_key`, producing probe columns followed by build columns.
+///
+/// Every `threads` and every `config` (morsel size, radix bits) produce the
+/// same output table, bit for bit: rows in probe-row order, and the several
+/// matches of one probe row in the build's chain order (latest build row
+/// first). The tunables trade cache locality against scheduling overhead,
+/// never the result.
 ///
 /// `threads` is an upper bound on the workers of each stage; values of 0 or
-/// 1 run everything on the calling thread. A worker is spawned only if a
-/// morsel exists for it: the probe starts `min(threads, probe morsels)`
-/// workers (on the calling thread when that is one), and a build side
-/// smaller than one morsel is hashed and built on the calling thread. The
-/// output row order depends on the thread count and morsel schedule
-/// (fragments are concatenated in worker order), but the output row *set*
-/// does not.
+/// 1 run everything on the calling thread. A worker is spawned only if work
+/// exists for it: the probe starts `min(threads, probe morsels)` workers (on
+/// the calling thread when that is one), a build side smaller than one
+/// morsel is hashed and built on the calling thread, and an output smaller
+/// than one morsel is gathered on the calling thread (a larger one by at
+/// most one worker per output column).
 pub fn hash_join_with(
     probe: &Table,
     probe_key: &str,
@@ -105,13 +173,14 @@ pub fn hash_join_with(
     // non-integer key types are rejected before any work runs.
     let build_keys = KeySlice::try_from_column(build.column_by_name(build_key)?)?;
     let probe_keys = KeySlice::try_from_column(probe.column_by_name(probe_key)?)?;
+    let build_rows = addressable_rows("build", build_keys.len())?;
+    let probe_rows = addressable_rows("probe", probe_keys.len())?;
 
     let workers = threads.max(1);
     let partitions = config.partitions();
     let partition_mask = (partitions - 1) as u64;
 
     // ---- Stage 1: partitioned radix build -------------------------------
-    let build_rows = build_keys.len();
     // A morsel is the smallest unit of parallel work: a build side under
     // one is hashed and built right here, with no thread to start and join.
     let build_workers = if build_rows < config.morsel_rows {
@@ -168,43 +237,94 @@ pub fn hash_join_with(
         }
         table
     };
-    let build_workers = build_workers.min(partitions);
-    let tables: Vec<RadixTable> = if build_workers <= 1 {
-        (0..partitions).map(build_partition).collect()
-    } else {
-        let next = AtomicUsize::new(build_workers);
-        let mut slots: Vec<Option<RadixTable>> = (0..partitions).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..build_workers)
-                .map(|w| {
-                    let build_partition = &build_partition;
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut built = vec![(w, build_partition(w))];
-                        loop {
-                            let p = next.fetch_add(1, Ordering::Relaxed);
-                            if p >= partitions {
-                                break;
-                            }
-                            built.push((p, build_partition(p)));
-                        }
-                        built
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (p, table) in handle.join().expect("build worker must not panic") {
-                    slots[p] = Some(table);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|t| t.expect("every partition was built"))
-            .collect()
-    };
+    let tables = steal(build_workers, partitions, build_partition);
 
-    // ---- Stages 2 + 3: morsel-stealing probe, columnar materialization --
+    // ---- Stage 2: morsel-stealing probe — match, write nothing ----------
+    let cursor = MorselCursor::new(probe_rows, config.morsel_rows, workers);
+    let probe_worker = |worker: usize| {
+        let mut run = ProbeRun {
+            probe_idx: Vec::new(),
+            build_idx: Vec::new(),
+            morsels: Vec::new(),
+        };
+        // First-claim morsel, then steal from the shared cursor until drained.
+        let mut morsel = (worker < cursor.morsels()).then_some(worker);
+        while let Some(m) = morsel {
+            for row in cursor.range_of(m) {
+                let key = probe_keys.get(row);
+                let hash = hash_i64(key);
+                let matched = tables[(hash & partition_mask) as usize].probe_into(
+                    key,
+                    hash,
+                    &mut run.build_idx,
+                );
+                run.probe_idx
+                    .extend(std::iter::repeat_n(row as u32, matched));
+            }
+            run.morsels.push((m, run.probe_idx.len()));
+            morsel = cursor.claim();
+        }
+        run
+    };
+    // A worker past the last morsel would find its first claim missing and
+    // the cursor drained, so it is never started and reports zero morsels
+    // below. One item per started worker: what *they* steal is morsels.
+    let probe_workers = workers.min(cursor.morsels());
+    let mut runs = steal(probe_workers, probe_workers, probe_worker);
+    let mut morsels_per_worker = vec![0; workers];
+    for (slot, run) in morsels_per_worker.iter_mut().zip(&runs) {
+        *slot = run.morsels.len();
+    }
+
+    // ---- Stage 3: order — match lists end to end, in probe-row order ----
+    let output_rows: usize = runs.iter().map(|run| run.probe_idx.len()).sum();
+    let (probe_idx, build_idx) = if runs.len() <= 1 {
+        // One worker retired the morsels in order: its lists are the answer.
+        runs.pop()
+            .map_or_else(Default::default, |run| (run.probe_idx, run.build_idx))
+    } else {
+        // Each morsel was retired once: `(worker, its matches in that worker's lists)`.
+        let mut by_morsel: Vec<(usize, Range<usize>)> = vec![(0, 0..0); cursor.morsels()];
+        for (worker, run) in runs.iter().enumerate() {
+            let mut start = 0;
+            for &(morsel, end) in &run.morsels {
+                by_morsel[morsel] = (worker, start..end);
+                start = end;
+            }
+        }
+        let mut probe_idx = Vec::with_capacity(output_rows);
+        let mut build_idx = Vec::with_capacity(output_rows);
+        for (worker, range) in by_morsel {
+            probe_idx.extend_from_slice(&runs[worker].probe_idx[range.clone()]);
+            build_idx.extend_from_slice(&runs[worker].build_idx[range]);
+        }
+        (probe_idx, build_idx)
+    };
+    // The per-worker lists are spent; free them before the output is allocated.
+    drop(runs);
+
+    // ---- Stage 4: materialise — one exact-size gather per output column -
+    let mut sources: Vec<(&Column, &[u32])> = Vec::new();
+    for (side, table, rows) in [("probe", probe, &probe_idx), ("build", build, &build_idx)] {
+        for index in 0..table.schema().len() {
+            let column = table.column(index).ok_or_else(|| {
+                PStoreError::planning(format!(
+                    "{side} table {} has no column {index} of its own schema",
+                    table.name()
+                ))
+            })?;
+            sources.push((column, rows));
+        }
+    }
+    let gather_workers = if output_rows < config.morsel_rows {
+        1
+    } else {
+        workers
+    };
+    let columns = steal(gather_workers, sources.len(), |c| {
+        let (source, rows) = sources[c];
+        source.gathered(rows)
+    });
     let output_schema = Schema::new(
         probe
             .schema()
@@ -213,77 +333,16 @@ pub fn hash_join_with(
             .chain(build.schema().columns())
             .map(|(name, ty)| (name.clone(), *ty)),
     );
-    let probe_rows = probe_keys.len();
-    let probe_width = probe.schema().len();
-    let cursor = MorselCursor::new(probe_rows, config.morsel_rows, workers);
-    let tables = &tables;
-
-    let probe_worker = |worker: usize| -> Result<(Table, usize), PStoreError> {
-        let mut batch = BatchBuilder::new(output_schema.clone());
-        let mut probe_idx: Vec<u32> = Vec::new();
-        let mut build_idx: Vec<u32> = Vec::new();
-        let mut retired = 0usize;
-        // First-claim morsel, then steal from the shared cursor until drained.
-        let mut morsel = (worker < cursor.morsels()).then_some(worker);
-        while let Some(m) = morsel {
-            for row in cursor.range_of(m) {
-                let key = probe_keys.get(row);
-                let hash = hash_i64(key);
-                let matched =
-                    tables[(hash & partition_mask) as usize].probe_into(key, hash, &mut build_idx);
-                probe_idx.extend(std::iter::repeat_n(row as u32, matched));
-            }
-            if !probe_idx.is_empty() {
-                batch.gather_table(probe, &probe_idx, 0)?;
-                batch.gather_table(build, &build_idx, probe_width)?;
-                probe_idx.clear();
-                build_idx.clear();
-            }
-            retired += 1;
-            morsel = cursor.claim();
-        }
-        Ok((batch.finish("join_fragment")?, retired))
-    };
-
-    // A worker past the last morsel would find its first claim missing and
-    // the cursor drained, so it is never started; its fragment would have
-    // been empty and it reports zero morsels below.
-    let probe_workers = workers.min(cursor.morsels());
-    let results: Vec<(Table, usize)> = if probe_workers <= 1 {
-        vec![probe_worker(0)?]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..probe_workers)
-                .map(|w| {
-                    let probe_worker = &probe_worker;
-                    scope.spawn(move || probe_worker(w))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("probe worker must not panic"))
-                .collect::<Result<Vec<_>, _>>()
-        })?
-    };
-
-    let mut output = Table::with_capacity(
+    let output = Table::from_columns(
         join_output_name(probe.name(), build.name()),
         output_schema,
-        results
-            .iter()
-            .map(|(fragment, _)| fragment.row_count())
-            .sum(),
-    );
-    let mut morsels_per_worker = vec![0; workers];
-    for ((fragment, retired), slot) in results.iter().zip(&mut morsels_per_worker) {
-        output.append_table(fragment)?;
-        *slot = *retired;
-    }
+        columns,
+    )?;
 
     Ok(HashJoinOutput {
         build_rows,
         probe_rows,
-        output_rows: output.row_count(),
+        output_rows,
         output,
         morsels_per_worker,
     })
@@ -431,6 +490,18 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn row_counts_past_u32_are_planning_errors() {
+        let most = u32::MAX as usize;
+        assert_eq!(addressable_rows("build", 0).unwrap(), 0);
+        assert_eq!(addressable_rows("build", most).unwrap(), most);
+        let error = addressable_rows("probe", most + 1).unwrap_err().to_string();
+        assert!(
+            error.contains("probe") && error.contains("4294967296"),
+            "{error}"
+        );
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!
 //! # The morsel-driven execution kernel
 //!
-//! The join runs in three stages, built from the primitives in [`kernel`]:
+//! The join's output rule is **match first, write once**, and it runs in
+//! four stages, built from the primitives in [`kernel`]:
 //!
 //! 1. **Build: partitioned radix build.** Build-side keys are hashed once
 //!    (`hash_i64`, the same splitmix64 mix used for cluster placement) and
@@ -25,11 +26,16 @@
 //!    [`kernel::MorselCursor`]. Each worker is pre-assigned one first-claim
 //!    morsel and then steals until the input is drained, so a slow worker
 //!    delays the join by at most one morsel instead of a whole static chunk.
-//! 3. **Materialize: columnar gather.** Workers accumulate matching
-//!    `(probe_row, build_row)` index pairs per morsel and flush them with a
-//!    per-column gather into a reusable
-//!    [`BatchBuilder`](eedc_storage::BatchBuilder) — one typed slice append
-//!    per column per flush, never a row-at-a-time `Value` round-trip.
+//!    A worker writes no output: it records its matching
+//!    `(probe_row, build_row)` pairs as two `u32` index lists, and where each
+//!    morsel it retired ends in them.
+//! 3. **Order.** The match lists are laid end to end in morsel order —
+//!    probe-row order — whichever worker won which morsel.
+//! 4. **Materialize: one gather per output column.** Each output column is
+//!    gathered from its source column through the ordered index list into an
+//!    allocation of exactly its final length; workers steal whole columns.
+//!    No output cell is written twice, and never a row-at-a-time `Value`
+//!    round-trip.
 //!
 //! Defaults ([`kernel::DEFAULT_MORSEL_ROWS`] = 16384 rows,
 //! [`kernel::DEFAULT_RADIX_BITS`] = 4): a 16K-row morsel of the paper's
@@ -37,8 +43,9 @@
 //! rows), and 16 partitions keep each partition's table small enough to stay
 //! cache-resident at the paper's 10 MB build sizes without making tiny
 //! builds pay for partitioning. Both are overridable per join via
-//! [`kernel::JoinKernelConfig`]; every configuration yields the same output
-//! row multiset.
+//! [`kernel::JoinKernelConfig`]; every configuration and every thread count
+//! yields the same output table, bit for bit (rows in probe-row order, one
+//! probe row's several matches in the build's chain order).
 
 pub mod exchange;
 pub mod hashjoin;

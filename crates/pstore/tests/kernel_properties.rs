@@ -1,10 +1,12 @@
 //! Property tests for the morsel-driven join kernel: no combination of
-//! worker count, morsel size, or radix bits may change the join's output row
-//! multiset, and morsel stealing must actually distribute work.
+//! worker count, morsel size, or radix bits may change the join's output —
+//! the row multiset, and since the kernel orders its matches before it
+//! writes them, the table itself — and morsel stealing must actually
+//! distribute work.
 
 use eedc_pstore::op::hash_join_with;
 use eedc_pstore::op::kernel::JoinKernelConfig;
-use eedc_storage::{ColumnType, Schema, Table, Value};
+use eedc_storage::{Column, ColumnType, Schema, Table, Value};
 use eedc_tpch::gen::{LineitemGenerator, OrdersGenerator};
 use eedc_tpch::ScaleFactor;
 
@@ -64,6 +66,95 @@ fn join_output_multiset_is_invariant_across_the_kernel_grid() {
             }
         }
     }
+}
+
+#[test]
+fn join_output_is_the_same_table_across_the_kernel_grid() {
+    // Not just the same rows: the same table, bit for bit, whatever the
+    // schedule was. The second direction probes ORDERS against LINEITEM, so
+    // a probe row has several matches and their chain order is pinned too.
+    let lineitem = Table::from_lineitem(LineitemGenerator::new(SCALE, 11));
+    let orders = Table::from_orders(OrdersGenerator::new(SCALE, 11));
+    let directions = [
+        (&lineitem, "L_ORDERKEY", &orders, "O_ORDERKEY"),
+        (&orders, "O_ORDERKEY", &lineitem, "L_ORDERKEY"),
+    ];
+    for (probe, probe_key, build, build_key) in directions {
+        let default = JoinKernelConfig::default();
+        let reference = hash_join_with(probe, probe_key, build, build_key, 1, default).unwrap();
+        assert_eq!(reference.output_rows, lineitem.row_count());
+        for workers in [1usize, 2, 3, 8] {
+            for morsel_rows in [64usize, 100, 1 << 20] {
+                for radix_bits in [0u8, 4, 8] {
+                    let config = JoinKernelConfig {
+                        morsel_rows,
+                        radix_bits,
+                    };
+                    let joined =
+                        hash_join_with(probe, probe_key, build, build_key, workers, config)
+                            .unwrap();
+                    assert!(
+                        joined.output == reference.output,
+                        "{} probe: workers={workers} morsel_rows={morsel_rows} \
+                         radix_bits={radix_bits} changed the output table",
+                        probe.name()
+                    );
+                }
+            }
+        }
+    }
+
+    // Every LINEITEM row matches exactly once, so probe-row order means the
+    // probe side of the output *is* the LINEITEM table.
+    let joined = hash_join_with(
+        &lineitem,
+        "L_ORDERKEY",
+        &orders,
+        "O_ORDERKEY",
+        3,
+        JoinKernelConfig {
+            morsel_rows: 64,
+            radix_bits: 4,
+        },
+    )
+    .unwrap();
+    for column in 0..lineitem.schema().len() {
+        assert_eq!(joined.output.column(column), lineitem.column(column));
+    }
+}
+
+#[test]
+fn a_join_without_matches_is_an_empty_table_of_the_full_schema() {
+    let orders = Table::from_orders(OrdersGenerator::new(SCALE, 11));
+    let lineitem = Table::from_lineitem(LineitemGenerator::new(SCALE, 11));
+    // Order keys are positive; negate the probe keys so the ranges are
+    // disjoint and every probe misses.
+    let mut columns: Vec<Column> = (0..lineitem.schema().len())
+        .map(|c| lineitem.column(c).unwrap().clone())
+        .collect();
+    let keys = columns[0].as_i64_slice().unwrap();
+    columns[0] = Column::Int64(keys.iter().map(|key| -key - 1).collect());
+    let strangers = Table::from_columns("LINEITEM", lineitem.schema().clone(), columns).unwrap();
+
+    let config = JoinKernelConfig {
+        morsel_rows: 100,
+        ..JoinKernelConfig::default()
+    };
+    let joined =
+        hash_join_with(&strangers, "L_ORDERKEY", &orders, "O_ORDERKEY", 4, config).unwrap();
+    assert_eq!(joined.output_rows, 0);
+    let schema = Schema::new(
+        lineitem
+            .schema()
+            .columns()
+            .iter()
+            .chain(orders.schema().columns())
+            .cloned(),
+    );
+    assert_eq!(schema.len(), 8);
+    assert_eq!(joined.output, Table::empty("LINEITEM_join_ORDERS", schema));
+    let morsels = strangers.row_count().div_ceil(100);
+    assert_eq!(joined.morsels_per_worker.iter().sum::<usize>(), morsels);
 }
 
 #[test]

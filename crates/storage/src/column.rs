@@ -196,15 +196,6 @@ impl Column {
         }
     }
 
-    /// Reserve capacity for at least `additional` more values.
-    pub fn reserve(&mut self, additional: usize) {
-        match self {
-            Column::Int64(v) => v.reserve(additional),
-            Column::Int32(v) => v.reserve(additional),
-            Column::Float64(v) => v.reserve(additional),
-        }
-    }
-
     /// Append the whole of `source` onto this column in one slice copy —
     /// the column-wise building block of [`crate::Table::append_table`].
     pub fn extend_from(&mut self, source: &Column) -> Result<(), StorageError> {
@@ -224,8 +215,9 @@ impl Column {
     }
 
     /// Append `source[i]` for every index in `indices`, in order — the
-    /// per-column gather underneath batch materialization. Indices must be
-    /// in bounds of `source` (panics otherwise, like slice indexing).
+    /// column-wise building block of [`crate::Table::append_gathered`].
+    /// Indices must be in bounds of `source` (panics otherwise, like slice
+    /// indexing).
     pub fn gather_from(&mut self, source: &Column, indices: &[u32]) -> Result<(), StorageError> {
         match (self, source) {
             (Column::Int64(dst), Column::Int64(src)) => {
@@ -365,7 +357,6 @@ mod tests {
     #[test]
     fn unchecked_push_appends_matching_values() {
         let mut col = Column::with_capacity(ColumnType::Float64, 2);
-        col.reserve(2);
         col.push_unchecked(Value::Float64(1.5));
         col.push_unchecked(Value::Float64(2.5));
         assert_eq!(col.as_f64_slice(), Some(&[1.5, 2.5][..]));

@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod batch;
 pub mod block;
 pub mod column;
 pub mod error;
@@ -31,7 +30,6 @@ pub mod predicate;
 pub mod scan;
 pub mod table;
 
-pub use batch::{BatchBuilder, ColumnBuilder};
 pub use block::{Block, BlockIter, DEFAULT_BLOCK_ROWS};
 pub use column::{Column, ColumnType, Value};
 pub use error::StorageError;

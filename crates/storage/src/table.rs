@@ -117,7 +117,7 @@ impl Table {
 
     /// A table assembled from pre-built columns. The columns must match the
     /// schema's types and all have the same length — this is how the
-    /// execution kernel turns gathered output fragments back into tables
+    /// execution kernel turns its gathered output columns into a table
     /// without touching any per-row path.
     pub fn from_columns(
         name: impl Into<String>,
@@ -378,6 +378,23 @@ impl Table {
         }
         Ok(())
     }
+
+    /// Append row `i` of `source` for every index in `rows`, in order:
+    /// [`Table::gather_rows`] straight onto the end of this table, without
+    /// the fragment in between. One schema check, then one gather per
+    /// column. Indices must be in bounds of `source` (panics otherwise).
+    pub fn append_gathered(&mut self, source: &Table, rows: &[u32]) -> Result<(), StorageError> {
+        if self.schema != source.schema {
+            return Err(StorageError::schema(format!(
+                "cannot gather {} into {}: schemas differ",
+                source.name, self.name
+            )));
+        }
+        for (dest, src) in self.columns.iter_mut().zip(&source.columns) {
+            dest.gather_from(src, rows)?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -474,6 +491,23 @@ mod tests {
         assert_eq!(a.row_count(), 2 * before);
         let lineitem = Table::from_lineitem(LineitemGenerator::new(ScaleFactor(0.001), 1));
         assert!(a.append_table(&lineitem).is_err());
+    }
+
+    #[test]
+    fn append_gathered_is_gather_rows_then_append_table() {
+        let orders = small_orders();
+        let rows = [5u32, 0, 5, 1499];
+        let mut direct = orders.gather_rows("D", &[7]);
+        direct.append_gathered(&orders, &rows).unwrap();
+        direct.append_gathered(&orders, &[]).unwrap();
+        let mut staged = orders.gather_rows("D", &[7]);
+        staged
+            .append_table(&orders.gather_rows("F", &rows))
+            .unwrap();
+        assert_eq!(direct, staged);
+        let lineitem = Table::from_lineitem(LineitemGenerator::new(ScaleFactor(0.001), 1));
+        assert!(direct.append_gathered(&lineitem, &[0]).is_err());
+        assert_eq!(direct, staged, "a refused gather appends nothing");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 # the first differing (or missing) file. Both sides run on this machine, so a
 # libm difference between hosts cannot make it flaky.
 #
-# For refactors that claim to change no output. Not wired into CI: a PR that
-# means to change output would need a way to switch it off.
+# For refactors that claim to change no output. CI runs it nightly against
+# HEAD~1, beside the soak (it builds two trees); never per push or in
+# `check.sh`: a PR that means to change output would need a switch.
 #
 # The base tree is a `git archive` export in a temporary directory with its
 # own target dir (removed on exit), so nothing is registered in `.git` and the
