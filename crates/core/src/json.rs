@@ -55,7 +55,10 @@ impl JsonValue {
     pub fn set(&mut self, key: impl Into<String>, value: impl Into<JsonValue>) -> &mut Self {
         match self {
             JsonValue::Object(fields) => fields.push((key.into(), value.into())),
-            // lint:allow(panic-policy): builder misuse is a programming error in the serializer, not a data error — reader paths return Err
+            #[expect(
+                clippy::panic,
+                reason = "builder misuse is a programming error in the serializer, not a data error — reader paths return Err"
+            )]
             other => panic!("set() on non-object JSON value {other:?}"),
         }
         self
@@ -65,7 +68,10 @@ impl JsonValue {
     pub fn push(&mut self, value: impl Into<JsonValue>) -> &mut Self {
         match self {
             JsonValue::Array(items) => items.push(value.into()),
-            // lint:allow(panic-policy): builder misuse is a programming error in the serializer, not a data error — reader paths return Err
+            #[expect(
+                clippy::panic,
+                reason = "builder misuse is a programming error in the serializer, not a data error — reader paths return Err"
+            )]
             other => panic!("push() on non-array JSON value {other:?}"),
         }
         self

@@ -917,7 +917,10 @@ impl ServingEngine<'_> {
         let horizon = self.config.duration.value();
         match &self.config.arrival {
             ArrivalProcess::Poisson { qps } => {
-                // lint:allow(panic-policy): qps was validated finite-positive by simulate_serving
+                #[expect(
+                    clippy::expect_used,
+                    reason = "qps was validated finite-positive by simulate_serving"
+                )]
                 let gap = sim.sample_exponential(1.0 / qps).expect("validated rate");
                 Some(now + gap).filter(|&t| t < horizon)
             }
@@ -938,9 +941,12 @@ impl ServingEngine<'_> {
                         continue;
                     }
                     if segment.qps > 0.0 {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "segment rates were validated finite by simulate_serving"
+                        )]
                         let gap = sim
                             .sample_exponential(1.0 / segment.qps)
-                            // lint:allow(panic-policy): segment rates were validated finite by simulate_serving
                             .expect("validated rate");
                         let candidate = t.max(start) + gap;
                         if candidate < end {
@@ -966,14 +972,20 @@ impl ServingEngine<'_> {
         query: Queued,
         now: f64,
     ) {
+        #[expect(
+            clippy::expect_used,
+            reason = "scheduler contract — place() must return a capable pool; the shipped policies are property-tested for it"
+        )]
         let profile = self.servers[server].profiles[query.template]
-            // lint:allow(panic-policy): scheduler contract — place() must return a capable pool; the shipped policies are property-tested for it
             .expect("scheduler placed an unservable template");
         let mut service = match self.config.service {
             ServiceDistribution::Deterministic => profile.time.value(),
+            #[expect(
+                clippy::expect_used,
+                reason = "profile times were validated finite-positive by simulate_serving"
+            )]
             ServiceDistribution::Exponential => sim
                 .sample_exponential(profile.time.value())
-                // lint:allow(panic-policy): profile times were validated finite-positive by simulate_serving
                 .expect("profile times are validated positive"),
         };
         // Checkpoint recovery: a killed query resumes at its residual
@@ -1003,8 +1015,11 @@ impl ServingEngine<'_> {
                     started: now,
                     progress: query.progress,
                 });
+                #[expect(
+                    clippy::expect_used,
+                    reason = "service times are finite and non-negative by construction"
+                )]
                 sim.schedule_in(service, ServingEvent::Completion { server, query: id })
-                    // lint:allow(panic-policy): service times are finite and non-negative by construction
                     .expect("service times are finite and non-negative");
             }
             ServiceMode::ProcessorSharing => {
@@ -1033,14 +1048,20 @@ impl ServingEngine<'_> {
             return;
         }
         let epoch = pool.epoch;
-        // lint:allow(panic-policy): a non-empty in-flight set has a minimum
+        #[expect(
+            clippy::expect_used,
+            reason = "a non-empty in-flight set has a minimum"
+        )]
         let soonest = pool.min_remaining().expect("non-empty in-flight set");
         // Everyone shares the rate equally, so the least remaining work
         // completes after `remaining * k` wall seconds (clamped: float
         // drift may leave a hair of negative remainder at the horizon).
         let delay = (pool.in_flight[soonest].remaining * k as f64).max(0.0);
+        #[expect(
+            clippy::expect_used,
+            reason = "the delay is clamped finite and non-negative one line above"
+        )]
         sim.schedule_in(delay, ServingEvent::PsHorizon { server, epoch })
-            // lint:allow(panic-policy): the delay is clamped finite and non-negative one line above
             .expect("horizon delay is finite and non-negative");
     }
 
@@ -1139,7 +1160,10 @@ impl ServingEngine<'_> {
                 break;
             };
             self.note_central_depth(now);
-            // lint:allow(panic-policy): the position came from the same queue one line above
+            #[expect(
+                clippy::expect_used,
+                reason = "the position came from the same queue one line above"
+            )]
             let query = self.central.remove(pos).expect("position is in bounds");
             self.start(sim, server, query, now);
         }
@@ -1155,15 +1179,21 @@ impl ServingEngine<'_> {
         let Some(mean) = model.hazard_mean(self.servers[server].nodes) else {
             return;
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "hazard_mean only yields finite positive means"
+        )]
         let ttf = sim
             .sample_exponential(mean)
-            // lint:allow(panic-policy): hazard_mean only yields finite positive means
             .expect("hazard mean is positive");
         let at = now + ttf;
         if at < self.config.duration.value() {
             let epoch = self.life[server].epoch;
+            #[expect(
+                clippy::expect_used,
+                reason = "the instant is finite and after the clock by construction"
+            )]
             sim.schedule_at(at, ServingEvent::HazardFailure { server, epoch })
-                // lint:allow(panic-policy): the instant is finite and after the clock by construction
                 .expect("failure instants are finite and non-past");
         }
     }
@@ -1174,7 +1204,10 @@ impl ServingEngine<'_> {
     /// `repair` unpowered seconds plus the model's warm-up time.
     fn fail_pool(&mut self, sim: &mut Simulation<ServingEvent>, server: usize, repair: f64) {
         let now = sim.time();
-        // lint:allow(panic-policy): fail_pool is only called with an active fault model
+        #[expect(
+            clippy::expect_used,
+            reason = "fail_pool is only called with an active fault model"
+        )]
         let model = self.faults.expect("fault model is active");
         let (recovery, restart) = (model.recovery, model.restart);
         self.failures += 1;
@@ -1206,8 +1239,11 @@ impl ServingEngine<'_> {
                     (victim.service - left, left)
                 }
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "the query was started on this pool, so the profile exists"
+            )]
             let profile = self.servers[server].profiles[victim.template]
-                // lint:allow(panic-policy): the query was started on this pool, so the profile exists
                 .expect("killed query ran on a capable pool");
             let pool = &mut self.pools[server];
             if self.servers[server].mode == ServiceMode::Dedicated {
@@ -1236,11 +1272,14 @@ impl ServingEngine<'_> {
             self.admit(sim, query, now);
         }
         let epoch = self.life[server].epoch;
+        #[expect(
+            clippy::expect_used,
+            reason = "repair and warm-up spans are validated finite non-negative"
+        )]
         sim.schedule_in(
             repair + restart.time.value(),
             ServingEvent::PoolRestore { server, epoch },
         )
-        // lint:allow(panic-policy): repair and warm-up spans are validated finite non-negative
         .expect("restore delay is finite and non-negative");
     }
 
@@ -1263,11 +1302,14 @@ impl ServingEngine<'_> {
                 self.pools[server].overhead += migration.energy.value();
                 self.scale_out_events += 1;
                 let epoch = self.life[server].epoch;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "migration spans are validated finite non-negative"
+                )]
                 sim.schedule_in(
                     migration.time.value(),
                     ServingEvent::PoolRestore { server, epoch },
                 )
-                // lint:allow(panic-policy): migration spans are validated finite non-negative
                 .expect("migration delay is finite and non-negative");
             }
         } else if depth <= policy.scale_in_depth {
@@ -1297,8 +1339,11 @@ impl ServingEngine<'_> {
         }
         let next = now + policy.check_interval.value();
         if next < self.config.duration.value() {
+            #[expect(
+                clippy::expect_used,
+                reason = "the next check instant is finite and after the clock"
+            )]
             sim.schedule_at(next, ServingEvent::ScaleCheck)
-                // lint:allow(panic-policy): the next check instant is finite and after the clock
                 .expect("scale checks are finite and non-past");
         }
     }
@@ -1324,8 +1369,11 @@ impl EventHandler<ServingEvent> for ServingEngine<'_> {
                 // Open loop: the next arrival is scheduled regardless of
                 // service progress, but only inside the arrival window.
                 if let Some(at) = self.next_arrival(now, sim) {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "next_arrival only yields finite instants at or after the clock"
+                    )]
                     sim.schedule_at(at, ServingEvent::Arrival)
-                        // lint:allow(panic-policy): next_arrival only yields finite instants at or after the clock
                         .expect("arrival instants are finite and non-past");
                 }
             }
@@ -1349,12 +1397,18 @@ impl EventHandler<ServingEvent> for ServingEngine<'_> {
                 if self.life[server].epoch != epoch || !self.life[server].online() {
                     return;
                 }
-                // lint:allow(panic-policy): hazard events are only scheduled with an active fault model
+                #[expect(
+                    clippy::expect_used,
+                    reason = "hazard events are only scheduled with an active fault model"
+                )]
                 let repair = self.faults.expect("fault model is active").repair_time;
                 self.fail_pool(sim, server, repair.value());
             }
             ServingEvent::ScriptedOutage { outage } => {
-                // lint:allow(panic-policy): scripted outages are only scheduled with an active fault model
+                #[expect(
+                    clippy::expect_used,
+                    reason = "outage events are only scheduled with an active fault model"
+                )]
                 let outage = self.faults.expect("fault model is active").trace[outage];
                 // An outage aimed at an already-offline pool is ignored.
                 if self.life[outage.pool].online() {

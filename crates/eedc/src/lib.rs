@@ -73,6 +73,9 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// Panic policy, library code only; the rest of the static policy is the
+// root `clippy.toml` and `[workspace.lints]`.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub use eedc_core as model;
 pub use eedc_dbmsim as dbmsim;

@@ -29,6 +29,7 @@ use crate::error::PStoreError;
 use crate::op::kernel::{JoinKernelConfig, KeySlice, MorselCursor, RadixTable};
 use eedc_storage::{hash_i64, Column, Schema, Table};
 use std::ops::Range;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Output of a hash join.
@@ -103,7 +104,8 @@ fn addressable_rows(side: &str, rows: usize) -> Result<usize, PStoreError> {
 /// order. Up to `workers` scoped threads share the items: worker `w` starts
 /// on item `w` and then steals the next unclaimed index off a shared counter
 /// until none is left. With one worker, or at most one item, everything runs
-/// on the calling thread.
+/// on the calling thread. A panicking task panics the caller with the task's
+/// own payload.
 fn steal<T: Send>(workers: usize, items: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let workers = workers.min(items);
     if workers <= 1 {
@@ -128,7 +130,7 @@ fn steal<T: Send>(workers: usize, items: usize, task: impl Fn(usize) -> T + Sync
             .collect();
         handles
             .into_iter()
-            .flat_map(|handle| handle.join().expect("kernel worker must not panic"))
+            .flat_map(|handle| handle.join().unwrap_or_else(|p| resume_unwind(p)))
             .collect()
     });
     done.sort_unstable_by_key(|&(item, _)| item);
@@ -610,5 +612,17 @@ mod tests {
         u.append_row(&[Value::Int64(1)]).unwrap();
         let joined = hash_join(&t, "K", &u, "K2", 1).unwrap();
         assert_eq!(joined.output.name(), "A_join2_C");
+    }
+
+    #[test]
+    #[should_panic(expected = "task 1 failed")]
+    fn a_worker_panic_reaches_the_caller_with_its_message() {
+        // Worker 1 starts on item 1, so the panic is on a spawned thread.
+        steal(2, 2, |i| {
+            if i == 1 {
+                panic!("task {i} failed");
+            }
+            i
+        });
     }
 }

@@ -40,8 +40,11 @@ pub const MAX_RADIX_BITS: u8 = 12;
 /// The pre-morsel kernel hard-coded 2 workers; callers that want that exact
 /// behaviour back set `threads: 2` explicitly instead of relying on the
 /// default.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the thread-count *default* is deliberately machine-sized; join results are thread-count invariant (pinned by kernel_properties.rs)"
+)]
 pub fn default_worker_threads() -> usize {
-    // lint:allow(determinism): the thread-count *default* is deliberately machine-sized; join results are thread-count invariant (pinned by kernel_properties.rs)
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

@@ -172,8 +172,10 @@ impl PhaseStats {
     ///
     /// If a volume slice is shorter than `nodes` — a caller bug, not an
     /// input condition: both callers size them from the same node list.
-    // One flat argument list rather than a new public input type.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one flat argument list rather than a new public input type"
+    )]
     pub fn close(
         nodes: &[NodeSpec],
         label: &str,
@@ -573,7 +575,10 @@ mod tests {
     /// `PhaseStats::close` as it was before it closed by runs: every node
     /// derived on its own, in two straight-line loops. The oracle for
     /// `close_by_runs_is_bit_identical_to_the_straight_line_loop`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the oracle takes exactly `PhaseStats::close`'s arguments"
+    )]
     fn close_reference(
         nodes: &[NodeSpec],
         label: &str,

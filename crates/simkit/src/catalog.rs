@@ -48,6 +48,10 @@ pub mod names {
 /// The Cluster-V node of Table 1: the machine behind every Vertica experiment
 /// and the Beefy node of the Section 5.4 model sweeps (`C_B = 5037`,
 /// `G_B = 0.25`, `f_B(c) = 130.03 · (100c)^0.2369`).
+#[expect(
+    clippy::expect_used,
+    reason = "a constant spec; paper_catalog_contains_all_machines builds it"
+)]
 pub fn cluster_v_node() -> NodeSpec {
     NodeSpec::builder(names::CLUSTER_V, NodeClass::Beefy)
         .cpu(8, 16)
@@ -67,6 +71,10 @@ pub fn cluster_v_node() -> NodeSpec {
 /// low-power quad-core L5630 Xeons, 32 GB of memory and a Crucial C300 SSD
 /// (`C_B = 4034`, `f_B(c) = 79.006 · (100c)^0.2451`, ~154 W average during the
 /// prototype runs).
+#[expect(
+    clippy::expect_used,
+    reason = "a constant spec; paper_catalog_contains_all_machines builds it"
+)]
 pub fn beefy_l5630_node() -> NodeSpec {
     NodeSpec::builder(names::BEEFY_L5630, NodeClass::Beefy)
         .cpu(8, 16)
@@ -82,6 +90,10 @@ pub fn beefy_l5630_node() -> NodeSpec {
 }
 
 /// Table 2 Workstation A: i7 920 (4 cores / 8 threads), 12 GB RAM, 93 W idle.
+#[expect(
+    clippy::expect_used,
+    reason = "a constant spec; paper_catalog_contains_all_machines builds it"
+)]
 pub fn workstation_a() -> NodeSpec {
     NodeSpec::builder(names::WORKSTATION_A, NodeClass::Beefy)
         .cpu(4, 8)
@@ -100,6 +112,10 @@ pub fn workstation_a() -> NodeSpec {
 }
 
 /// Table 2 Workstation B: quad-core Xeon (no SMT), 24 GB RAM, 69 W idle.
+#[expect(
+    clippy::expect_used,
+    reason = "a constant spec; paper_catalog_contains_all_machines builds it"
+)]
 pub fn workstation_b() -> NodeSpec {
     NodeSpec::builder(names::WORKSTATION_B, NodeClass::Beefy)
         .cpu(4, 4)
@@ -117,6 +133,10 @@ pub fn workstation_b() -> NodeSpec {
 }
 
 /// Table 2 Atom desktop: dual-core / 4-thread Atom, 4 GB RAM, 28 W idle.
+#[expect(
+    clippy::expect_used,
+    reason = "a constant spec; paper_catalog_contains_all_machines builds it"
+)]
 pub fn desktop_atom() -> NodeSpec {
     NodeSpec::builder(names::DESKTOP_ATOM, NodeClass::Wimpy)
         .cpu(2, 4)
@@ -136,6 +156,10 @@ pub fn desktop_atom() -> NodeSpec {
 
 /// Table 2 Laptop A: Core 2 Duo (2 cores / 2 threads), 4 GB RAM, 12 W idle
 /// (screen off).
+#[expect(
+    clippy::expect_used,
+    reason = "a constant spec; paper_catalog_contains_all_machines builds it"
+)]
 pub fn laptop_a() -> NodeSpec {
     NodeSpec::builder(names::LAPTOP_A, NodeClass::Wimpy)
         .cpu(2, 2)
@@ -156,6 +180,10 @@ pub fn laptop_a() -> NodeSpec {
 /// Crucial C300 SSD, 11 W idle (screen off). This is the paper's "Wimpy" node:
 /// `C_W = 1129`, `G_W = 0.13`, `f_W(c) = 10.994 · (100c)^0.2875`, ~37 W average
 /// during the prototype runs.
+#[expect(
+    clippy::expect_used,
+    reason = "a constant spec; paper_catalog_contains_all_machines builds it"
+)]
 pub fn laptop_b() -> NodeSpec {
     NodeSpec::builder(names::LAPTOP_B, NodeClass::Wimpy)
         .cpu(2, 4)

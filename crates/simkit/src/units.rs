@@ -13,8 +13,18 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 macro_rules! unit {
     ($(#[$doc:meta])* $name:ident, $suffix:expr) => {
         $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
+        #[derive(Debug, Clone, Copy, PartialEq, Default)]
         pub struct $name(pub f64);
+
+        impl PartialOrd for $name {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a unit orders exactly like its f64, NaN included; sorts use total_cmp on the value"
+            )]
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                self.0.partial_cmp(&other.0)
+            }
+        }
 
         impl $name {
             /// Construct from a raw `f64` value.

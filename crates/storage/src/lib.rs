@@ -21,6 +21,9 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// Panic policy, library code only; the rest of the static policy is the
+// root `clippy.toml` and `[workspace.lints]`.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod block;
 pub mod column;

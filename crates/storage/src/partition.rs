@@ -174,7 +174,7 @@ mod tests {
     use super::*;
     use eedc_tpch::gen::OrdersGenerator;
     use eedc_tpch::scale::ScaleFactor;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     const SCALE: ScaleFactor = ScaleFactor(0.002);
 
@@ -190,7 +190,7 @@ mod tests {
         assert_eq!(partitioned.total_rows(), table.row_count());
         // Keys are unique, so the union of fragment keys must equal the table
         // keys without duplication.
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for fragment in &partitioned.fragments {
             let keys = fragment.column_by_name("O_ORDERKEY").unwrap();
             for i in 0..fragment.row_count() {

@@ -158,6 +158,10 @@ impl Table {
     /// Materialise the projected LINEITEM table from generated rows. The
     /// columns are built directly from the typed row fields — no per-row
     /// schema validation on this hot path.
+    #[expect(
+        clippy::expect_used,
+        reason = "the four columns are built to the lineitem projection's schema"
+    )]
     pub fn from_lineitem(rows: impl IntoIterator<Item = LineitemRow>) -> Self {
         let iter = rows.into_iter();
         let capacity = iter.size_hint().0;
@@ -185,6 +189,10 @@ impl Table {
     }
 
     /// Materialise the projected ORDERS table from generated rows.
+    #[expect(
+        clippy::expect_used,
+        reason = "the four columns are built to the orders projection's schema"
+    )]
     pub fn from_orders(rows: impl IntoIterator<Item = OrdersRow>) -> Self {
         let iter = rows.into_iter();
         let capacity = iter.size_hint().0;
@@ -311,6 +319,7 @@ impl Table {
             .iter()
             .map(|name| self.column_by_name(name))
             .collect::<Result<_, _>>()?;
+        #[expect(clippy::expect_used, reason = "every index is below row_count")]
         let mut rows: Vec<Vec<Value>> = (0..self.row_count())
             .map(|i| {
                 cols.iter()
@@ -329,6 +338,10 @@ impl Table {
     }
 
     /// Read a full row as a vector of values.
+    #[expect(
+        clippy::expect_used,
+        reason = "the index was checked against row_count on entry"
+    )]
     pub fn row(&self, index: usize) -> Option<Vec<Value>> {
         if index >= self.row_count() {
             return None;

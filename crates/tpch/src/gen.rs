@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn every_lineitem_order_key_exists_in_orders() {
-        let order_keys: std::collections::HashSet<i64> =
+        let order_keys: std::collections::BTreeSet<i64> =
             OrdersGenerator::new(TINY, 7).map(|r| r.orderkey).collect();
         for row in LineitemGenerator::new(TINY, 7) {
             assert!(order_keys.contains(&row.orderkey));

@@ -10,7 +10,7 @@ use std::fmt;
 /// scale factors 1000 (≈1 TB) and 400 (≈400 GB). Fractional scale factors are
 /// allowed so that engine-level experiments can run on laptop-sized data while
 /// preserving the tables' relative cardinalities.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleFactor(pub f64);
 
 impl ScaleFactor {

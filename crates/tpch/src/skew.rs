@@ -41,6 +41,10 @@ impl ZipfKeys {
         let n = n.max(1);
         let theta = theta.clamp(0.0, 5.0);
         let cumulative_head = head_table(n, theta);
+        #[expect(
+            clippy::expect_used,
+            reason = "n is at least 1, so the head table has a rank"
+        )]
         let head_mass = *cumulative_head
             .last()
             .expect("domains have at least one rank");
@@ -85,6 +89,10 @@ impl ZipfKeys {
     pub fn next_key(&mut self) -> u64 {
         let u: f64 = self.rng.gen_range(0.0..1.0);
         let target = u * self.harmonic;
+        #[expect(
+            clippy::expect_used,
+            reason = "new() builds the head table with at least one rank"
+        )]
         let head_mass = *self
             .cumulative_head
             .last()

@@ -5,11 +5,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== lint: fmt + clippy + docs + eedc-lint =="
+echo "== lint: fmt + clippy + docs =="
 cargo fmt --all --check
 cargo clippy --locked --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --locked --no-deps --workspace
-cargo run --locked --release -p eedc-lint -- check
 
 echo "== test: build + test + doctests + examples =="
 cargo build --locked --release --workspace --all-targets
