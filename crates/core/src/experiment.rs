@@ -31,7 +31,7 @@
 //! ```
 
 use crate::error::CoreError;
-use crate::json::JsonValue;
+use crate::json::{JsonValue, JsonWriter};
 use crate::lens::Estimator;
 use crate::record::RunRecord;
 use crate::workload::{Workload, WorkloadPlan};
@@ -76,8 +76,8 @@ impl RunSeries {
         self.records.iter().find(|r| r.design == design)
     }
 
-    /// Reconstruct a series from the JSON shape [`to_json`](Self::to_json)
-    /// emits. The normalized series is rebuilt from the records' carried
+    /// Reconstruct a series from the JSON shape the writer emits. The
+    /// normalized series is rebuilt from the records' carried
     /// points (the reference design leads, exactly as the evaluation
     /// protocol wrote them).
     pub fn from_json(value: &JsonValue) -> Result<Self, CoreError> {
@@ -120,28 +120,27 @@ impl RunSeries {
         })
     }
 
-    /// Render the series as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut obj = JsonValue::object();
-        obj.set("estimator", self.estimator.clone())
-            .set("workload", self.workload.clone())
-            .set("strategy", self.strategy.to_string())
-            .set("reference", self.normalized.reference_label.clone());
-        let mut records = JsonValue::array();
+    /// Write the series as a JSON object.
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("estimator").string(&self.estimator);
+        w.key("workload").string(&self.workload);
+        w.key("strategy").string(&self.strategy.to_string());
+        w.key("reference").string(&self.normalized.reference_label);
+        w.key("records").begin_array();
         for record in &self.records {
-            records.push(record.to_json());
+            record.write_json(w);
         }
-        obj.set("records", records);
-        let mut infeasible = JsonValue::array();
+        w.end_array();
+        w.key("infeasible").begin_array();
         for (design, reason) in &self.infeasible {
-            let mut entry = JsonValue::object();
-            entry
-                .set("design", design.clone())
-                .set("reason", reason.clone());
-            infeasible.push(entry);
+            w.begin_object();
+            w.key("design").string(design);
+            w.key("reason").string(reason);
+            w.end_object();
         }
-        obj.set("infeasible", infeasible);
-        obj
+        w.end_array();
+        w.end_object();
     }
 }
 
@@ -171,20 +170,18 @@ impl ExperimentReport {
         self.series.iter().flat_map(|s| s.records.iter())
     }
 
-    /// Render the report as a JSON value.
-    pub fn to_json(&self) -> JsonValue {
-        let mut obj = JsonValue::object();
-        let mut series = JsonValue::array();
-        for s in &self.series {
-            series.push(s.to_json());
-        }
-        obj.set("series", series);
-        obj
-    }
-
-    /// Render the report as an indented JSON string.
+    /// Render the report as an indented JSON string — the report's one
+    /// serializer, streamed through the crate's JSON writer.
     pub fn to_json_string(&self) -> String {
-        self.to_json().to_json_pretty()
+        let mut w = JsonWriter::new(true);
+        w.begin_object();
+        w.key("series").begin_array();
+        for series in &self.series {
+            series.write_json(&mut w);
+        }
+        w.end_array();
+        w.end_object();
+        w.finish()
     }
 
     /// Write the report as JSON to `path`, creating parent directories as
@@ -199,8 +196,9 @@ impl ExperimentReport {
         std::fs::write(path, self.to_json_string())
     }
 
-    /// Reconstruct a report from the JSON shape [`to_json`](Self::to_json)
-    /// emits — `from_json(parse(to_json())) == self` for every report the
+    /// Reconstruct a report from the JSON shape
+    /// [`to_json_string`](Self::to_json_string) emits —
+    /// `from_json(parse(to_json_string())) == self` for every report the
     /// writer can produce.
     pub fn from_json(value: &JsonValue) -> Result<Self, CoreError> {
         Ok(Self {

@@ -3,14 +3,35 @@
 //! The build environment has no registry access, so this module is the
 //! workspace's one serializer: the hand-rolled writer/reader pair that lets
 //! experiment results survive a run on disk and come back for baseline
-//! comparisons. The writer emits standard JSON
-//! (RFC 8259): escaped strings, `null` for non-finite numbers, and
-//! deterministic key order (insertion order). The reader
-//! ([`JsonValue::parse`]) accepts standard JSON and reconstructs the same
-//! [`JsonValue`] tree, so `parse(v.to_json()) == v` for every tree the
-//! writer can produce; typed accessors ([`JsonValue::field`],
-//! [`JsonValue::as_f64`], …) then lift trees back into
-//! [`RunRecord`](crate::RunRecord) series — see
+//! comparisons.
+//!
+//! **One writer.** Every byte of JSON text comes from one crate-internal
+//! streaming writer over a single `String`: it alone decides separators,
+//! indentation (pushed from a constant run of spaces, so a pretty line
+//! allocates nothing), string escapes and number text. The report structs
+//! ([`ExperimentReport`](crate::ExperimentReport) down to
+//! [`PhaseRecord`](crate::PhaseRecord)) stream their fields straight into it
+//! without building a [`JsonValue`] tree first, and
+//! [`JsonValue::to_json`] / [`JsonValue::to_json_pretty`] walk a tree into
+//! the same writer. Output is standard JSON (RFC 8259): escaped strings,
+//! `null` for non-finite numbers, deterministic key order (insertion order),
+//! integral numbers below 10^15 without a trailing `.0`, every other finite
+//! number in Rust's shortest round-trip `Display` form. The writer keeps a
+//! one-entry number memo: a number whose bits equal the previous number's
+//! re-pushes that number's text instead of formatting it again — per-node
+//! arrays of identical nodes repeat a value down the whole array.
+//!
+//! **The reader** ([`JsonValue::parse`]) accepts exactly RFC 8259 JSON and
+//! reconstructs the same [`JsonValue`] tree, so `parse(v.to_json()) == v`
+//! for every tree the writer can produce (non-finite numbers read back as
+//! `null`). Numbers are checked against the RFC's §6 grammar
+//! (`-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`) while they are
+//! scanned, so `01`, `1.`, `-.5` and `1.e3` are errors, and raw control
+//! characters (U+0000–U+001F) inside strings are errors; every error names
+//! the byte offset where the document stopped being JSON. String content
+//! between escapes is sliced from the source in one piece, and a number
+//! spelled like the previous one reuses its value. Typed accessors ([`JsonValue::field`], [`JsonValue::as_f64`], …) then
+//! lift trees back into [`RunRecord`](crate::RunRecord) series — see
 //! [`ExperimentReport::read_json`](crate::ExperimentReport::read_json).
 //!
 //! Panic policy: every *reader* path returns `Err` on malformed input —
@@ -79,53 +100,212 @@ impl JsonValue {
 
     /// Render to a compact single-line JSON string.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.render(&mut out, None, 0);
-        out
+        let mut writer = JsonWriter::new(false);
+        self.write(&mut writer);
+        writer.finish()
     }
 
     /// Render to an indented multi-line JSON string (2-space indent).
     pub fn to_json_pretty(&self) -> String {
-        let mut out = String::new();
-        self.render(&mut out, Some(2), 0);
-        out
+        let mut writer = JsonWriter::new(true);
+        self.write(&mut writer);
+        writer.finish()
     }
 
-    fn render(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    fn write(&self, w: &mut JsonWriter) {
         match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Number(n) => {
-                if n.is_finite() {
-                    // Integral values render without a trailing ".0"; JSON
-                    // has one number type, so this is purely cosmetic.
-                    if n.fract() == 0.0 && n.abs() < 1e15 {
-                        let _ = write!(out, "{}", *n as i64);
-                    } else {
-                        let _ = write!(out, "{n}");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
-            JsonValue::String(s) => escape_into(out, s),
+            JsonValue::Null => w.null(),
+            JsonValue::Bool(b) => w.bool(*b),
+            JsonValue::Number(n) => w.number(*n),
+            JsonValue::String(s) => w.string(s),
             JsonValue::Array(items) => {
-                render_sequence(out, indent, depth, '[', ']', items.len(), |out, i| {
-                    items[i].render(out, indent, depth + 1);
-                });
+                w.begin_array();
+                for item in items {
+                    item.write(w);
+                }
+                w.end_array();
             }
             JsonValue::Object(fields) => {
-                render_sequence(out, indent, depth, '{', '}', fields.len(), |out, i| {
-                    let (key, value) = &fields[i];
-                    escape_into(out, key);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    value.render(out, indent, depth + 1);
-                });
+                w.begin_object();
+                for (key, value) in fields {
+                    w.key(key);
+                    value.write(w);
+                }
+                w.end_object();
             }
         }
+    }
+}
+
+/// A run of spaces that pretty indentation is sliced from; deeper levels
+/// push it more than once.
+const SPACES: &str = "                                                                ";
+
+/// The one JSON text writer: a cursor over a single output `String` that
+/// owns every separator, indent, escape and number format the crate emits.
+/// Callers open and close containers, name object keys, and push values;
+/// the writer inserts the `,` / newline / indent each position needs.
+pub(crate) struct JsonWriter {
+    out: String,
+    /// Two-space indented, one element per line (`to_json_pretty`).
+    pretty: bool,
+    /// Containers currently open.
+    depth: usize,
+    /// The innermost open container has no element yet.
+    empty: bool,
+    /// A key was just written; the next value completes its member.
+    after_key: bool,
+    /// Bits of the last finite number written, and its text (empty until
+    /// the first number).
+    memo_bits: u64,
+    memo_text: String,
+}
+
+impl JsonWriter {
+    /// An empty writer; `pretty` selects the indented layout.
+    pub(crate) fn new(pretty: bool) -> Self {
+        Self {
+            out: String::new(),
+            pretty,
+            depth: 0,
+            empty: true,
+            after_key: false,
+            memo_bits: 0,
+            memo_text: String::new(),
+        }
+    }
+
+    /// The text written so far.
+    pub(crate) fn finish(self) -> String {
+        self.out
+    }
+
+    /// Position the cursor for the next value: after a key nothing is
+    /// needed; inside a container, a comma after the first element, and in
+    /// pretty mode a newline indented to the container's depth.
+    fn element(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+            return;
+        }
+        if self.depth == 0 {
+            return;
+        }
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        if self.pretty {
+            self.newline();
+        }
+    }
+
+    fn newline(&mut self) {
+        self.out.push('\n');
+        let mut width = 2 * self.depth;
+        while width > 0 {
+            let run = width.min(SPACES.len());
+            self.out.push_str(&SPACES[..run]);
+            width -= run;
+        }
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.element();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.empty = true;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.empty && self.pretty {
+            self.newline();
+        }
+        self.out.push(bracket);
+        // The closed container is itself an element of its parent.
+        self.empty = false;
+    }
+
+    /// Open an object; name each member with [`key`](Self::key).
+    pub(crate) fn begin_object(&mut self) {
+        self.open('{');
+    }
+
+    /// Close the innermost object.
+    pub(crate) fn end_object(&mut self) {
+        self.close('}');
+    }
+
+    /// Open an array.
+    pub(crate) fn begin_array(&mut self) {
+        self.open('[');
+    }
+
+    /// Close the innermost array.
+    pub(crate) fn end_array(&mut self) {
+        self.close(']');
+    }
+
+    /// Name the next member of the innermost object; the next value written
+    /// is its value.
+    pub(crate) fn key(&mut self, key: &str) -> &mut Self {
+        self.element();
+        escape_into(&mut self.out, key);
+        self.out.push(':');
+        if self.pretty {
+            self.out.push(' ');
+        }
+        self.after_key = true;
+        self
+    }
+
+    /// `null`.
+    pub(crate) fn null(&mut self) {
+        self.element();
+        self.out.push_str("null");
+    }
+
+    /// `true` / `false`.
+    pub(crate) fn bool(&mut self, b: bool) {
+        self.element();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// A string, escaped.
+    pub(crate) fn string(&mut self, s: &str) {
+        self.element();
+        escape_into(&mut self.out, s);
+    }
+
+    /// A number; non-finite values write `null`. Integral values below
+    /// 10^15 render without a trailing ".0" (JSON has one number type, so
+    /// this is purely cosmetic).
+    pub(crate) fn number(&mut self, n: f64) {
+        self.element();
+        if !n.is_finite() {
+            self.out.push_str("null");
+            return;
+        }
+        if self.memo_text.is_empty() || n.to_bits() != self.memo_bits {
+            self.memo_text.clear();
+            if n.fract() == 0.0 && n.abs() < 1e15 {
+                let _ = write!(self.memo_text, "{}", n as i64);
+            } else {
+                let _ = write!(self.memo_text, "{n}");
+            }
+            self.memo_bits = n.to_bits();
+        }
+        self.out.push_str(&self.memo_text);
+    }
+
+    /// An array of numbers.
+    pub(crate) fn numbers(&mut self, items: impl IntoIterator<Item = f64>) {
+        self.begin_array();
+        for n in items {
+            self.number(n);
+        }
+        self.end_array();
     }
 }
 
@@ -138,6 +318,7 @@ impl JsonValue {
             src,
             pos: 0,
             depth: 0,
+            last_number: ("", 0.0),
         };
         parser.skip_whitespace();
         let value = parser.value()?;
@@ -287,13 +468,16 @@ impl JsonValue {
 /// it; reports nest 7 deep.
 const MAX_NESTING: usize = 128;
 
-/// Recursive-descent JSON parser over a byte cursor; string content is
-/// decoded per escape, everything else is sliced from the source.
+/// Recursive-descent JSON parser over a byte cursor; string content between
+/// escapes, and every number's text, is sliced from the source.
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
     /// Arrays and objects currently open around `pos`.
     depth: usize,
+    /// The previous number's text and value: a number spelled the same
+    /// reuses the value instead of converting the text again.
+    last_number: (&'a str, f64),
 }
 
 impl<'a> Parser<'a> {
@@ -358,38 +542,87 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, CoreError> {
+    /// Skip a run of ASCII digits; true when there was at least one.
+    fn digits(&mut self) -> bool {
         let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
+        self.pos > start
+    }
+
+    /// A number, scanned against the RFC 8259 §6 grammar
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?` — looser
+    /// spellings `f64::from_str` would take (`01`, `1.`, `-.5`) are errors
+    /// at the byte where the grammar breaks.
+    fn number(&mut self) -> Result<JsonValue, CoreError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        if self.peek() == Some(b'0') {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.error("leading zero in number"));
+            }
+        } else if !self.digits() {
+            return Err(self.error("expected a digit"));
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if !self.digits() {
+                return Err(self.error("expected a digit after '.'"));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if !self.digits() {
+                return Err(self.error("expected a digit in the exponent"));
+            }
+        }
         let text = &self.src[start..self.pos];
+        if text == self.last_number.0 {
+            return Ok(JsonValue::Number(self.last_number.1));
+        }
         match text.parse::<f64>() {
             // An overflowing literal like `1e999` parses to infinity; the
             // writer renders non-finite numbers as `null`, so a non-finite
             // parse can only mean an out-of-range document.
-            Ok(n) if n.is_finite() => Ok(JsonValue::Number(n)),
+            Ok(n) if n.is_finite() => {
+                self.last_number = (text, n);
+                Ok(JsonValue::Number(n))
+            }
             Ok(_) => Err(self.error(format!("non-finite number '{text}'"))),
             Err(_) => Err(self.error(format!("invalid number '{text}'"))),
         }
     }
 
+    /// A string: each run up to the next quote, backslash or control byte
+    /// is sliced from the source in one piece (all three are ASCII, so a
+    /// run always ends on a char boundary); escapes are decoded one by one.
     fn string(&mut self) -> Result<String, CoreError> {
         self.expect_byte(b'"')?;
         let mut out = String::new();
         loop {
-            let rest = &self.src[self.pos..];
-            let mut chars = rest.chars();
-            match chars.next() {
-                None => return Err(self.error("unterminated string")),
-                Some('"') => {
+            let stop = self.bytes()[self.pos..]
+                .iter()
+                .enumerate()
+                .find(|&(_, &b)| b == b'"' || b == b'\\' || b < 0x20);
+            let Some((run, &byte)) = stop else {
+                self.pos = self.src.len();
+                return Err(self.error("unterminated string"));
+            };
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
+            match byte {
+                b'"' => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some('\\') => {
+                b'\\' => {
                     self.pos += 1;
                     let escape = self.src[self.pos..]
                         .chars()
@@ -411,9 +644,10 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                Some(c) => {
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                control => {
+                    return Err(
+                        self.error(format!("raw control character U+{control:04X} in string"))
+                    );
                 }
             }
         }
@@ -443,8 +677,11 @@ impl<'a> Parser<'a> {
             .src
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.error("truncated \\u escape"))?;
-        let code = u32::from_str_radix(digits, 16)
-            .map_err(|_| self.error(format!("invalid \\u digits '{digits}'")))?;
+        // Digit by digit: `u32::from_str_radix` would also take a sign.
+        let code = digits
+            .chars()
+            .try_fold(0, |code, c| Some(code * 16 + c.to_digit(16)?))
+            .ok_or_else(|| self.error(format!("invalid \\u digits '{digits}'")))?;
         self.pos += 4;
         Ok(code)
     }
@@ -499,37 +736,6 @@ impl<'a> Parser<'a> {
             }
         }
     }
-}
-
-fn render_sequence(
-    out: &mut String,
-    indent: Option<usize>,
-    depth: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
-    }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
-        }
-        if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * (depth + 1)));
-        }
-        item(out, i);
-    }
-    if let Some(width) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(width * depth));
-    }
-    out.push(close);
 }
 
 fn escape_into(out: &mut String, s: &str) {
@@ -595,6 +801,308 @@ impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lens::{Analytical, Behavioural};
+    use crate::{Experiment, SweepJoin};
+    use eedc_pstore::{ClusterSpec, JoinQuerySpec};
+    use eedc_simkit::catalog::{cluster_v_node, laptop_b};
+
+    // ---- The oracle: the recursive tree renderer the streaming writer
+    // replaced, kept as the reference the writer is checked against.
+
+    fn oracle(value: &JsonValue, indent: Option<usize>) -> String {
+        let mut out = String::new();
+        render(value, &mut out, indent, 0);
+        out
+    }
+
+    fn render(value: &JsonValue, out: &mut String, indent: Option<usize>, depth: usize) {
+        match value {
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Number(n) => {
+                if n.is_finite() {
+                    if n.fract() == 0.0 && n.abs() < 1e15 {
+                        let _ = write!(out, "{}", *n as i64);
+                    } else {
+                        let _ = write!(out, "{n}");
+                    }
+                } else {
+                    out.push_str("null");
+                }
+            }
+            JsonValue::String(s) => escape_into(out, s),
+            JsonValue::Array(items) => {
+                render_sequence(out, indent, depth, '[', ']', items.len(), |out, i| {
+                    render(&items[i], out, indent, depth + 1);
+                });
+            }
+            JsonValue::Object(fields) => {
+                render_sequence(out, indent, depth, '{', '}', fields.len(), |out, i| {
+                    let (key, value) = &fields[i];
+                    escape_into(out, key);
+                    out.push(':');
+                    if indent.is_some() {
+                        out.push(' ');
+                    }
+                    render(value, out, indent, depth + 1);
+                });
+            }
+        }
+    }
+
+    fn render_sequence(
+        out: &mut String,
+        indent: Option<usize>,
+        depth: usize,
+        open: char,
+        close: char,
+        len: usize,
+        mut item: impl FnMut(&mut String, usize),
+    ) {
+        out.push(open);
+        if len == 0 {
+            out.push(close);
+            return;
+        }
+        for i in 0..len {
+            if i > 0 {
+                out.push(',');
+            }
+            if let Some(width) = indent {
+                out.push('\n');
+                out.push_str(&" ".repeat(width * (depth + 1)));
+            }
+            item(out, i);
+        }
+        if let Some(width) = indent {
+            out.push('\n');
+            out.push_str(&" ".repeat(width * depth));
+        }
+        out.push(close);
+    }
+
+    /// Finite numbers a document must carry exactly: signed zeros, the
+    /// integer-rendering cutoff at 10^15, 2^53, subnormals and the extremes.
+    const EDGE_NUMBERS: [f64; 20] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.1,
+        -2.5e-3,
+        1.0 / 3.0,
+        1e15 - 1.0,
+        1e15,
+        1e15 + 1.0,
+        -1e15,
+        9_007_199_254_740_992.0,
+        9_007_199_254_740_994.0,
+        f64::MIN_POSITIVE,
+        5e-324,
+        -1.5e-310,
+        f64::MAX,
+        f64::MIN,
+        f64::EPSILON,
+        123_456.789,
+    ];
+
+    /// String pieces: the escaped ASCII, every named and a few `\u00XX`
+    /// control characters, DEL, two- and three-byte text, astral-plane
+    /// characters.
+    const STRING_PIECES: [&str; 19] = [
+        "a",
+        "key",
+        " ",
+        "\"",
+        "\\",
+        "/",
+        "\n",
+        "\r",
+        "\t",
+        "\u{0}",
+        "\u{1}",
+        "\u{8}",
+        "\u{c}",
+        "\u{1f}",
+        "\u{7f}",
+        "é",
+        "日本",
+        "😀",
+        "\u{10ffff}",
+    ];
+
+    /// SplitMix64 with a memory of the last finite number drawn: a seeded,
+    /// dependency-free generator of documents and mutations.
+    struct Rng {
+        state: u64,
+        last: f64,
+    }
+
+    impl Rng {
+        fn new(seed: u64) -> Self {
+            Self {
+                state: seed,
+                last: 0.0,
+            }
+        }
+
+        fn next(&mut self) -> u64 {
+            self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// A number: often the last finite one again (runs of bit-equal
+        /// values, and a non-finite draw lands between two equal finite
+        /// ones), its negation (`-0.0` next to `0.0`), an edge value, any
+        /// bit pattern, an integer, or NaN / ±inf.
+        fn number(&mut self) -> f64 {
+            let n = match self.below(10) {
+                0..=3 => self.last,
+                4 => -self.last,
+                5 | 6 => EDGE_NUMBERS[self.below(EDGE_NUMBERS.len())],
+                7 => f64::from_bits(self.next()),
+                8 => (self.next() % 2_000_001) as f64 - 1e6,
+                _ => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][self.below(3)],
+            };
+            if n.is_finite() {
+                self.last = n;
+            }
+            n
+        }
+
+        fn string(&mut self) -> String {
+            (0..self.below(5))
+                .map(|_| STRING_PIECES[self.below(STRING_PIECES.len())])
+                .collect()
+        }
+
+        /// A tree at most `depth` containers deep; number arrays stand in
+        /// for a record's per-node arrays.
+        fn tree(&mut self, depth: usize) -> JsonValue {
+            match self.below(if depth == 0 { 4 } else { 8 }) {
+                0 => JsonValue::Null,
+                1 => JsonValue::Bool(self.below(2) == 0),
+                2 => JsonValue::Number(self.number()),
+                3 => JsonValue::String(self.string()),
+                4 => JsonValue::Array(
+                    (0..self.below(12))
+                        .map(|_| JsonValue::Number(self.number()))
+                        .collect(),
+                ),
+                5 | 6 => {
+                    JsonValue::Array((0..self.below(5)).map(|_| self.tree(depth - 1)).collect())
+                }
+                _ => JsonValue::Object(
+                    (0..self.below(5))
+                        .map(|_| (self.string(), self.tree(depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    /// The tree a document reads back as: non-finite numbers become `null`.
+    fn as_read_back(value: &JsonValue) -> JsonValue {
+        match value {
+            JsonValue::Number(n) if !n.is_finite() => JsonValue::Null,
+            JsonValue::Array(items) => JsonValue::Array(items.iter().map(as_read_back).collect()),
+            JsonValue::Object(fields) => JsonValue::Object(
+                fields
+                    .iter()
+                    .map(|(key, value)| (key.clone(), as_read_back(value)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
+    #[test]
+    fn writer_matches_the_oracle_bit_for_bit_and_round_trips() {
+        let mut rng = Rng::new(27);
+        let mut numbers = 0;
+        for _ in 0..3_000 {
+            let tree = rng.tree(6);
+            let (compact, pretty) = (tree.to_json(), tree.to_json_pretty());
+            assert_eq!(compact, oracle(&tree, None));
+            assert_eq!(pretty, oracle(&tree, Some(2)));
+            let expected = as_read_back(&tree);
+            assert_eq!(JsonValue::parse(&compact).unwrap(), expected, "{compact}");
+            assert_eq!(JsonValue::parse(&pretty).unwrap(), expected, "{pretty}");
+            numbers += compact.matches(|c: char| c.is_ascii_digit()).count();
+        }
+        assert!(numbers > 100_000, "the generator must exercise numbers");
+        // The memo keys on bits, so a non-finite value between two equal
+        // finite ones never leaks `null` into the second, and each signed
+        // zero is formatted for itself.
+        let runs = JsonValue::from(vec![1.5, f64::NAN, 1.5, f64::INFINITY, 1.5, -0.0, 0.0, 2.0]);
+        assert_eq!(runs.to_json(), "[1.5,null,1.5,null,1.5,0,0,2]");
+    }
+
+    /// The byte offset an error names (`JSON at byte N: …`).
+    fn error_offset(err: &CoreError) -> usize {
+        let text = err.to_string();
+        text.split_once("JSON at byte ")
+            .and_then(|(_, rest)| rest.split_once(':'))
+            .and_then(|(at, _)| at.parse().ok())
+            .unwrap_or_else(|| panic!("no byte offset in '{text}'"))
+    }
+
+    #[test]
+    fn parse_survives_hostile_mutations_of_a_real_report() {
+        let report = Experiment::new(&SweepJoin::section_5_4(JoinQuerySpec::q3_dual_shuffle()))
+            .designs([
+                ClusterSpec::homogeneous(cluster_v_node(), 4).unwrap(),
+                ClusterSpec::homogeneous(cluster_v_node(), 2).unwrap(),
+                ClusterSpec::heterogeneous(cluster_v_node(), 2, laptop_b(), 2).unwrap(),
+            ])
+            .estimator(Analytical)
+            .estimator(Behavioural)
+            .run()
+            .unwrap();
+        let text = report.to_json_string();
+        // Never a panic; an error names a byte inside the input (or its
+        // end); a document that parses re-renders to text that parses back
+        // to the same tree.
+        let check = |doc: &str| match JsonValue::parse(doc) {
+            Ok(tree) => {
+                let again = JsonValue::parse(&tree.to_json()).unwrap();
+                assert_eq!(again, tree, "{doc}");
+            }
+            Err(err) => assert!(error_offset(&err) <= doc.len(), "{err} in {doc:?}"),
+        };
+        for end in (0..=text.len().min(4_096)).filter(|&end| text.is_char_boundary(end)) {
+            check(&text[..end]);
+        }
+        let mut rng = Rng::new(3);
+        let mut mutated = 0;
+        while mutated < 5_000 {
+            let mut bytes = text.clone().into_bytes();
+            let at = rng.below(bytes.len());
+            let syntax = b"0123456789.-+eE\"\\{}[],: \n";
+            let byte = match rng.below(3) {
+                0 => syntax[rng.below(syntax.len())],
+                _ => rng.next() as u8,
+            };
+            match rng.below(3) {
+                0 => bytes[at] ^= 1 << rng.below(8),
+                1 => bytes.insert(at, byte),
+                _ => {
+                    bytes.remove(at);
+                }
+            }
+            if let Ok(doc) = String::from_utf8(bytes) {
+                check(&doc);
+                mutated += 1;
+            }
+        }
+    }
 
     #[test]
     fn scalars_render_as_json() {
@@ -698,6 +1206,28 @@ mod tests {
             "{} trailing",
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
+        }
+        // What RFC 8259 forbids and the parser used to take: numbers outside
+        // the grammar that `f64::from_str` accepts, raw control characters
+        // in a string, a signed `\u` escape. Each error names the byte where
+        // the document stopped being JSON.
+        for (bad, at) in [
+            ("[01]", 2),
+            ("[1.]", 3),
+            ("[-.5]", 2),
+            ("[1.e3]", 3),
+            ("[-01.5]", 3),
+            ("\"a\u{0}b\"", 2),
+            ("\"tab\there\"", 4),
+            ("{\"k\u{1f}\": 1}", 3),
+            ("\"\\u+041\"", 3),
+        ] {
+            let err = JsonValue::parse(bad).map(|v| format!("accepted {bad:?} as {v:?}"));
+            let err = err.unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("JSON at byte {at}:")),
+                "{bad:?}: {err}"
+            );
         }
         // Hostile nesting is an error naming the byte where the limit was
         // hit, not a stack overflow (these inputs used to abort the process).

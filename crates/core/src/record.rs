@@ -4,13 +4,15 @@
 //! energy, per-node utilization and energy, per-phase breakdown
 //! ([`PhaseRecord`]), and, for [`Serving`](crate::Serving) runs, queueing
 //! statistics ([`ServingStats`], with [`FaultStats`] nested inside when the
-//! run was churned). Each struct carries its own `to_json` / `from_json`
-//! pair over [`crate::json`]; keys a later vintage added are read through
+//! run was churned). Each struct carries its own `write_json` / `from_json`
+//! pair over [`crate::json`]: `write_json` streams the struct's fields into
+//! the crate's one JSON writer, `from_json` lifts them back out of a parsed
+//! tree. Keys a later vintage added are read through
 //! [`JsonValue::optional`] and omitted by the writer when absent, so older
 //! reports re-serialize byte-identically.
 
 use crate::error::CoreError;
-use crate::json::JsonValue;
+use crate::json::{JsonValue, JsonWriter};
 use eedc_pstore::stats::{Bottleneck, ExecutionMode, PhaseStats};
 use eedc_pstore::JoinStrategy;
 use eedc_simkit::metrics::{Measurement, NormalizedPoint};
@@ -27,14 +29,14 @@ fn later<'a, T>(
 }
 
 /// A normalized point as the `"normalized"` object of a record.
-fn point_to_json(point: &NormalizedPoint) -> JsonValue {
-    let mut obj = JsonValue::object();
-    obj.set("performance", point.performance)
-        .set("energy", point.energy);
-    obj
+fn write_point(point: &NormalizedPoint, w: &mut JsonWriter) {
+    w.begin_object();
+    w.key("performance").number(point.performance);
+    w.key("energy").number(point.energy);
+    w.end_object();
 }
 
-/// The reader half of [`point_to_json`].
+/// The reader half of [`write_point`].
 fn point_from_json(value: &JsonValue) -> Result<NormalizedPoint, CoreError> {
     Ok(NormalizedPoint {
         performance: value.f64_field("performance")?,
@@ -191,23 +193,25 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Render the stats as a JSON object (nested under the serving
+    /// Write the stats as a JSON object (nested under the serving
     /// object's `"faults"` key).
-    pub fn to_json(&self) -> JsonValue {
-        let mut obj = JsonValue::object();
-        obj.set("availability", self.availability)
-            .set("failures", self.failures)
-            .set("killed", self.killed)
-            .set("readmitted", self.readmitted)
-            .set("scale_out_events", self.scale_out_events)
-            .set("scale_in_events", self.scale_in_events)
-            .set("fault_downtime_s", self.fault_downtime.value())
-            .set("overhead_energy_j", self.overhead_energy.value());
-        obj
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("availability").number(self.availability);
+        w.key("failures").number(self.failures as f64);
+        w.key("killed").number(self.killed as f64);
+        w.key("readmitted").number(self.readmitted as f64);
+        w.key("scale_out_events")
+            .number(self.scale_out_events as f64);
+        w.key("scale_in_events").number(self.scale_in_events as f64);
+        w.key("fault_downtime_s")
+            .number(self.fault_downtime.value());
+        w.key("overhead_energy_j")
+            .number(self.overhead_energy.value());
+        w.end_object();
     }
 
-    /// Reconstruct the stats from the shape [`to_json`](Self::to_json)
-    /// emits.
+    /// Reconstruct the stats from the shape the writer emits.
     pub fn from_json(value: &JsonValue) -> Result<Self, CoreError> {
         Ok(Self {
             availability: value.f64_field("availability")?,
@@ -223,45 +227,49 @@ impl FaultStats {
 }
 
 impl ServingStats {
-    /// Render the stats as a JSON object. The later-vintage fields
+    /// Write the stats as a JSON object. The later-vintage fields
     /// (`arrival`, the queue-depth vectors, the nested `faults` object) are
     /// emitted only when present, so stats read from an older report
     /// re-write byte-identically.
-    pub fn to_json(&self) -> JsonValue {
-        let mut obj = JsonValue::object();
-        obj.set("scheduler", self.scheduler.clone());
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("scheduler").string(&self.scheduler);
         if let Some(arrival) = &self.arrival {
-            obj.set("arrival", arrival.clone());
+            w.key("arrival").string(arrival);
         }
-        obj.set("offered_qps", self.offered_qps)
-            .set("achieved_qps", self.achieved_qps)
-            .set("arrivals", self.arrivals)
-            .set("completed", self.completed)
-            .set("dropped", self.dropped)
-            .set("timed_out", self.timed_out)
-            .set("drop_rate", self.drop_rate)
-            .set("p50_s", self.p50.value())
-            .set("p95_s", self.p95.value())
-            .set("p99_s", self.p99.value())
-            .set("mean_latency_s", self.mean_latency.value())
-            .set("mean_wait_s", self.mean_wait.value())
-            .set("energy_per_query_j", self.energy_per_query.value());
+        w.key("offered_qps").number(self.offered_qps);
+        w.key("achieved_qps").number(self.achieved_qps);
+        w.key("arrivals").number(self.arrivals as f64);
+        w.key("completed").number(self.completed as f64);
+        w.key("dropped").number(self.dropped as f64);
+        w.key("timed_out").number(self.timed_out as f64);
+        w.key("drop_rate").number(self.drop_rate);
+        w.key("p50_s").number(self.p50.value());
+        w.key("p95_s").number(self.p95.value());
+        w.key("p99_s").number(self.p99.value());
+        w.key("mean_latency_s").number(self.mean_latency.value());
+        w.key("mean_wait_s").number(self.mean_wait.value());
+        w.key("energy_per_query_j")
+            .number(self.energy_per_query.value());
         if !self.pool_mean_depth.is_empty() {
-            obj.set("pool_mean_depth", self.pool_mean_depth.clone());
+            w.key("pool_mean_depth")
+                .numbers(self.pool_mean_depth.iter().copied());
         }
         if !self.pool_max_queued.is_empty() {
-            obj.set("pool_max_queued", self.pool_max_queued.clone());
+            w.key("pool_max_queued")
+                .numbers(self.pool_max_queued.iter().map(|&n| n as f64));
         }
         if let Some(faults) = &self.faults {
-            obj.set("faults", faults.to_json());
+            w.key("faults");
+            faults.write_json(w);
         }
-        obj
+        w.end_object();
     }
 
-    /// Reconstruct the stats from the JSON shape
-    /// [`to_json`](Self::to_json) emits. Reports written before PR 9 carry
-    /// no `arrival` / queue-depth keys; those read back as `None` / empty
-    /// and re-write with the keys absent — byte-compatible.
+    /// Reconstruct the stats from the JSON shape the writer emits. Reports
+    /// written before arrival processes and queue-depth accounting existed
+    /// carry no `arrival` / queue-depth keys; those read back as `None` /
+    /// empty and re-write with the keys absent — byte-compatible.
     pub fn from_json(value: &JsonValue) -> Result<Self, CoreError> {
         Ok(Self {
             scheduler: value.str_field("scheduler")?.to_string(),
@@ -292,23 +300,23 @@ impl ServingStats {
 }
 
 impl PhaseRecord {
-    /// Render the phase as a JSON object (one element of a record's
+    /// Write the phase as a JSON object (one element of a record's
     /// `"phases"` array).
-    pub fn to_json(&self) -> JsonValue {
-        let mut obj = JsonValue::object();
-        obj.set("label", self.label.clone())
-            .set("duration_s", self.duration.value())
-            .set("energy_j", self.energy.value())
-            .set("bytes_over_network_mb", self.bytes_over_network.value())
-            .set("scan_time_s", self.scan_time.value())
-            .set("network_time_s", self.network_time.value())
-            .set("compute_time_s", self.compute_time.value())
-            .set("bottleneck", self.bottleneck.to_string());
-        obj
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("label").string(&self.label);
+        w.key("duration_s").number(self.duration.value());
+        w.key("energy_j").number(self.energy.value());
+        w.key("bytes_over_network_mb")
+            .number(self.bytes_over_network.value());
+        w.key("scan_time_s").number(self.scan_time.value());
+        w.key("network_time_s").number(self.network_time.value());
+        w.key("compute_time_s").number(self.compute_time.value());
+        w.key("bottleneck").string(&self.bottleneck.to_string());
+        w.end_object();
     }
 
-    /// Reconstruct a phase record from the shape [`to_json`](Self::to_json)
-    /// emits.
+    /// Reconstruct a phase record from the shape the writer emits.
     pub fn from_json(value: &JsonValue) -> Result<Self, CoreError> {
         Ok(Self {
             label: value.str_field("label")?.to_string(),
@@ -329,8 +337,8 @@ impl RunRecord {
         Measurement::new(self.response_time, self.energy)
     }
 
-    /// Reconstruct a record from the JSON shape [`to_json`](Self::to_json)
-    /// emits — the reader half of the figures pipeline, used for baseline
+    /// Reconstruct a record from the JSON shape the writer emits — the
+    /// reader half of the figures pipeline, used for baseline
     /// comparisons against series already on disk.
     pub fn from_json(value: &JsonValue) -> Result<Self, CoreError> {
         // `output_rows` and `normalized` are always written, as `null` when
@@ -377,36 +385,40 @@ impl RunRecord {
         self.measurement().edp()
     }
 
-    /// Render the record as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut obj = JsonValue::object();
-        obj.set("workload", self.workload.clone())
-            .set("estimator", self.estimator.clone())
-            .set("design", self.design.clone())
-            .set("strategy", self.strategy.to_string())
-            .set("mode", self.mode.to_string())
-            .set("concurrency", self.concurrency)
-            .set("response_time_s", self.response_time.value())
-            .set("energy_j", self.energy.value())
-            .set("edp_js", self.edp())
-            .set("node_utilization", self.node_utilization.clone())
-            .set(
-                "node_energy_j",
-                self.node_energy
-                    .iter()
-                    .map(|e| e.value())
-                    .collect::<Vec<_>>(),
-            );
-        let mut phases = JsonValue::array();
+    /// Write the record as a JSON object.
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("workload").string(&self.workload);
+        w.key("estimator").string(&self.estimator);
+        w.key("design").string(&self.design);
+        w.key("strategy").string(&self.strategy.to_string());
+        w.key("mode").string(&self.mode.to_string());
+        w.key("concurrency").number(self.concurrency as f64);
+        w.key("response_time_s").number(self.response_time.value());
+        w.key("energy_j").number(self.energy.value());
+        w.key("edp_js").number(self.edp());
+        w.key("node_utilization")
+            .numbers(self.node_utilization.iter().copied());
+        w.key("node_energy_j")
+            .numbers(self.node_energy.iter().map(|e| e.value()));
+        w.key("phases").begin_array();
         for phase in &self.phases {
-            phases.push(phase.to_json());
+            phase.write_json(w);
         }
-        obj.set("phases", phases);
-        obj.set("output_rows", self.output_rows);
+        w.end_array();
+        match self.output_rows {
+            Some(rows) => w.key("output_rows").number(rows as f64),
+            None => w.key("output_rows").null(),
+        }
         if let Some(serving) = &self.serving {
-            obj.set("serving", serving.to_json());
+            w.key("serving");
+            serving.write_json(w);
         }
-        obj.set("normalized", self.normalized.as_ref().map(point_to_json));
-        obj
+        w.key("normalized");
+        match &self.normalized {
+            Some(point) => write_point(point, w),
+            None => w.null(),
+        }
+        w.end_object();
     }
 }
