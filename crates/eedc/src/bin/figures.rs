@@ -19,7 +19,6 @@ use eedc_core::{
 use eedc_pstore::microbench::{table2_sweep, MicrobenchOptions};
 use eedc_pstore::{ClusterSpec, JoinQuerySpec, JoinStrategy, RunOptions};
 use eedc_simkit::catalog::{cluster_v_node, laptop_b};
-use eedc_simkit::HardwareCatalog;
 use eedc_tpch::ScaleFactor;
 use std::path::PathBuf;
 
@@ -270,8 +269,7 @@ fn main() {
     // stays on its dedicated path).
     println!();
     println!("== Figure 6: single-node hash join (10 MB x 2 GB) ==");
-    let catalog = HardwareCatalog::paper();
-    match table2_sweep(&catalog, &MicrobenchOptions::default()) {
+    match table2_sweep(&MicrobenchOptions::default()) {
         Ok(results) => {
             for result in results {
                 println!(

@@ -12,9 +12,10 @@
 use crate::error::PStoreError;
 use crate::op::hashjoin::hash_join_with;
 use crate::op::kernel::{default_worker_threads, JoinKernelConfig};
+use eedc_simkit::catalog::table2_systems;
 use eedc_simkit::metrics::Measurement;
 use eedc_simkit::units::{Joules, Megabytes, Seconds};
-use eedc_simkit::{HardwareCatalog, NodeSpec};
+use eedc_simkit::NodeSpec;
 use eedc_storage::Table;
 use eedc_tpch::gen::{LineitemGenerator, OrdersGenerator};
 use eedc_tpch::ScaleFactor;
@@ -178,18 +179,14 @@ pub fn single_node_hash_join(
     model_node(node, options, correctness_join(options)?)
 }
 
-/// Run the microbenchmark on every Table 2 machine of the catalog, in the
-/// paper's order — one Figure 6 worth of data. The correctness join runs
-/// once and is shared across the machines.
-pub fn table2_sweep(
-    catalog: &HardwareCatalog,
-    options: &MicrobenchOptions,
-) -> Result<Vec<MicrobenchResult>, PStoreError> {
+/// Run the microbenchmark on every Table 2 machine, in the paper's order —
+/// one Figure 6 worth of data. The correctness join runs once and is shared
+/// across the machines.
+pub fn table2_sweep(options: &MicrobenchOptions) -> Result<Vec<MicrobenchResult>, PStoreError> {
     options.validate()?;
     let counts = correctness_join(options)?;
-    catalog
-        .table2_systems()
-        .into_iter()
+    table2_systems()
+        .iter()
         .map(|spec| model_node(spec, options, counts))
         .collect()
 }
@@ -203,8 +200,7 @@ mod tests {
     fn figure6_shape_is_reproduced() {
         // Workstation A is the fastest system; Laptop B consumes the least
         // energy — the paper's core single-node observation.
-        let catalog = HardwareCatalog::paper();
-        let results = table2_sweep(&catalog, &MicrobenchOptions::default()).unwrap();
+        let results = table2_sweep(&MicrobenchOptions::default()).unwrap();
         assert_eq!(results.len(), 5);
         let fastest = results
             .iter()

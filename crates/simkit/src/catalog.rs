@@ -16,15 +16,13 @@
 //!
 //! The Table 2 machines additionally carry a calibrated hash-join processing
 //! rate so that the Figure 6 single-node energy experiment can be regenerated;
-//! the calibration (documented in `EXPERIMENTS.md`) preserves the paper's
-//! qualitative result: the workstations are fastest, Laptop B consumes the
-//! least energy.
+//! each machine's `hashjoin_bandwidth` comment gives the Figure 6 time and
+//! power it is calibrated to, which preserves the paper's qualitative result:
+//! the workstations are fastest, Laptop B consumes the least energy.
 
-use crate::error::SimError;
 use crate::node::{NodeClass, NodeSpec};
 use crate::power::PowerModel;
 use crate::units::{Megabytes, MegabytesPerSec, Watts};
-use std::collections::BTreeMap;
 
 /// Well-known node names in the catalog.
 pub mod names {
@@ -50,7 +48,7 @@ pub mod names {
 /// `G_B = 0.25`, `f_B(c) = 130.03 · (100c)^0.2369`).
 #[expect(
     clippy::expect_used,
-    reason = "a constant spec; paper_catalog_contains_all_machines builds it"
+    reason = "a constant spec; the catalog tests build it"
 )]
 pub fn cluster_v_node() -> NodeSpec {
     NodeSpec::builder(names::CLUSTER_V, NodeClass::Beefy)
@@ -73,7 +71,7 @@ pub fn cluster_v_node() -> NodeSpec {
 /// prototype runs).
 #[expect(
     clippy::expect_used,
-    reason = "a constant spec; paper_catalog_contains_all_machines builds it"
+    reason = "a constant spec; the catalog tests build it"
 )]
 pub fn beefy_l5630_node() -> NodeSpec {
     NodeSpec::builder(names::BEEFY_L5630, NodeClass::Beefy)
@@ -92,7 +90,7 @@ pub fn beefy_l5630_node() -> NodeSpec {
 /// Table 2 Workstation A: i7 920 (4 cores / 8 threads), 12 GB RAM, 93 W idle.
 #[expect(
     clippy::expect_used,
-    reason = "a constant spec; paper_catalog_contains_all_machines builds it"
+    reason = "a constant spec; the catalog tests build it"
 )]
 pub fn workstation_a() -> NodeSpec {
     NodeSpec::builder(names::WORKSTATION_A, NodeClass::Beefy)
@@ -114,7 +112,7 @@ pub fn workstation_a() -> NodeSpec {
 /// Table 2 Workstation B: quad-core Xeon (no SMT), 24 GB RAM, 69 W idle.
 #[expect(
     clippy::expect_used,
-    reason = "a constant spec; paper_catalog_contains_all_machines builds it"
+    reason = "a constant spec; the catalog tests build it"
 )]
 pub fn workstation_b() -> NodeSpec {
     NodeSpec::builder(names::WORKSTATION_B, NodeClass::Beefy)
@@ -135,7 +133,7 @@ pub fn workstation_b() -> NodeSpec {
 /// Table 2 Atom desktop: dual-core / 4-thread Atom, 4 GB RAM, 28 W idle.
 #[expect(
     clippy::expect_used,
-    reason = "a constant spec; paper_catalog_contains_all_machines builds it"
+    reason = "a constant spec; the catalog tests build it"
 )]
 pub fn desktop_atom() -> NodeSpec {
     NodeSpec::builder(names::DESKTOP_ATOM, NodeClass::Wimpy)
@@ -158,7 +156,7 @@ pub fn desktop_atom() -> NodeSpec {
 /// (screen off).
 #[expect(
     clippy::expect_used,
-    reason = "a constant spec; paper_catalog_contains_all_machines builds it"
+    reason = "a constant spec; the catalog tests build it"
 )]
 pub fn laptop_a() -> NodeSpec {
     NodeSpec::builder(names::LAPTOP_A, NodeClass::Wimpy)
@@ -182,7 +180,7 @@ pub fn laptop_a() -> NodeSpec {
 /// during the prototype runs.
 #[expect(
     clippy::expect_used,
-    reason = "a constant spec; paper_catalog_contains_all_machines builds it"
+    reason = "a constant spec; the catalog tests build it"
 )]
 pub fn laptop_b() -> NodeSpec {
     NodeSpec::builder(names::LAPTOP_B, NodeClass::Wimpy)
@@ -200,90 +198,15 @@ pub fn laptop_b() -> NodeSpec {
         .expect("laptop-b spec is valid")
 }
 
-/// A named collection of [`NodeSpec`]s with lookup by name.
-///
-/// [`HardwareCatalog::paper`] contains every machine used in the paper;
-/// additional what-if hardware can be registered with
-/// [`HardwareCatalog::insert`].
-#[derive(Debug, Clone, Default)]
-pub struct HardwareCatalog {
-    specs: BTreeMap<String, NodeSpec>,
-}
-
-impl HardwareCatalog {
-    /// An empty catalog.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The catalog of every machine described in the paper (Tables 1, 2 and
-    /// the Section 5.2 prototype nodes).
-    pub fn paper() -> Self {
-        let mut catalog = Self::new();
-        for spec in [
-            cluster_v_node(),
-            beefy_l5630_node(),
-            workstation_a(),
-            workstation_b(),
-            desktop_atom(),
-            laptop_a(),
-            laptop_b(),
-        ] {
-            catalog.insert(spec);
-        }
-        catalog
-    }
-
-    /// Register (or replace) a node spec under its name.
-    pub fn insert(&mut self, spec: NodeSpec) {
-        self.specs.insert(spec.name.clone(), spec);
-    }
-
-    /// Look up a node spec by name.
-    pub fn get(&self, name: &str) -> Result<&NodeSpec, SimError> {
-        self.specs
-            .get(name)
-            .ok_or_else(|| SimError::UnknownHardware { name: name.into() })
-    }
-
-    /// Whether the catalog contains a spec with the given name.
-    pub fn contains(&self, name: &str) -> bool {
-        self.specs.contains_key(name)
-    }
-
-    /// All registered names, in sorted order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.specs.keys().map(String::as_str)
-    }
-
-    /// All registered specs, in name order.
-    pub fn specs(&self) -> impl Iterator<Item = &NodeSpec> {
-        self.specs.values()
-    }
-
-    /// The five single-node systems of Table 2, in the paper's order.
-    pub fn table2_systems(&self) -> Vec<&NodeSpec> {
-        [
-            names::WORKSTATION_A,
-            names::WORKSTATION_B,
-            names::DESKTOP_ATOM,
-            names::LAPTOP_A,
-            names::LAPTOP_B,
-        ]
-        .iter()
-        .filter_map(|name| self.specs.get(*name))
-        .collect()
-    }
-
-    /// Number of registered specs.
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// Whether the catalog is empty.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
+/// The five single-node systems of Table 2, in the paper's order.
+pub fn table2_systems() -> [NodeSpec; 5] {
+    [
+        workstation_a(),
+        workstation_b(),
+        desktop_atom(),
+        laptop_a(),
+        laptop_b(),
+    ]
 }
 
 #[cfg(test)]
@@ -291,28 +214,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_catalog_contains_all_machines() {
-        let catalog = HardwareCatalog::paper();
-        assert_eq!(catalog.len(), 7);
-        for name in [
-            names::CLUSTER_V,
-            names::BEEFY_L5630,
-            names::WORKSTATION_A,
-            names::WORKSTATION_B,
-            names::DESKTOP_ATOM,
-            names::LAPTOP_A,
-            names::LAPTOP_B,
-        ] {
-            assert!(catalog.contains(name), "missing {name}");
-        }
-        assert_eq!(catalog.table2_systems().len(), 5);
-    }
-
-    #[test]
-    fn unknown_hardware_is_an_error() {
-        let catalog = HardwareCatalog::paper();
-        let err = catalog.get("cray-1").unwrap_err();
-        assert!(err.to_string().contains("cray-1"));
+    fn table2_systems_are_in_the_papers_order() {
+        let order: Vec<String> = table2_systems().into_iter().map(|s| s.name).collect();
+        assert_eq!(
+            order,
+            [
+                names::WORKSTATION_A,
+                names::WORKSTATION_B,
+                names::DESKTOP_ATOM,
+                names::LAPTOP_A,
+                names::LAPTOP_B,
+            ]
+        );
     }
 
     #[test]
@@ -358,55 +271,12 @@ mod tests {
 
     #[test]
     fn wimpy_nodes_have_small_memory_and_low_power() {
-        let catalog = HardwareCatalog::paper();
-        for spec in catalog.specs() {
+        let paper = [cluster_v_node(), beefy_l5630_node()];
+        for spec in paper.into_iter().chain(table2_systems()) {
             if spec.is_wimpy() {
                 assert!(spec.memory.as_gigabytes() <= 8.0, "{}", spec.name);
                 assert!(spec.peak_power().value() < 60.0, "{}", spec.name);
             }
         }
-    }
-
-    #[test]
-    fn figure6_shape_workstations_fast_laptop_b_lowest_energy() {
-        // The catalog calibration must preserve the Figure 6 qualitative
-        // result. The workload is a 10 MB build ⋈ 2 GB probe hash join.
-        let catalog = HardwareCatalog::paper();
-        let workload = Megabytes(2010.0);
-        let mut times = BTreeMap::new();
-        let mut energies = BTreeMap::new();
-        for spec in catalog.table2_systems() {
-            let t = workload / spec.hashjoin_bandwidth;
-            let e = spec.power_at(0.85) * t;
-            times.insert(spec.name.clone(), t.value());
-            energies.insert(spec.name.clone(), e.value());
-        }
-        let fastest = times
-            .iter()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(k, _)| k.clone())
-            .unwrap();
-        let lowest_energy = energies
-            .iter()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(k, _)| k.clone())
-            .unwrap();
-        assert_eq!(fastest, names::WORKSTATION_A);
-        assert_eq!(lowest_energy, names::LAPTOP_B);
-    }
-
-    #[test]
-    fn insert_replaces_existing_entry() {
-        let mut catalog = HardwareCatalog::new();
-        assert!(catalog.is_empty());
-        catalog.insert(laptop_b());
-        let mut altered = laptop_b();
-        altered.memory = Megabytes::from_gigabytes(16.0);
-        catalog.insert(altered);
-        assert_eq!(catalog.len(), 1);
-        assert_eq!(
-            catalog.get(names::LAPTOP_B).unwrap().memory,
-            Megabytes::from_gigabytes(16.0)
-        );
     }
 }

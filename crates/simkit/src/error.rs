@@ -11,24 +11,12 @@ pub enum SimError {
         /// Human-readable description of what was invalid.
         reason: String,
     },
-    /// Regression fitting was attempted with too few or degenerate samples.
-    FitFailed {
-        /// Human-readable description of why the fit failed.
-        reason: String,
-    },
-    /// A named hardware profile was not found in the catalog.
-    UnknownHardware {
-        /// The name that was looked up.
-        name: String,
-    },
 }
 
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::InvalidInput { reason } => write!(f, "invalid input: {reason}"),
-            SimError::FitFailed { reason } => write!(f, "power model fit failed: {reason}"),
-            SimError::UnknownHardware { name } => write!(f, "unknown hardware profile: {name}"),
         }
     }
 }
@@ -42,13 +30,6 @@ impl SimError {
             reason: reason.into(),
         }
     }
-
-    /// Convenience constructor for [`SimError::FitFailed`].
-    pub fn fit(reason: impl Into<String>) -> Self {
-        SimError::FitFailed {
-            reason: reason.into(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -59,17 +40,12 @@ mod tests {
     fn display_formats_are_informative() {
         let e = SimError::invalid("negative utilization");
         assert!(e.to_string().contains("negative utilization"));
-        let e = SimError::fit("only one sample");
-        assert!(e.to_string().contains("fit failed"));
-        let e = SimError::UnknownHardware {
-            name: "laptop-z".into(),
-        };
-        assert!(e.to_string().contains("laptop-z"));
+        assert!(e.to_string().starts_with("invalid input"));
     }
 
     #[test]
     fn errors_are_comparable() {
         assert_eq!(SimError::invalid("x"), SimError::invalid("x"));
-        assert_ne!(SimError::invalid("x"), SimError::fit("x"));
+        assert_ne!(SimError::invalid("x"), SimError::invalid("y"));
     }
 }

@@ -7,8 +7,7 @@
 //!
 //! * strongly-typed physical [`units`] (seconds, joules, watts, megabytes),
 //! * node [`power`] models (the CPU-utilization → wall-power regression models
-//!   published in the paper, plus fitting routines to derive new ones from
-//!   measurements),
+//!   published in the paper, coefficients as printed),
 //! * per-node hardware descriptions ([`node::NodeSpec`]) and a [`catalog`] of the
 //!   exact machines used in the paper (Cluster-V servers, the Beefy L5630 nodes,
 //!   the Wimpy "Laptop B", the Atom desktop, and the two workstations),
@@ -38,10 +37,9 @@ pub mod power;
 pub mod sim;
 pub mod units;
 
-pub use catalog::HardwareCatalog;
 pub use error::SimError;
 pub use metrics::{Measurement, NormalizedPoint, NormalizedSeries};
 pub use node::{NodeClass, NodeSpec, NodeSpecBuilder};
-pub use power::{FitReport, PowerModel, PowerSample};
+pub use power::PowerModel;
 pub use sim::{EventHandler, Simulation};
 pub use units::{Joules, Megabytes, MegabytesPerSec, Seconds, Watts};

@@ -175,27 +175,6 @@ impl Column {
         Ok(())
     }
 
-    /// Append a value without checking its type against the column.
-    ///
-    /// The batched kernel append path: the caller has already validated the
-    /// schema once for the whole batch, so per-value re-validation is a
-    /// `debug_assert!`. In release builds a mismatched value is silently
-    /// dropped (the caller's contract is that this never happens).
-    #[inline]
-    pub fn push_unchecked(&mut self, value: Value) {
-        match (self, value) {
-            (Column::Int64(v), Value::Int64(x)) => v.push(x),
-            (Column::Int32(v), Value::Int32(x)) => v.push(x),
-            (Column::Float64(v), Value::Float64(x)) => v.push(x),
-            (col, value) => debug_assert!(
-                false,
-                "push_unchecked: {:?} value into {} column",
-                value.column_type(),
-                col.column_type()
-            ),
-        }
-    }
-
     /// Append the whole of `source` onto this column in one slice copy —
     /// the column-wise building block of [`crate::Table::append_table`].
     pub fn extend_from(&mut self, source: &Column) -> Result<(), StorageError> {
@@ -267,14 +246,6 @@ impl Column {
     pub fn as_i32_slice(&self) -> Option<&[i32]> {
         match self {
             Column::Int32(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Borrow as an f64 slice (only for `Float64` columns).
-    pub fn as_f64_slice(&self) -> Option<&[f64]> {
-        match self {
-            Column::Float64(v) => Some(v),
             _ => None,
         }
     }
@@ -355,27 +326,10 @@ mod tests {
     }
 
     #[test]
-    fn unchecked_push_appends_matching_values() {
-        let mut col = Column::with_capacity(ColumnType::Float64, 2);
-        col.push_unchecked(Value::Float64(1.5));
-        col.push_unchecked(Value::Float64(2.5));
-        assert_eq!(col.as_f64_slice(), Some(&[1.5, 2.5][..]));
-    }
-
-    #[test]
-    #[should_panic(expected = "push_unchecked")]
-    #[cfg(debug_assertions)]
-    fn unchecked_push_type_mismatch_is_debug_asserted() {
-        let mut col = Column::empty(ColumnType::Int64);
-        col.push_unchecked(Value::Int32(1));
-    }
-
-    #[test]
     fn slice_accessors() {
         let col = Column::Int64(vec![1, 2, 3]);
         assert_eq!(col.as_i64_slice(), Some(&[1i64, 2, 3][..]));
         assert!(col.as_i32_slice().is_none());
-        assert!(col.as_f64_slice().is_none());
         assert!(!col.is_empty());
         assert!(Column::empty(ColumnType::Float64).is_empty());
     }

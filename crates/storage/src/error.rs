@@ -12,11 +12,6 @@ pub enum StorageError {
         /// The table whose schema was consulted.
         table: String,
     },
-    /// A table name was not found in a catalog.
-    UnknownTable {
-        /// The requested table name.
-        table: String,
-    },
     /// A value or row did not match the schema (wrong arity or type).
     SchemaMismatch {
         /// Human-readable description.
@@ -51,7 +46,6 @@ impl fmt::Display for StorageError {
             StorageError::UnknownColumn { column, table } => {
                 write!(f, "unknown column {column:?} in table {table:?}")
             }
-            StorageError::UnknownTable { table } => write!(f, "unknown table {table:?}"),
             StorageError::SchemaMismatch { reason } => write!(f, "schema mismatch: {reason}"),
             StorageError::InvalidArgument { reason } => write!(f, "invalid argument: {reason}"),
         }
@@ -71,11 +65,6 @@ mod tests {
             table: "LINEITEM".into(),
         };
         assert!(e.to_string().contains("L_FOO"));
-        assert!(StorageError::UnknownTable {
-            table: "NOPE".into()
-        }
-        .to_string()
-        .contains("NOPE"));
         assert!(StorageError::schema("arity").to_string().contains("arity"));
         assert!(StorageError::invalid("zero").to_string().contains("zero"));
     }

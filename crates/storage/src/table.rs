@@ -282,22 +282,6 @@ impl Table {
         Ok(())
     }
 
-    /// Append one row without re-validating it against the schema — the
-    /// batched kernel path for callers that validated the row shape once up
-    /// front. Arity and types are `debug_assert!`ed.
-    #[inline]
-    pub fn append_row_unchecked(&mut self, values: &[Value]) {
-        debug_assert_eq!(
-            values.len(),
-            self.schema.len(),
-            "append_row_unchecked: row arity does not match table {}",
-            self.name
-        );
-        for (column, value) in self.columns.iter_mut().zip(values) {
-            column.push_unchecked(*value);
-        }
-    }
-
     /// A new table holding row `i` of `self` for every index in `indices`,
     /// in order — per-column gather, no per-row dispatch. Indices must be in
     /// bounds (panics otherwise).
@@ -560,22 +544,6 @@ mod tests {
         assert_eq!(gathered.row(1), orders.row(0));
         assert_eq!(gathered.row(2), orders.row(2));
         assert_eq!(gathered.schema(), orders.schema());
-    }
-
-    #[test]
-    fn unchecked_append_matches_checked_append() {
-        let schema = Schema::new([("A", ColumnType::Int64), ("B", ColumnType::Float64)]);
-        let mut checked = Table::empty("C", schema.clone());
-        let mut unchecked = Table::empty("U", schema);
-        for i in 0..10 {
-            let row = [Value::Int64(i), Value::Float64(i as f64 / 2.0)];
-            checked.append_row(&row).unwrap();
-            unchecked.append_row_unchecked(&row);
-        }
-        assert_eq!(checked.row_count(), unchecked.row_count());
-        for i in 0..10 {
-            assert_eq!(checked.row(i), unchecked.row(i));
-        }
     }
 
     #[test]

@@ -13,14 +13,17 @@
 # its tests keep alive; the reader decides which.
 #
 # What a word match cannot see: which type a method belongs to. A name
-# declared more than once (`new`, `len`, `uniform`, ...) is therefore skipped,
-# and counted as `ambiguous` in the last line. A singly-declared name that
-# also occurs elsewhere as a local, a field, an enum variant or inside a string
-# literal is counted as called; items used only from their own file's
-# non-test code are listed as orphans although they could merely lose `pub`.
+# declared more than once (`new`, `len`, `get`, ...) is therefore skipped,
+# counted as `ambiguous`, and printed, sorted, under that count: a type whose
+# methods all carry such names never shows up as orphans itself, so the
+# reader walks that list by hand. A singly-declared name that also occurs
+# elsewhere as a local, a field, an enum variant or inside a string literal
+# is counted as called; items used only from their own file's non-test code
+# are listed as orphans although they could merely lose `pub`.
 #
-# Prints one row per item, then counts per crate and in total. No threshold
-# and always exit 0: it reports, the reader walks the list.
+# Prints one row per item, then counts per crate and in total, then the
+# ambiguous names. No threshold and always exit 0: it reports, the reader
+# walks the list.
 #
 # Usage: scripts/callers.sh [rev]   (default: the working tree; with a rev, a
 #                                    `git archive` export of it, removed on exit)
@@ -64,16 +67,15 @@ fi
   }
   END {
     for (name in declared) {
-      if (declared[name] > 1) { ambiguous++; continue }
+      if (declared[name] > 1) { printf "ambiguous %s\n", name; continue }
       live = files[name, 0] - 1
       test = files[name, 1] - ((name SUBSEP home[name] SUBSEP 1) in seen)
       if (live > 0) continue
       printf "%-7s %-8s %-6s %-32s %s:%d\n", (test > 0 ? "oracle" : "orphan"), owner[name], kind[name], name, home[name], at[name]
     }
-    printf "ambiguous %d\n", ambiguous
   }
 ' | LC_ALL=C sort -k2,2 -k1,1 -k4,4 | awk '
-  $1 == "ambiguous" { ambiguous = $2; next }
+  $1 == "ambiguous" { skipped[++ambiguous] = $2; next }
   !($2 in listed) { listed[$2]; order[++crates] = $2 }
   { print; count[$2, $1]++; total[$1]++ }
   END {
@@ -81,5 +83,11 @@ fi
     for (i = 1; i <= crates; i++) printf "%-10s %8d %8d\n", order[i], count[order[i], "orphan"], count[order[i], "oracle"]
     printf "%-10s %8d %8d\n", "total", total["orphan"], total["oracle"]
     printf "(%d names declared more than once skipped as ambiguous)\n", ambiguous
+    line = ""
+    for (i = 1; i <= ambiguous; i++) {
+      if (line != "" && length(line) + length(skipped[i]) > 76) { print line; line = "" }
+      line = line "  " skipped[i]
+    }
+    if (line != "") print line
   }
 '
