@@ -30,14 +30,24 @@
 //! test in `tests/model_validation.rs` holds the model to within 15% of
 //! measured `PStoreCluster` points (the gap is flow simulation against the
 //! per-port closed form, nothing else).
+//!
+//! The paper states the model per node class, and so does the code: every
+//! volume above is the same for all nodes that agree on whether they are a
+//! destination of the phase's movement (and, under Zipf weights, on which
+//! one). The model hands [`PhaseStats::close`] one volume set per such range
+//! of nodes, not one per node, and `close` prices each piece of those ranges
+//! and the design's runs of identical nodes ([`ClusterSpec::runs`]) once. A
+//! `(b, w)` design without skew is therefore priced in a handful of
+//! derivations per phase, whatever `b + w` is, with every output
+//! bit-identical to the per-node model kept in this module's tests.
 
 use crate::error::CoreError;
 use crate::params;
 use eedc_pstore::cluster::select_execution_mode;
-use eedc_pstore::stats::{ExecutionMode, PhaseStats, QueryExecution};
+use eedc_pstore::stats::{ExecutionMode, NodeVolumes, PhaseStats, QueryExecution};
 use eedc_pstore::{ClusterSpec, JoinQuerySpec, JoinSkew, JoinStrategy, PStoreCluster, RunOptions};
 use eedc_simkit::units::Megabytes;
-use eedc_simkit::NodeSpec;
+use std::ops::Range;
 
 /// Workload parameters of the modeled two-table sweep join.
 ///
@@ -162,108 +172,6 @@ impl SweepJoin {
     }
 }
 
-/// Per-node data-movement volumes of one phase (the scanned volumes are
-/// movement-independent and evaluated separately).
-struct MovementVolumes {
-    /// Bytes each node pushes through its hash-table build/probe path.
-    computed: Vec<Megabytes>,
-    /// Network bytes each node sends (local shares excluded).
-    egress: Vec<Megabytes>,
-    /// Network bytes each node receives.
-    ingress: Vec<Megabytes>,
-}
-
-impl MovementVolumes {
-    /// No movement at all: every node consumes its own qualifying bytes.
-    fn local(computed: Vec<Megabytes>) -> Self {
-        let n = computed.len();
-        Self {
-            computed,
-            egress: vec![Megabytes::zero(); n],
-            ingress: vec![Megabytes::zero(); n],
-        }
-    }
-}
-
-/// Closed-form per-node volumes of a hash shuffle: every node sends its
-/// qualifying bytes split across the destinations by the hash-partition
-/// weights (uniform `1/d` when `weights` is `None`); the share hashed to the
-/// local node never crosses the network (mirrors
-/// `eedc_netsim::shuffle_flows`).
-fn shuffle_volumes(
-    qualifying: &[Megabytes],
-    destinations: &[usize],
-    weights: Option<&[f64]>,
-) -> MovementVolumes {
-    let n = qualifying.len();
-    let total: Megabytes = qualifying.iter().copied().sum();
-    // Per-node destination weight: 0 for non-destinations, the partition
-    // weight (uniform share without skew) for destinations.
-    let mut weight = vec![0.0; n];
-    for (slot, &id) in destinations.iter().enumerate() {
-        weight[id] = match weights {
-            Some(w) => w[slot],
-            None => 1.0 / destinations.len() as f64,
-        };
-    }
-    let mut egress = vec![Megabytes::zero(); n];
-    let mut ingress = vec![Megabytes::zero(); n];
-    let mut computed = vec![Megabytes::zero(); n];
-    for (id, &q) in qualifying.iter().enumerate() {
-        // Everything except the share hashed back to the local node.
-        egress[id] = q * (1.0 - weight[id]);
-    }
-    for &id in destinations {
-        computed[id] = total * weight[id];
-        ingress[id] = (total - qualifying[id]) * weight[id];
-    }
-    MovementVolumes {
-        computed,
-        egress,
-        ingress,
-    }
-}
-
-/// Closed-form per-node volumes of a co-partitioned (local) layout under
-/// hash-partition weights: node `j` holds `total × w_j` of the qualifying
-/// bytes, and nothing crosses the network.
-fn local_weighted_volumes(qualifying: &[Megabytes], weights: &[f64]) -> MovementVolumes {
-    let total: Megabytes = qualifying.iter().copied().sum();
-    MovementVolumes::local(weights.iter().map(|&w| total * w).collect())
-}
-
-/// Closed-form per-node volumes of a broadcast: every node sends its full
-/// qualifying bytes to every destination other than itself (mirrors
-/// `eedc_netsim::broadcast_flows`).
-fn broadcast_volumes(qualifying: &[Megabytes], destinations: &[usize]) -> MovementVolumes {
-    let n = qualifying.len();
-    let d = destinations.len() as f64;
-    let total: Megabytes = qualifying.iter().copied().sum();
-    let is_destination: Vec<bool> = {
-        let mut v = vec![false; n];
-        for &id in destinations {
-            v[id] = true;
-        }
-        v
-    };
-    let mut egress = vec![Megabytes::zero(); n];
-    let mut ingress = vec![Megabytes::zero(); n];
-    let mut computed = vec![Megabytes::zero(); n];
-    for (id, &q) in qualifying.iter().enumerate() {
-        let copies = if is_destination[id] { d - 1.0 } else { d };
-        egress[id] = q * copies;
-    }
-    for &id in destinations {
-        computed[id] = total;
-        ingress[id] = total - qualifying[id];
-    }
-    MovementVolumes {
-        computed,
-        egress,
-        ingress,
-    }
-}
-
 /// The Section 5.4 analytical model: closed-form phase predictions for any
 /// cluster design running a [`SweepJoin`].
 #[derive(Debug, Clone, PartialEq)]
@@ -310,6 +218,282 @@ impl AnalyticalModel {
         skew: Option<&JoinSkew>,
     ) -> Result<QueryExecution, CoreError> {
         let w = &self.workload;
+        let n = design.len();
+        let share = 1.0 / n as f64;
+
+        let (mode, destinations) = select_execution_mode(
+            design.nodes(),
+            strategy,
+            w.total_hash_table(),
+            w.hash_table_headroom,
+        )?;
+        // Per-destination hash-partition weights (`None` is the uniform
+        // `1/d` split).
+        let weights = skew
+            .filter(|s| !s.is_uniform())
+            .map(|s| s.partition_weights(destinations.len()));
+        let ranges = destination_ranges(n, &destinations, weights.as_deref());
+        let d = destinations.len() as f64;
+
+        // ---- Build phase: scan + filter ORDERS, move it, build hash tables.
+        let local = Movement::Local {
+            weighted: weights.is_some(),
+        };
+        let build = match strategy {
+            JoinStrategy::DualShuffle => Movement::Shuffle,
+            JoinStrategy::Broadcast => Movement::Broadcast,
+            JoinStrategy::PrePartitioned => local,
+        };
+        // ---- Probe phase: scan + filter LINEITEM, move it, probe.
+        let probe = match (strategy, mode) {
+            (JoinStrategy::DualShuffle, _)
+            | (JoinStrategy::Broadcast, ExecutionMode::Heterogeneous) => Movement::Shuffle,
+            (JoinStrategy::PrePartitioned, _) => local,
+            // Every node holds the whole build side: key skew moves nothing.
+            (JoinStrategy::Broadcast, ExecutionMode::Homogeneous) => {
+                Movement::Local { weighted: false }
+            }
+        };
+
+        let phases = [
+            ("build", w.build_bytes, w.build_selectivity, build),
+            ("probe", w.probe_bytes, w.probe_selectivity, probe),
+        ]
+        .map(|(label, bytes, selectivity, movement)| {
+            let scanned = bytes * share;
+            let qualifying = bytes * (share * selectivity);
+            // Summed node by node, as the per-node volumes add up.
+            let total: Megabytes = std::iter::repeat_n(qualifying, n).sum();
+            let volumes: Vec<_> = ranges
+                .iter()
+                .map(|(range, weight)| {
+                    let (computed, egress, ingress) =
+                        movement.volumes(qualifying, total, d, *weight);
+                    let volumes = NodeVolumes {
+                        scanned,
+                        computed,
+                        egress,
+                        ingress,
+                    };
+                    (range.clone(), volumes)
+                })
+                .collect();
+            // The runtime's own closing rule; no flow simulation ran, so the
+            // transfer completes when the busiest port drains.
+            PhaseStats::close(
+                design,
+                label,
+                &volumes,
+                w.concurrency as f64,
+                None,
+                w.in_memory,
+            )
+        });
+
+        Ok(QueryExecution {
+            cluster_label: design.label(),
+            strategy,
+            mode,
+            concurrency: w.concurrency,
+            phases: phases.into(),
+            output_rows: None,
+        })
+    }
+}
+
+/// How a phase moves each node's qualifying bytes.
+#[derive(Clone, Copy)]
+enum Movement {
+    /// Hash shuffle: every node sends its qualifying bytes split across the
+    /// destinations by the partition weights; the share hashed to the local
+    /// node never crosses the network (mirrors `eedc_netsim::shuffle_flows`).
+    Shuffle,
+    /// Broadcast: every node sends its full qualifying bytes to every
+    /// destination other than itself (mirrors
+    /// `eedc_netsim::broadcast_flows`).
+    Broadcast,
+    /// Nothing crosses the network. Each node consumes its own qualifying
+    /// bytes — or, `weighted`, node `j` of a co-partitioned layout holds
+    /// `total × w_j` of them.
+    Local { weighted: bool },
+}
+
+impl Movement {
+    /// The `(computed, egress, ingress)` volumes of a node that holds
+    /// `qualifying` of the phase's `total` bytes, with partition `weight`
+    /// when it is one of the `d` destinations.
+    fn volumes(
+        self,
+        qualifying: Megabytes,
+        total: Megabytes,
+        d: f64,
+        weight: Option<f64>,
+    ) -> (Megabytes, Megabytes, Megabytes) {
+        let zero = Megabytes::zero();
+        match (self, weight) {
+            // A source that is no destination keeps no share: all of it moves.
+            (Movement::Shuffle, None) => (zero, qualifying, zero),
+            (Movement::Shuffle, Some(w)) => {
+                (total * w, qualifying * (1.0 - w), (total - qualifying) * w)
+            }
+            (Movement::Broadcast, None) => (zero, qualifying * d, zero),
+            (Movement::Broadcast, Some(_)) => (total, qualifying * (d - 1.0), total - qualifying),
+            (Movement::Local { weighted: true }, Some(w)) => (total * w, zero, zero),
+            (Movement::Local { .. }, _) => (qualifying, zero, zero),
+        }
+    }
+}
+
+/// The design's nodes as ranges on which every [`Movement`]'s volumes are
+/// constant, each with its partition weight if it is a destination: a range
+/// is split where destination membership changes, and under partition
+/// `weights` every destination is a range of its own (uniform destinations
+/// weigh `1/d`). `destinations` is ascending.
+fn destination_ranges(
+    n: usize,
+    destinations: &[usize],
+    weights: Option<&[f64]>,
+) -> Vec<(Range<usize>, Option<f64>)> {
+    let uniform = 1.0 / destinations.len() as f64;
+    let mut ranges: Vec<(Range<usize>, Option<f64>)> = Vec::new();
+    let mut at = 0;
+    for (slot, &id) in destinations.iter().enumerate() {
+        if id > at {
+            ranges.push((at..id, None));
+        }
+        match (ranges.last_mut(), weights) {
+            (Some((range, Some(_))), None) if range.end == id => range.end = id + 1,
+            _ => ranges.push((id..id + 1, Some(weights.map_or(uniform, |w| w[slot])))),
+        }
+        at = id + 1;
+    }
+    if at < n {
+        ranges.push((at..n, None));
+    }
+    ranges
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eedc_pstore::stats::Bottleneck;
+    use eedc_simkit::catalog::{cluster_v_node, laptop_b};
+    use eedc_simkit::units::{Joules, Seconds};
+    use eedc_simkit::NodeSpec;
+
+    // ---- The per-node model: `predict_skewed` as it was before it priced
+    // runs, every volume a per-node vector. The oracle for
+    // `predict_by_ranges_is_bit_identical_to_the_per_node_model`.
+
+    /// Per-node data-movement volumes of one phase (the scanned volumes are
+    /// movement-independent and evaluated separately).
+    struct MovementVolumes {
+        /// Bytes each node pushes through its hash-table build/probe path.
+        computed: Vec<Megabytes>,
+        /// Network bytes each node sends (local shares excluded).
+        egress: Vec<Megabytes>,
+        /// Network bytes each node receives.
+        ingress: Vec<Megabytes>,
+    }
+
+    impl MovementVolumes {
+        /// No movement at all: every node consumes its own qualifying bytes.
+        fn local(computed: Vec<Megabytes>) -> Self {
+            let n = computed.len();
+            Self {
+                computed,
+                egress: vec![Megabytes::zero(); n],
+                ingress: vec![Megabytes::zero(); n],
+            }
+        }
+    }
+
+    /// Closed-form per-node volumes of a hash shuffle: every node sends its
+    /// qualifying bytes split across the destinations by the hash-partition
+    /// weights (uniform `1/d` when `weights` is `None`); the share hashed to the
+    /// local node never crosses the network (mirrors
+    /// `eedc_netsim::shuffle_flows`).
+    fn shuffle_volumes(
+        qualifying: &[Megabytes],
+        destinations: &[usize],
+        weights: Option<&[f64]>,
+    ) -> MovementVolumes {
+        let n = qualifying.len();
+        let total: Megabytes = qualifying.iter().copied().sum();
+        // Per-node destination weight: 0 for non-destinations, the partition
+        // weight (uniform share without skew) for destinations.
+        let mut weight = vec![0.0; n];
+        for (slot, &id) in destinations.iter().enumerate() {
+            weight[id] = match weights {
+                Some(w) => w[slot],
+                None => 1.0 / destinations.len() as f64,
+            };
+        }
+        let mut egress = vec![Megabytes::zero(); n];
+        let mut ingress = vec![Megabytes::zero(); n];
+        let mut computed = vec![Megabytes::zero(); n];
+        for (id, &q) in qualifying.iter().enumerate() {
+            // Everything except the share hashed back to the local node.
+            egress[id] = q * (1.0 - weight[id]);
+        }
+        for &id in destinations {
+            computed[id] = total * weight[id];
+            ingress[id] = (total - qualifying[id]) * weight[id];
+        }
+        MovementVolumes {
+            computed,
+            egress,
+            ingress,
+        }
+    }
+
+    /// Closed-form per-node volumes of a co-partitioned (local) layout under
+    /// hash-partition weights: node `j` holds `total × w_j` of the qualifying
+    /// bytes, and nothing crosses the network.
+    fn local_weighted_volumes(qualifying: &[Megabytes], weights: &[f64]) -> MovementVolumes {
+        let total: Megabytes = qualifying.iter().copied().sum();
+        MovementVolumes::local(weights.iter().map(|&w| total * w).collect())
+    }
+
+    /// Closed-form per-node volumes of a broadcast: every node sends its full
+    /// qualifying bytes to every destination other than itself (mirrors
+    /// `eedc_netsim::broadcast_flows`).
+    fn broadcast_volumes(qualifying: &[Megabytes], destinations: &[usize]) -> MovementVolumes {
+        let n = qualifying.len();
+        let d = destinations.len() as f64;
+        let total: Megabytes = qualifying.iter().copied().sum();
+        let is_destination: Vec<bool> = {
+            let mut v = vec![false; n];
+            for &id in destinations {
+                v[id] = true;
+            }
+            v
+        };
+        let mut egress = vec![Megabytes::zero(); n];
+        let mut ingress = vec![Megabytes::zero(); n];
+        let mut computed = vec![Megabytes::zero(); n];
+        for (id, &q) in qualifying.iter().enumerate() {
+            let copies = if is_destination[id] { d - 1.0 } else { d };
+            egress[id] = q * copies;
+        }
+        for &id in destinations {
+            computed[id] = total;
+            ingress[id] = total - qualifying[id];
+        }
+        MovementVolumes {
+            computed,
+            egress,
+            ingress,
+        }
+    }
+
+    fn predict_per_node(
+        model: &AnalyticalModel,
+        design: &ClusterSpec,
+        strategy: JoinStrategy,
+        skew: Option<&JoinSkew>,
+    ) -> Result<QueryExecution, CoreError> {
+        let w = &model.workload;
         let nodes = design.nodes();
         let n = nodes.len();
         let share = 1.0 / n as f64;
@@ -334,7 +518,7 @@ impl AnalyticalModel {
                 None => MovementVolumes::local(build_qualifying),
             },
         };
-        let build_phase = self.phase(nodes, "build", &build_scanned, build);
+        let build_phase = phase(model, design, "build", &build_scanned, build);
 
         // ---- Probe phase: scan + filter LINEITEM, move it, probe.
         let probe_scanned = vec![w.probe_bytes * share; n];
@@ -352,7 +536,7 @@ impl AnalyticalModel {
                 MovementVolumes::local(probe_qualifying)
             }
         };
-        let probe_phase = self.phase(nodes, "probe", &probe_scanned, probe);
+        let probe_phase = phase(model, design, "probe", &probe_scanned, probe);
 
         Ok(QueryExecution {
             cluster_label: design.label(),
@@ -364,37 +548,35 @@ impl AnalyticalModel {
         })
     }
 
-    /// Price one phase with the runtime's own closing rule,
-    /// [`PhaseStats::close`]; the model's one difference is that no flow
-    /// simulation ran, so the transfer completes when the busiest port
-    /// drains its closed-form volume.
+    /// Price one phase with [`PhaseStats::close`], one volume range per
+    /// node.
     fn phase(
-        &self,
-        nodes: &[NodeSpec],
+        model: &AnalyticalModel,
+        design: &ClusterSpec,
         label: &str,
         scanned: &[Megabytes],
         movement: MovementVolumes,
     ) -> PhaseStats {
+        let volumes: Vec<_> = (0..design.len())
+            .map(|id| {
+                let volumes = NodeVolumes {
+                    scanned: scanned[id],
+                    computed: movement.computed[id],
+                    egress: movement.egress[id],
+                    ingress: movement.ingress[id],
+                };
+                (id..id + 1, volumes)
+            })
+            .collect();
         PhaseStats::close(
-            nodes,
+            design,
             label,
-            scanned,
-            &movement.computed,
-            movement.egress,
-            movement.ingress,
-            self.workload.concurrency as f64,
+            &volumes,
+            model.workload.concurrency as f64,
             None,
-            self.workload.in_memory,
+            model.workload.in_memory,
         )
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use eedc_pstore::stats::Bottleneck;
-    use eedc_simkit::catalog::{cluster_v_node, laptop_b};
-    use eedc_simkit::units::{Joules, Seconds};
 
     fn q3_model() -> AnalyticalModel {
         AnalyticalModel::section_5_4(JoinQuerySpec::q3_dual_shuffle()).unwrap()
@@ -649,5 +831,187 @@ mod tests {
         let t2 = p2.phase("probe").unwrap().network_time.value();
         assert!((t2 / t1 - 2.0).abs() < 1e-9);
         assert!(p2.response_time().value() > p1.response_time().value());
+    }
+
+    /// Every float of a prediction as its bit pattern, phase by phase in
+    /// field order — what "bit-identical" compares, so `-0.0 ≠ 0.0` and a
+    /// `NaN` compares by its bits.
+    fn float_bits(p: &QueryExecution) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for phase in &p.phases {
+            let scalars = [
+                phase.duration.value(),
+                phase.energy.value(),
+                phase.bytes_scanned.value(),
+                phase.bytes_over_network.value(),
+                phase.scan_time.value(),
+                phase.network_time.value(),
+                phase.compute_time.value(),
+            ];
+            bits.extend(
+                scalars
+                    .into_iter()
+                    .chain(phase.node_utilization.iter().copied())
+                    .chain(phase.node_energy.iter().map(|j| j.value()))
+                    .chain(phase.node_egress.iter().map(|v| v.value()))
+                    .chain(phase.node_ingress.iter().map(|v| v.value()))
+                    .chain(phase.node_network_time.iter().map(|t| t.value()))
+                    .map(f64::to_bits),
+            );
+        }
+        bits
+    }
+
+    /// The designs the model is held to the per-node oracle on: every window
+    /// of a few node lists — the `bB,wW` grid, interrupted runs (`B W B`),
+    /// neighbours that differ in memory only, specs with a `NaN` field —
+    /// and windows of a window.
+    fn oracle_designs() -> Vec<ClusterSpec> {
+        let (b, w) = (cluster_v_node(), laptop_b());
+        let edit = |node: &NodeSpec, change: fn(&mut NodeSpec)| {
+            let mut node = node.clone();
+            change(&mut node);
+            node
+        };
+        let b_small = edit(&b, |n| n.memory = n.memory * 0.25);
+        let w_large = edit(&w, |n| n.memory = n.memory * 4.0);
+        let b_nan = edit(&b, |n| n.memory = Megabytes(f64::NAN));
+        let w_nan = edit(&w, |n| n.cpu_bandwidth.0 = f64::NAN);
+        let lists = [
+            [vec![b.clone(); 6], vec![w.clone(); 6]].concat(),
+            vec![
+                b.clone(),
+                b.clone(),
+                w.clone(),
+                w.clone(),
+                b.clone(),
+                b.clone(),
+                w.clone(),
+            ],
+            vec![
+                w.clone(),
+                b.clone(),
+                w.clone(),
+                b.clone(),
+                b.clone(),
+                w.clone(),
+                w.clone(),
+                w.clone(),
+            ],
+            vec![
+                b.clone(),
+                b_small.clone(),
+                b.clone(),
+                b_small.clone(),
+                b_small,
+                w.clone(),
+                w_large,
+                w.clone(),
+            ],
+            vec![b.clone(), b_nan.clone(), b_nan, b.clone(), w_nan, w.clone()],
+        ];
+        let windows = |spec: &ClusterSpec| {
+            let n = spec.len();
+            (0..n)
+                .flat_map(|start| (start + 1..=n).map(move |end| start..end))
+                .map(|range| spec.sub_cluster(range).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let lists: Vec<_> = lists
+            .into_iter()
+            .map(|list| ClusterSpec::from_nodes(list).unwrap())
+            .collect();
+        let mut designs: Vec<_> = lists.iter().flat_map(windows).collect();
+        // Windows of the grid's 4B,4W window.
+        designs.extend(windows(&lists[0].sub_cluster(2..10).unwrap()));
+        designs.push(ClusterSpec::heterogeneous(b.clone(), 16, w.clone(), 16).unwrap());
+        designs.push(ClusterSpec::homogeneous(b, 24).unwrap());
+        designs.push(ClusterSpec::homogeneous(w, 24).unwrap());
+        designs
+    }
+
+    #[test]
+    fn predict_by_ranges_is_bit_identical_to_the_per_node_model() {
+        let designs = oracle_designs();
+        assert!(designs.len() >= 233, "{} designs", designs.len());
+        let mut models = Vec::new();
+        for (build, probe) in [(0.001, 0.5), (0.01, 0.05), (0.05, 0.05), (0.2, 1.0)] {
+            for concurrency in [1, 3] {
+                for in_memory in [true, false] {
+                    let workload = SweepJoin {
+                        in_memory,
+                        ..SweepJoin::section_5_4(JoinQuerySpec::new(build, probe))
+                    };
+                    models.push(
+                        AnalyticalModel::new(workload.with_concurrency(concurrency)).unwrap(),
+                    );
+                }
+            }
+        }
+        // A 200-key domain keeps the Zipf tables cheap in a debug build;
+        // every destination still gets a weight of its own.
+        let zipf = |theta| JoinSkew {
+            key_domain: 200,
+            ..JoinSkew::zipf(theta)
+        };
+        let skews = [None, Some(zipf(0.0)), Some(zipf(0.6)), Some(zipf(1.2))];
+        let strategies = [
+            JoinStrategy::DualShuffle,
+            JoinStrategy::Broadcast,
+            JoinStrategy::PrePartitioned,
+        ];
+        // Everything but the floats.
+        let shape = |p: &QueryExecution| {
+            let phases: Vec<_> = p
+                .phases
+                .iter()
+                .map(|ph| (ph.label.clone(), ph.bottleneck))
+                .collect();
+            (
+                p.cluster_label.clone(),
+                p.strategy,
+                p.mode,
+                p.concurrency,
+                p.output_rows,
+                phases,
+            )
+        };
+
+        let mut compared = 0;
+        for model in &models {
+            for skew in &skews {
+                for strategy in strategies {
+                    for design in &designs {
+                        let case = || format!("{design:?} / {strategy:?} / {skew:?} / {model:?}");
+                        let by_ranges = model.predict_skewed(design, strategy, skew.as_ref());
+                        let per_node = predict_per_node(model, design, strategy, skew.as_ref());
+                        match (by_ranges, per_node) {
+                            (Ok(by_ranges), Ok(per_node)) => {
+                                assert_eq!(
+                                    float_bits(&by_ranges),
+                                    float_bits(&per_node),
+                                    "{}",
+                                    case()
+                                );
+                                assert_eq!(shape(&by_ranges), shape(&per_node), "{}", case());
+                            }
+                            (Err(by_ranges), Err(per_node)) => {
+                                assert_eq!(
+                                    by_ranges.to_string(),
+                                    per_node.to_string(),
+                                    "{}",
+                                    case()
+                                );
+                            }
+                            (by_ranges, per_node) => {
+                                panic!("{}: {by_ranges:?} against {per_node:?}", case())
+                            }
+                        }
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(compared, 16 * 4 * 3 * designs.len());
     }
 }

@@ -33,7 +33,7 @@ use crate::op::exchange::{broadcast_exchange, shuffle_exchange};
 use crate::op::hashjoin::hash_join_with;
 use crate::op::kernel::{default_worker_threads, JoinKernelConfig};
 use crate::plan::{JoinQuerySpec, JoinSkew, JoinStrategy};
-use crate::stats::{ExecutionMode, PhaseStats, QueryExecution};
+use crate::stats::{ExecutionMode, NodeVolumes, PhaseStats, QueryExecution};
 use eedc_netsim::{Fabric, Flow, FlowSet, NodeId, TransferSimulator};
 use eedc_simkit::units::{Megabytes, Seconds};
 use eedc_simkit::{NodeClass, NodeSpec};
@@ -42,6 +42,7 @@ use eedc_tpch::gen::{
     custkey_cutoff_for_selectivity, date_cutoff_for_selectivity, LineitemGenerator, OrdersGenerator,
 };
 use eedc_tpch::ScaleFactor;
+use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -55,10 +56,20 @@ use std::sync::Arc;
 /// of the one `(max_b Beefy, max_w Wimpy)` cluster — cost one node list
 /// instead of one per design. Every spec, however it was built, owns a fabric
 /// validated for exactly its own nodes.
-#[derive(Debug, Clone)]
+///
+/// The node list is also recorded as its *runs*: maximal ranges of
+/// consecutive nodes whose [`NodeSpec`]s are equal under the full
+/// `PartialEq` — never class or name alone, so a spec with a `NaN` field
+/// never joins a run. They are found once, when the list is made, and every
+/// window shares them; [`runs`](Self::runs) clips them to the window. A
+/// Section 6 design, `b` copies of one spec then `w` of another, is at most
+/// two runs, and [`PhaseStats::close`] prices each run once.
+#[derive(Clone)]
 pub struct ClusterSpec {
     /// The shared node list; this spec is the nodes in `window`.
     shared: Arc<[NodeSpec]>,
+    /// Where each run of `shared` starts, ascending, from `0`.
+    starts: Arc<[usize]>,
     window: Range<usize>,
     fabric: Fabric,
 }
@@ -87,7 +98,10 @@ impl ClusterSpec {
     /// bandwidth that is not positive and finite is the fabric's error.
     pub fn from_nodes(nodes: Vec<NodeSpec>) -> Result<Self, PStoreError> {
         let window = 0..nodes.len();
-        Self::over(nodes.into(), window)
+        let starts = (0..nodes.len())
+            .filter(|&id| id == 0 || nodes[id] != nodes[id - 1])
+            .collect();
+        Self::over(nodes.into(), starts, window)
     }
 
     /// The cluster of this one's nodes `range` (ids relative to this spec, so
@@ -108,13 +122,18 @@ impl ClusterSpec {
         let offset = self.window.start;
         Self::over(
             Arc::clone(&self.shared),
+            Arc::clone(&self.starts),
             offset + range.start..offset + range.end,
         )
     }
 
     /// The one place a spec is made: the fabric is derived from, and checked
     /// against, the nodes in `window`.
-    fn over(shared: Arc<[NodeSpec]>, window: Range<usize>) -> Result<Self, PStoreError> {
+    fn over(
+        shared: Arc<[NodeSpec]>,
+        starts: Arc<[usize]>,
+        window: Range<usize>,
+    ) -> Result<Self, PStoreError> {
         let ports = shared[window.clone()]
             .iter()
             .map(|n| n.network_bandwidth)
@@ -122,6 +141,7 @@ impl ClusterSpec {
         let fabric = Fabric::from_ports(ports)?;
         Ok(Self {
             shared,
+            starts,
             window,
             fabric,
         })
@@ -140,6 +160,26 @@ impl ClusterSpec {
     /// The node specs, in cluster node order.
     pub fn nodes(&self) -> &[NodeSpec] {
         &self.shared[self.window.clone()]
+    }
+
+    /// The runs of identical nodes, in node order, as ranges of node ids
+    /// relative to this spec: they tile `0..len()`, and a run of the shared
+    /// list that the window cuts is clipped to it.
+    pub fn runs(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let Range { start, end } = self.window.clone();
+        // Every run start strictly inside the window, then the window's end.
+        let inside = self.starts.partition_point(|&s| s <= start);
+        let mut from = start;
+        self.starts[inside..]
+            .iter()
+            .copied()
+            .take_while(move |&s| s < end)
+            .chain([end])
+            .map(move |to| {
+                let run = from - start..to - start;
+                from = to;
+                run
+            })
     }
 
     /// The interconnect fabric.
@@ -183,6 +223,17 @@ impl ClusterSpec {
             }
         }
         format!("{beefy}B,{wimpy}W")
+    }
+}
+
+/// The window's nodes, runs and fabric — not the shared list it was cut from.
+impl fmt::Debug for ClusterSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ClusterSpec")
+            .field("nodes", &self.nodes())
+            .field("runs", &self.runs().collect::<Vec<_>>())
+            .field("fabric", &self.fabric)
+            .finish()
     }
 }
 
@@ -639,14 +690,22 @@ impl PStoreCluster {
                 .run(flows)?
                 .total_time
         };
-        let ids = 0..self.spec.len();
+        // Measured volumes differ from node to node: one range per node.
+        let volumes: Vec<_> = (0..self.spec.len())
+            .map(|id| {
+                let volumes = NodeVolumes {
+                    scanned: scanned[id],
+                    computed: computed[id],
+                    egress: flows.bytes_out_of(id),
+                    ingress: flows.bytes_into(id),
+                };
+                (id..id + 1, volumes)
+            })
+            .collect();
         Ok(PhaseStats::close(
-            self.spec.nodes(),
+            &self.spec,
             label,
-            scanned,
-            computed,
-            ids.clone().map(|id| flows.bytes_out_of(id)).collect(),
-            ids.map(|id| flows.bytes_into(id)).collect(),
+            &volumes,
             1.0,
             Some((network_time, flows.network_bytes())),
             self.options.in_memory,
@@ -875,6 +934,63 @@ mod tests {
         // A spec can cross threads: the shared list is an `Arc`.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ClusterSpec>();
+    }
+
+    #[test]
+    fn runs_are_the_maximal_ranges_of_equal_specs_clipped_to_the_window() {
+        let (b, w) = (cluster_v_node(), laptop_b());
+        // As `(start, end)` pairs.
+        let runs = |spec: &ClusterSpec| spec.runs().map(|r| (r.start, r.end)).collect::<Vec<_>>();
+        assert_eq!(
+            runs(&ClusterSpec::homogeneous(b.clone(), 5).unwrap()),
+            [(0, 5)]
+        );
+        let mixed = ClusterSpec::heterogeneous(b.clone(), 3, w.clone(), 4).unwrap();
+        assert_eq!(runs(&mixed), [(0, 3), (3, 7)]);
+        // No Beefy nodes: one run, not an empty one in front.
+        let wimpy = ClusterSpec::heterogeneous(b.clone(), 0, w.clone(), 2).unwrap();
+        assert_eq!(runs(&wimpy), [(0, 2)]);
+        let bwb = vec![b.clone(), w.clone(), b.clone()];
+        assert_eq!(
+            runs(&ClusterSpec::from_nodes(bwb).unwrap()),
+            [(0, 1), (1, 2), (2, 3)]
+        );
+
+        // Windows clip the shared runs and count from their own first node;
+        // a window of a window composes.
+        let window = mixed.sub_cluster(1..5).unwrap();
+        assert_eq!(runs(&window), [(0, 2), (2, 4)]);
+        assert_eq!(runs(&window.sub_cluster(2..4).unwrap()), [(0, 2)]);
+        assert_eq!(runs(&window.sub_cluster(1..3).unwrap()), [(0, 1), (1, 2)]);
+        assert_eq!(runs(&mixed.sub_cluster(6..7).unwrap()), [(0, 1)]);
+        assert_eq!(runs(&mixed.sub_cluster(0..3).unwrap()), [(0, 3)]);
+
+        // Equal by value is equal, however the specs were made.
+        let twice = ClusterSpec::from_nodes(vec![cluster_v_node(), cluster_v_node()]).unwrap();
+        assert_eq!(runs(&twice), [(0, 2)]);
+        let same = ClusterSpec::heterogeneous(b.clone(), 2, cluster_v_node(), 3).unwrap();
+        assert_eq!(runs(&same), [(0, 5)]);
+        // A NaN field never joins a run, not even with a copy of itself.
+        for edit in [
+            (|n: &mut NodeSpec| n.memory = Megabytes(f64::NAN)) as fn(&mut NodeSpec),
+            |n| n.cpu_bandwidth.0 = f64::NAN,
+        ] {
+            let mut nan = b.clone();
+            edit(&mut nan);
+            let spec = ClusterSpec::from_nodes(vec![nan.clone(), nan, b.clone()]).unwrap();
+            assert_eq!(runs(&spec), [(0, 1), (1, 2), (2, 3)]);
+        }
+    }
+
+    #[test]
+    fn debug_shows_the_window_not_the_shared_list() {
+        let full = ClusterSpec::heterogeneous(cluster_v_node(), 48, laptop_b(), 96).unwrap();
+        let one = format!("{:?}", full.sub_cluster(47..48).unwrap());
+        assert_eq!(one.matches("NodeSpec {").count(), 1, "{one}");
+        assert!(one.contains("runs: [0..1]"), "{one}");
+        let two = format!("{:?}", full.sub_cluster(47..49).unwrap());
+        assert_eq!(two.matches("NodeSpec {").count(), 2, "{two}");
+        assert!(two.contains("runs: [0..1, 1..2]"), "{two}");
     }
 
     #[test]

@@ -52,4 +52,4 @@ pub use error::PStoreError;
 pub use microbench::{single_node_hash_join, MicrobenchResult};
 pub use op::{default_worker_threads, JoinKernelConfig};
 pub use plan::{JoinQuerySpec, JoinSkew, JoinStrategy};
-pub use stats::{ExecutionMode, PhaseStats, QueryExecution};
+pub use stats::{ExecutionMode, NodeVolumes, PhaseStats, QueryExecution};

@@ -1,11 +1,12 @@
 //! Execution statistics: per-phase breakdowns and whole-query measurements,
 //! and [`PhaseStats::close`], the one rule that prices a phase.
 
+use crate::cluster::ClusterSpec;
 use crate::plan::JoinStrategy;
 use eedc_simkit::metrics::Measurement;
 use eedc_simkit::units::{Joules, Megabytes, MegabytesPerSec, Seconds, Watts};
-use eedc_simkit::NodeSpec;
 use std::fmt;
+use std::ops::Range;
 
 /// Whether every node executed the full operator tree or the Wimpy nodes were
 /// demoted to scan-and-filter producers (Section 5.2).
@@ -130,19 +131,32 @@ pub struct PhaseStats {
     pub node_network_time: Vec<Seconds>,
 }
 
+/// One node's per-query volumes in one phase, at nominal scale: what
+/// [`PhaseStats::close`] prices.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NodeVolumes {
+    /// Bytes scanned from the node's source fragment.
+    pub scanned: Megabytes,
+    /// Bytes pushed through the node's hash-table build/probe path.
+    pub computed: Megabytes,
+    /// Bytes sent through the node's egress port (local shares excluded).
+    pub egress: Megabytes,
+    /// Bytes received through the node's ingress port.
+    pub ingress: Megabytes,
+}
+
 impl PhaseStats {
     /// Close one execution phase — the single pricing rule shared by the
     /// P-store runtime and the Section 5.4 analytical model.
     ///
-    /// Node `i` scans `scanned[i]`, pushes `computed[i]` through its hash
-    /// build/probe path, sends `node_egress[i]` and receives
-    /// `node_ingress[i]`; every volume is per query and is multiplied by
-    /// `batch` (the runtime hands in batch-scaled volumes and passes `1.0`).
-    /// Scanning, transfer and compute are pipelined, so the phase lasts as
-    /// long as its slowest component (ties read network, then scan, then
-    /// compute), each node's utilization is `G + rate / C` at the rate it
-    /// sustained over that duration, and its energy is the regression power
-    /// at that utilization times the duration.
+    /// `volumes` gives every node of `design` its [`NodeVolumes`], as
+    /// ranges of node ids that share them; every volume is per query and is
+    /// multiplied by `batch` (the runtime hands in batch-scaled volumes and
+    /// passes `1.0`). Scanning, transfer and compute are pipelined, so the
+    /// phase lasts as long as its slowest component (ties read network, then
+    /// scan, then compute), each node's utilization is `G + rate / C` at the
+    /// rate it sustained over that duration, and its energy is the
+    /// regression power at that utilization times the duration.
     ///
     /// `fabric` is what a flow simulation observed — transfer completion
     /// time (congestion included) and bytes moved. `None` is the closed
@@ -153,81 +167,84 @@ impl PhaseStats {
     /// # Runs
     ///
     /// Every per-node term above is a function of the node's spec and its
-    /// four volumes (plus values shared by the whole phase). A node
-    /// *repeats* its predecessor when its [`NodeSpec`] is equal under the
-    /// full `PartialEq` — never class or name alone — and its `scanned` /
-    /// `computed` / egress / ingress are the same down to the bit; a *run*
-    /// is a node and the successors that repeat it. Each run is derived
-    /// once, at its first node, and its port time, utilization and joules
-    /// fill the run. The same inputs through the same arithmetic give the
-    /// same bits, folding an operand into a `max` a second time changes
-    /// nothing, and the energy sum still adds every node's joules one by
-    /// one in node order, so every field is bit-identical to deriving each
-    /// node on its own. The closed-form model, without key skew, hands in a
-    /// design's nodes in at most two runs; the runtime's measured volumes
-    /// differ from node to node, so there every run is one node long and
-    /// every node is derived.
+    /// volumes (plus values shared by the whole phase). Runs are stated, not
+    /// discovered: the spec states its runs of identical nodes
+    /// ([`ClusterSpec::runs`]) and the caller states its ranges of equal
+    /// volumes. Each piece of their intersection is derived once, and its
+    /// port time, utilization, joules and scaled port volumes fill the
+    /// piece. The same inputs through the same arithmetic give the same
+    /// bits, folding an operand into a `max` a second time changes nothing,
+    /// and the sent bytes, scanned bytes and energy are still added node by
+    /// node in node order, so every field is bit-identical to deriving each
+    /// node on its own. The closed-form model hands in a design's nodes in a
+    /// few ranges (one per destination under key skew); the runtime's
+    /// measured volumes differ from node to node, so it hands in one range
+    /// per node.
     ///
     /// # Panics
     ///
-    /// If a volume slice is shorter than `nodes` — a caller bug, not an
-    /// input condition: both callers size them from the same node list.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one flat argument list rather than a new public input type"
-    )]
+    /// If the ranges of `volumes` do not tile `0..design.len()` — in order,
+    /// each non-empty and starting where the previous one ends. That is a
+    /// caller bug, not an input condition: both callers build the ranges
+    /// from the same design.
     pub fn close(
-        nodes: &[NodeSpec],
+        design: &ClusterSpec,
         label: &str,
-        scanned: &[Megabytes],
-        computed: &[Megabytes],
-        mut node_egress: Vec<Megabytes>,
-        mut node_ingress: Vec<Megabytes>,
+        volumes: &[(Range<usize>, NodeVolumes)],
         batch: f64,
         fabric: Option<(Seconds, Megabytes)>,
         in_memory: bool,
     ) -> Self {
-        // Where each run starts, closed by `nodes.len()`.
-        let volumes: [&[Megabytes]; 4] = [scanned, computed, &node_egress, &node_ingress];
-        let repeats = |id: usize| {
-            nodes[id] == nodes[id - 1] && volumes.iter().all(|v| same_volume(v[id], v[id - 1]))
-        };
-        let mut runs: Vec<usize> = (0..nodes.len())
-            .filter(|&id| id == 0 || !repeats(id))
-            .collect();
-        runs.push(nodes.len());
+        let mut tiled = 0;
+        for (range, _) in volumes {
+            assert!(
+                range.start == tiled && range.end > tiled,
+                "volume range {range:?} does not continue the tiling at node {tiled}"
+            );
+            tiled = range.end;
+        }
+        assert_eq!(tiled, design.len(), "volume ranges do not cover the design");
+        let nodes = design.nodes();
 
         let mut scan_time = Seconds::zero();
         let mut compute_time = Seconds::zero();
         let mut busiest_port = Seconds::zero();
         let mut node_network_time = Vec::with_capacity(nodes.len());
-        for run in runs.windows(2) {
-            let (id, node) = (run[0], &nodes[run[0]]);
+        for (end, v) in pieces(design, volumes) {
+            let node = &nodes[node_network_time.len()];
             let scan_rate = if in_memory {
                 node.cpu_bandwidth
             } else {
                 node.disk_bandwidth.min(node.cpu_bandwidth)
             };
-            scan_time = scan_time.max(scanned[id] * batch / scan_rate);
-            compute_time = compute_time.max(computed[id] * batch / node.cpu_bandwidth);
-            let port = node_egress[id].max(node_ingress[id]);
+            scan_time = scan_time.max(v.scanned * batch / scan_rate);
+            compute_time = compute_time.max(v.computed * batch / node.cpu_bandwidth);
+            let port = v.egress.max(v.ingress);
             let port_time = port * batch / node.network_bandwidth;
-            node_network_time.resize(run[1], port_time);
+            node_network_time.resize(end, port_time);
             busiest_port = busiest_port.max(port_time);
         }
-        let (network_time, bytes_over_network) = fabric.unwrap_or_else(|| {
-            let sent: Megabytes = node_egress.iter().copied().sum();
-            (busiest_port, sent * batch)
-        });
+        // One addition per node, in node order: each sum rounds as a
+        // straight-line loop's does.
+        let per_node = |volume: fn(&NodeVolumes) -> Megabytes| {
+            volumes
+                .iter()
+                .flat_map(|(range, v)| range.clone().map(move |_| volume(v)))
+                .sum::<Megabytes>()
+        };
+        let (network_time, bytes_over_network) =
+            fabric.unwrap_or_else(|| (busiest_port, per_node(|v| v.egress) * batch));
 
         let duration = network_time.max(scan_time).max(compute_time);
 
         let mut energy = Joules::zero();
         let mut node_utilization = Vec::with_capacity(nodes.len());
         let mut node_energy = Vec::with_capacity(nodes.len());
-        for run in runs.windows(2) {
-            let (id, node) = (run[0], &nodes[run[0]]);
-            let processed = (scanned[id] + computed[id]) * batch;
+        let mut node_egress = Vec::with_capacity(nodes.len());
+        let mut node_ingress = Vec::with_capacity(nodes.len());
+        for (end, v) in pieces(design, volumes) {
+            let node = &nodes[node_energy.len()];
+            let processed = (v.scanned + v.computed) * batch;
             let rate = if duration.value() > f64::EPSILON {
                 processed / duration
             } else {
@@ -235,23 +252,20 @@ impl PhaseStats {
             };
             let utilization = node.utilization_at_rate(rate);
             let joules = node.power_at(utilization) * duration;
-            // One addition per node, in node order: the sum rounds as the
-            // straight-line loop's does.
-            for _ in run[0]..run[1] {
-                node_utilization.push(utilization);
-                node_energy.push(joules);
+            for _ in node_energy.len()..end {
                 energy += joules;
             }
-        }
-        for volume in node_egress.iter_mut().chain(&mut node_ingress) {
-            *volume = *volume * batch;
+            node_utilization.resize(end, utilization);
+            node_energy.resize(end, joules);
+            node_egress.resize(end, v.egress * batch);
+            node_ingress.resize(end, v.ingress * batch);
         }
 
         Self {
             label: label.into(),
             duration,
             energy,
-            bytes_scanned: scanned.iter().copied().sum::<Megabytes>() * batch,
+            bytes_scanned: per_node(|v| v.scanned) * batch,
             bytes_over_network,
             scan_time,
             network_time,
@@ -308,11 +322,27 @@ impl PhaseStats {
     }
 }
 
-/// Whether two per-node volumes are the same for [`PhaseStats::close`]'s run
-/// rule: equal as values, so a `NaN` never repeats, and as bit patterns, so
-/// `0.0` never stands in for `-0.0` (the two divide to different bits).
-fn same_volume(a: Megabytes, b: Megabytes) -> bool {
-    a == b && a.value().to_bits() == b.value().to_bits()
+/// The pieces of `design` on which both the node spec and the volumes are
+/// constant — the intersection of its runs with the ranges of `volumes`, both
+/// tiling `0..design.len()` — as each piece's end and volumes, in node order.
+fn pieces<'a>(
+    design: &'a ClusterSpec,
+    volumes: &'a [(Range<usize>, NodeVolumes)],
+) -> impl Iterator<Item = (usize, &'a NodeVolumes)> + 'a {
+    let mut runs = design.runs().peekable();
+    let mut volumes = volumes.iter().peekable();
+    std::iter::from_fn(move || {
+        let run_end = runs.peek()?.end;
+        let (range, v) = *volumes.peek()?;
+        let end = run_end.min(range.end);
+        if run_end == end {
+            runs.next();
+        }
+        if range.end == end {
+            volumes.next();
+        }
+        Some((end, v))
+    })
 }
 
 /// One query (or one batch of concurrent queries) on one cluster design,
@@ -365,6 +395,7 @@ impl QueryExecution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eedc_simkit::NodeSpec;
 
     fn phase(label: &str, duration: f64, energy: f64, bottleneck: Bottleneck) -> PhaseStats {
         PhaseStats {
@@ -416,6 +447,7 @@ mod tests {
         // cluster-v: C 5037, I 1200, L 100 MB/s; laptop-b: C 1129, I 270,
         // L 95 MB/s. Volumes are picked so the component times are exact.
         let nodes = [cluster_v_node(), laptop_b()];
+        let design = ClusterSpec::from_nodes(nodes.to_vec()).unwrap();
         let mb = |a: f64, b: f64| vec![Megabytes(a), Megabytes(b)];
         struct Case {
             name: &'static str,
@@ -508,13 +540,11 @@ mod tests {
         for case in table {
             let name = case.name;
             let [scanned, computed, egress, ingress] = case.volumes;
+            let volumes = per_node(&scanned, &computed, &egress, &ingress);
             let p = PhaseStats::close(
-                &nodes,
+                &design,
                 "probe",
-                &scanned,
-                &computed,
-                egress.clone(),
-                ingress.clone(),
+                &volumes,
                 case.batch,
                 case.fabric,
                 case.in_memory,
@@ -557,19 +587,48 @@ mod tests {
             }
         }
         // The same scans, memory-resident, run at the CPU pipeline rate.
-        let scanned = mb(1200.0, 540.0);
-        let p = PhaseStats::close(
-            &nodes,
-            "build",
-            &scanned,
-            &zero(),
-            zero(),
-            zero(),
-            1.0,
-            None,
-            true,
-        );
+        let volumes = per_node(&mb(1200.0, 540.0), &zero(), &zero(), &zero());
+        let p = PhaseStats::close(&design, "build", &volumes, 1.0, None, true);
         assert_eq!(p.scan_time, Seconds(540.0 / 1129.0));
+    }
+
+    /// Per-node volume columns as one single-node range per node — how the
+    /// runtime hands in its measured volumes.
+    fn per_node(
+        scanned: &[Megabytes],
+        computed: &[Megabytes],
+        egress: &[Megabytes],
+        ingress: &[Megabytes],
+    ) -> Vec<(Range<usize>, NodeVolumes)> {
+        (0..scanned.len())
+            .map(|id| {
+                let volumes = NodeVolumes {
+                    scanned: scanned[id],
+                    computed: computed[id],
+                    egress: egress[id],
+                    ingress: ingress[id],
+                };
+                (id..id + 1, volumes)
+            })
+            .collect()
+    }
+
+    /// The same volumes in maximal ranges: a node joins its predecessor's
+    /// range when all four of its volumes have the same bits.
+    fn maximal_ranges(
+        per_node: &[(Range<usize>, NodeVolumes)],
+    ) -> Vec<(Range<usize>, NodeVolumes)> {
+        let bits = |v: &NodeVolumes| {
+            [v.scanned, v.computed, v.egress, v.ingress].map(|m| m.value().to_bits())
+        };
+        let mut ranges: Vec<(Range<usize>, NodeVolumes)> = Vec::new();
+        for (range, volumes) in per_node {
+            match ranges.last_mut() {
+                Some((last, same)) if bits(same) == bits(volumes) => last.end = range.end,
+                _ => ranges.push((range.clone(), *volumes)),
+            }
+        }
+        ranges
     }
 
     /// `PhaseStats::close` as it was before it closed by runs: every node
@@ -687,7 +746,6 @@ mod tests {
             node
         };
         let node_lists: Vec<(&str, Vec<NodeSpec>)> = vec![
-            ("no nodes", Vec::new()),
             ("one node", vec![b.clone()]),
             ("homogeneous run", vec![b.clone(); 6]),
             (
@@ -754,19 +812,9 @@ mod tests {
             }),
         ];
 
-        type Close = fn(
-            &[NodeSpec],
-            &str,
-            &[Megabytes],
-            &[Megabytes],
-            Vec<Megabytes>,
-            Vec<Megabytes>,
-            f64,
-            Option<(Seconds, Megabytes)>,
-            bool,
-        ) -> PhaseStats;
         let mut compared = 0;
         for (list, nodes) in &node_lists {
+            let design = ClusterSpec::from_nodes(nodes.clone()).unwrap();
             for (pattern, volume) in &patterns {
                 let column = |k: usize| -> Vec<Megabytes> {
                     (0..nodes.len())
@@ -774,52 +822,74 @@ mod tests {
                         .collect()
                 };
                 let [scanned, computed, egress, ingress] = [0, 1, 2, 3].map(column);
+                let single = per_node(&scanned, &computed, &egress, &ingress);
+                let maximal = maximal_ranges(&single);
                 for batch in [1.0, 4.0] {
                     for in_memory in [true, false] {
                         for fabric in [None, Some((Seconds(3.5), Megabytes(1234.0)))] {
                             let case = format!(
                                 "{list} / {pattern} / batch {batch} / in_memory {in_memory} / fabric {fabric:?}"
                             );
-                            let [by_runs, straight] = [PhaseStats::close as Close, close_reference]
-                                .map(|close| {
-                                    close(
-                                        nodes,
-                                        "probe",
-                                        &scanned,
-                                        &computed,
-                                        egress.clone(),
-                                        ingress.clone(),
-                                        batch,
-                                        fabric,
-                                        in_memory,
-                                    )
-                                });
-                            // Every float, `energy` and `duration` among them.
-                            assert_eq!(float_bits(&by_runs), float_bits(&straight), "{case}");
-                            assert_eq!(by_runs.label, straight.label, "{case}");
-                            assert_eq!(by_runs.bottleneck, straight.bottleneck, "{case}");
-                            // `==` on the whole struct wherever it can hold
-                            // (a NaN is not equal to itself).
-                            if float_bits(&straight)
-                                .iter()
-                                .all(|&bits| !f64::from_bits(bits).is_nan())
-                            {
-                                assert_eq!(by_runs, straight, "{case}");
+                            let straight = close_reference(
+                                nodes,
+                                "probe",
+                                &scanned,
+                                &computed,
+                                egress.clone(),
+                                ingress.clone(),
+                                batch,
+                                fabric,
+                                in_memory,
+                            );
+                            for volumes in [&single, &maximal] {
+                                let by_runs = PhaseStats::close(
+                                    &design, "probe", volumes, batch, fabric, in_memory,
+                                );
+                                // Every float, `energy` and `duration` among
+                                // them.
+                                assert_eq!(float_bits(&by_runs), float_bits(&straight), "{case}");
+                                assert_eq!(by_runs.label, straight.label, "{case}");
+                                assert_eq!(by_runs.bottleneck, straight.bottleneck, "{case}");
+                                // `==` on the whole struct wherever it can
+                                // hold (a NaN is not equal to itself).
+                                if float_bits(&straight)
+                                    .iter()
+                                    .all(|&bits| !f64::from_bits(bits).is_nan())
+                                {
+                                    assert_eq!(by_runs, straight, "{case}");
+                                }
+                                compared += 1;
                             }
-                            compared += 1;
                         }
                     }
                 }
             }
         }
-        assert_eq!(compared, node_lists.len() * patterns.len() * 8);
+        assert_eq!(compared, node_lists.len() * patterns.len() * 16);
+    }
 
-        // The run rule itself: a NaN never repeats, and neither does a zero
-        // of the other sign.
-        assert!(same_volume(Megabytes(2.5), Megabytes(2.5)));
-        assert!(same_volume(Megabytes(-0.0), Megabytes(-0.0)));
-        assert!(!same_volume(Megabytes(0.0), Megabytes(-0.0)));
-        assert!(!same_volume(Megabytes(f64::NAN), Megabytes(f64::NAN)));
+    #[test]
+    #[should_panic(expected = "does not continue the tiling")]
+    fn volumes_that_do_not_tile_the_design_panic() {
+        use eedc_simkit::catalog::cluster_v_node;
+
+        let design = ClusterSpec::homogeneous(cluster_v_node(), 3).unwrap();
+        let zero = Megabytes::zero();
+        let volumes = NodeVolumes {
+            scanned: zero,
+            computed: zero,
+            egress: zero,
+            ingress: zero,
+        };
+        // Nodes 0..1, then 2..3: node 1 has no volumes.
+        PhaseStats::close(
+            &design,
+            "probe",
+            &[(0..1, volumes), (2..3, volumes)],
+            1.0,
+            None,
+            true,
+        );
     }
 
     #[test]

@@ -22,6 +22,11 @@
 # for neither) — and, under `gain`, whether the §8 rule for *claiming* that
 # metric holds: the change wins at least nine tenths of the pairs and the
 # medians differ by more than the distance between the base's quartiles.
+# Last, the `nm -S` size of the functions whose inlining has moved serving
+# numbers before with no source change (`Simulation::run`,
+# `ServingEngine::{on_event, admit, start}`, `simulate_serving`,
+# `PhaseStats::close`), from both binaries: read them before believing a
+# metric that moved while its sources did not.
 # Exits non-zero if any run reports `correct: false` or fails to run.
 #
 # It only *calls* the benchmark; nothing under benchmark/ is read for
@@ -154,6 +159,27 @@ for workload in $workloads; do
             hm / bm, wins, n, gain
         }' || status=1
   done <<<"$metrics"
+done
+
+# symbol_sizes <binary> <regex>: the size in bytes of every function whose
+# demangled name matches `regex` at its end, " / "-separated (a generic
+# function has one per instance), or "absent".
+symbol_sizes() {
+  local size sizes=()
+  for size in $(nm -S --demangle "$1" | awk -v re="$2\$" '
+    NF >= 4 { name = $4; for (i = 5; i <= NF; i++) name = name " " $i; if (name ~ re) print $2 }'); do
+    sizes+=("$((16#$size))")
+  done
+  if [ "${#sizes[@]}" -eq 0 ]; then echo absent; else (IFS=/; echo "${sizes[*]}" | sed 's|/| / |g'); fi
+}
+echo
+echo "symbol sizes in bytes (nm -S), base -> head: a metric that moves while its"
+echo "sources did not may be a function inlined into, or out of, its caller"
+for symbol in 'Simulation<E>::run' 'ServingEngine as .*>::on_event' 'ServingEngine::admit' \
+  'ServingEngine::start' 'serving::simulate_serving' 'PhaseStats::close'; do
+  printf '%-36s %s -> %s\n' "$symbol" \
+    "$(symbol_sizes "$work/base/benchmark/target/release/benchmark" "$symbol")" \
+    "$(symbol_sizes "$head_tree/benchmark/target/release/benchmark" "$symbol")"
 done
 echo "result files: target/bench-pair/<workload>/"
 exit "$status"
