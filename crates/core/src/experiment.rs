@@ -125,7 +125,7 @@ impl RunSeries {
         w.begin_object();
         w.key("estimator").string(&self.estimator);
         w.key("workload").string(&self.workload);
-        w.key("strategy").string(&self.strategy.to_string());
+        w.key("strategy").string(self.strategy.as_str());
         w.key("reference").string(&self.normalized.reference_label);
         w.key("records").begin_array();
         for record in &self.records {

@@ -11,15 +11,18 @@
 //! allocates nothing), string escapes and number text. The report structs
 //! ([`ExperimentReport`](crate::ExperimentReport) down to
 //! [`PhaseRecord`](crate::PhaseRecord)) stream their fields straight into it
-//! without building a [`JsonValue`] tree first, and
-//! [`JsonValue::to_json`] / [`JsonValue::to_json_pretty`] walk a tree into
-//! the same writer. Output is standard JSON (RFC 8259): escaped strings,
-//! `null` for non-finite numbers, deterministic key order (insertion order),
-//! integral numbers below 10^15 without a trailing `.0`, every other finite
-//! number in Rust's shortest round-trip `Display` form. The writer keeps a
-//! one-entry number memo: a number whose bits equal the previous number's
-//! re-pushes that number's text instead of formatting it again — per-node
-//! arrays of identical nodes repeat a value down the whole array.
+//! without building a [`JsonValue`] tree first — enum labels go in as
+//! `&'static str` — and [`JsonValue::to_json`] /
+//! [`JsonValue::to_json_pretty`] walk a tree into the same writer. Output is
+//! standard JSON (RFC 8259): escaped strings, `null` for non-finite numbers,
+//! deterministic key order (insertion order), integral numbers below 10^15
+//! without a trailing `.0`, every other finite number in Rust's shortest
+//! round-trip `Display` form. The writer does each piece of work once per
+//! document: it keeps a number memo for the whole document, keyed by
+//! `f64::to_bits`, so each distinct number is formatted once and every
+//! repeat re-pushes its text (a report holds ≈ 17 numbers per distinct bit
+//! pattern), and it writes each run of a string between bytes that need
+//! escaping in one piece.
 //!
 //! **The reader** ([`JsonValue::parse`]) accepts exactly RFC 8259 JSON and
 //! reconstructs the same [`JsonValue`] tree, so `parse(v.to_json()) == v`
@@ -29,9 +32,12 @@
 //! scanned, so `01`, `1.`, `-.5` and `1.e3` are errors, and raw control
 //! characters (U+0000–U+001F) inside strings are errors; every error names
 //! the byte offset where the document stopped being JSON. String content
-//! between escapes is sliced from the source in one piece, and a number
-//! spelled like the previous one reuses its value. Typed accessors ([`JsonValue::field`], [`JsonValue::as_f64`], …) then
-//! lift trees back into [`RunRecord`](crate::RunRecord) series — see
+//! between escapes is sliced from the source in one piece, a number spelled
+//! like the previous one reuses its value, and every array and object is
+//! allocated once, at its final size: elements wait on one stack shared by
+//! the document until their container closes. Typed accessors
+//! ([`JsonValue::field`], [`JsonValue::as_f64`], …) then lift trees back
+//! into [`RunRecord`](crate::RunRecord) series — see
 //! [`ExperimentReport::read_json`](crate::ExperimentReport::read_json).
 //!
 //! Panic policy: every *reader* path returns `Err` on malformed input —
@@ -155,10 +161,8 @@ pub(crate) struct JsonWriter {
     empty: bool,
     /// A key was just written; the next value completes its member.
     after_key: bool,
-    /// Bits of the last finite number written, and its text (empty until
-    /// the first number).
-    memo_bits: u64,
-    memo_text: String,
+    /// The text of every distinct finite number written so far.
+    numbers: NumberMemo,
 }
 
 impl JsonWriter {
@@ -170,8 +174,7 @@ impl JsonWriter {
             depth: 0,
             empty: true,
             after_key: false,
-            memo_bits: 0,
-            memo_text: String::new(),
+            numbers: NumberMemo::new(),
         }
     }
 
@@ -283,20 +286,11 @@ impl JsonWriter {
     /// this is purely cosmetic).
     pub(crate) fn number(&mut self, n: f64) {
         self.element();
-        if !n.is_finite() {
+        if n.is_finite() {
+            self.out.push_str(self.numbers.text(n));
+        } else {
             self.out.push_str("null");
-            return;
         }
-        if self.memo_text.is_empty() || n.to_bits() != self.memo_bits {
-            self.memo_text.clear();
-            if n.fract() == 0.0 && n.abs() < 1e15 {
-                let _ = write!(self.memo_text, "{}", n as i64);
-            } else {
-                let _ = write!(self.memo_text, "{n}");
-            }
-            self.memo_bits = n.to_bits();
-        }
-        self.out.push_str(&self.memo_text);
     }
 
     /// An array of numbers.
@@ -306,6 +300,102 @@ impl JsonWriter {
             self.number(n);
         }
         self.end_array();
+    }
+}
+
+/// One document's number texts, keyed by `f64::to_bits`: each distinct
+/// number is formatted once and its text re-pushed on every repeat (a
+/// report of 560 designs writes ≈ 155,000 numbers with ≈ 9,000 distinct
+/// bit patterns). Keying on bits keeps `0.0` and `-0.0` apart.
+///
+/// The texts sit back to back in one arena; an open-addressing table with
+/// linear probing maps bits to a text's range. The table only answers
+/// lookups — nothing iterates it — so output never depends on its layout.
+/// It starts at [`NumberMemo::FIRST_SLOTS`] slots and doubles when half
+/// full.
+struct NumberMemo {
+    /// Every distinct number's text, back to back.
+    texts: String,
+    /// A power-of-two number of slots.
+    slots: Vec<MemoSlot>,
+    /// Occupied slots.
+    len: usize,
+}
+
+/// A table slot: a number's bits and the range of its text in
+/// [`NumberMemo::texts`]. A number's text is never empty, so `end == 0`
+/// marks a free slot.
+#[derive(Clone, Copy, Default)]
+struct MemoSlot {
+    bits: u64,
+    start: usize,
+    end: usize,
+}
+
+impl NumberMemo {
+    const FIRST_SLOTS: usize = 64;
+
+    fn new() -> Self {
+        Self {
+            texts: String::new(),
+            slots: vec![MemoSlot::default(); Self::FIRST_SLOTS],
+            len: 0,
+        }
+    }
+
+    /// The home slot of `bits` in a table of `mask + 1` slots: the high
+    /// half folded onto the low (the bits that tell nearby numbers apart
+    /// sit low in the mantissa, their magnitude high in the exponent), then
+    /// a Fibonacci multiply whose upper half indexes the table.
+    fn home(bits: u64, mask: usize) -> usize {
+        let hash = (bits ^ (bits >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (hash >> 32) as usize & mask
+    }
+
+    /// The text of the finite number `n`: integral values below 10^15
+    /// without a trailing ".0", every other in Rust's shortest round-trip
+    /// `Display` form — formatted on its first occurrence only.
+    fn text(&mut self, n: f64) -> &str {
+        let bits = n.to_bits();
+        let mask = self.slots.len() - 1;
+        let mut at = Self::home(bits, mask);
+        loop {
+            let slot = self.slots[at];
+            if slot.end == 0 {
+                break;
+            }
+            if slot.bits == bits {
+                return &self.texts[slot.start..slot.end];
+            }
+            at = (at + 1) & mask;
+        }
+        let start = self.texts.len();
+        if n.fract() == 0.0 && n.abs() < 1e15 {
+            let _ = write!(self.texts, "{}", n as i64);
+        } else {
+            let _ = write!(self.texts, "{n}");
+        }
+        let end = self.texts.len();
+        self.slots[at] = MemoSlot { bits, start, end };
+        self.len += 1;
+        if 2 * self.len >= self.slots.len() {
+            self.grow();
+        }
+        &self.texts[start..end]
+    }
+
+    /// Double the table and re-place every occupied slot.
+    fn grow(&mut self) {
+        let doubled = vec![MemoSlot::default(); 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        let mask = self.slots.len() - 1;
+        for slot in old.into_iter().filter(|slot| slot.end != 0) {
+            let mut at = Self::home(slot.bits, mask);
+            while self.slots[at].end != 0 {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = slot;
+        }
     }
 }
 
@@ -319,6 +409,8 @@ impl JsonValue {
             pos: 0,
             depth: 0,
             last_number: ("", 0.0),
+            values: Vec::new(),
+            fields: Vec::new(),
         };
         parser.skip_whitespace();
         let value = parser.value()?;
@@ -430,12 +522,18 @@ impl JsonValue {
     }
 
     /// `self` as a non-negative integer; negative or fractional numbers are
-    /// errors, never truncated.
+    /// errors, never truncated, and so are numbers from `usize::MAX as f64`
+    /// (2^64 on 64-bit targets) up, which the cast would saturate.
     fn count(&self, key: &str) -> Result<usize, CoreError> {
         let n = self.number(key)?;
         if n < 0.0 || n.fract() != 0.0 {
             return Err(CoreError::invalid(format!(
                 "JSON field '{key}' holds {n}, not a non-negative integer"
+            )));
+        }
+        if n >= usize::MAX as f64 {
+            return Err(CoreError::invalid(format!(
+                "JSON field '{key}' holds {n}, too large for a count"
             )));
         }
         Ok(n as usize)
@@ -469,7 +567,10 @@ impl JsonValue {
 const MAX_NESTING: usize = 128;
 
 /// Recursive-descent JSON parser over a byte cursor; string content between
-/// escapes, and every number's text, is sliced from the source.
+/// escapes, and every number's text, is sliced from the source. Open arrays
+/// and objects push their elements onto two stacks shared by the whole
+/// document and take them off when they close, so each container is
+/// allocated once, at its final size.
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
@@ -478,6 +579,10 @@ struct Parser<'a> {
     /// The previous number's text and value: a number spelled the same
     /// reuses the value instead of converting the text again.
     last_number: (&'a str, f64),
+    /// Elements of the open arrays, innermost last.
+    values: Vec<JsonValue>,
+    /// Members of the open objects, innermost last.
+    fields: Vec<(String, JsonValue)>,
 }
 
 impl<'a> Parser<'a> {
@@ -688,21 +793,22 @@ impl<'a> Parser<'a> {
 
     fn array(&mut self) -> Result<JsonValue, CoreError> {
         self.expect_byte(b'[')?;
-        let mut items = Vec::new();
         self.skip_whitespace();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Array(items));
+            return Ok(JsonValue::Array(Vec::new()));
         }
+        let mark = self.values.len();
         loop {
             self.skip_whitespace();
-            items.push(self.value()?);
+            let value = self.value()?;
+            self.values.push(value);
             self.skip_whitespace();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Array(items));
+                    return Ok(JsonValue::Array(self.values.drain(mark..).collect()));
                 }
                 _ => return Err(self.error("expected ',' or ']' in array")),
             }
@@ -711,12 +817,12 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<JsonValue, CoreError> {
         self.expect_byte(b'{')?;
-        let mut fields = Vec::new();
         self.skip_whitespace();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Object(fields));
+            return Ok(JsonValue::Object(Vec::new()));
         }
+        let mark = self.fields.len();
         loop {
             self.skip_whitespace();
             let key = self.string()?;
@@ -724,13 +830,13 @@ impl<'a> Parser<'a> {
             self.expect_byte(b':')?;
             self.skip_whitespace();
             let value = self.value()?;
-            fields.push((key, value));
+            self.fields.push((key, value));
             self.skip_whitespace();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
+                    return Ok(JsonValue::Object(self.fields.drain(mark..).collect()));
                 }
                 _ => return Err(self.error("expected ',' or '}' in object")),
             }
@@ -738,21 +844,30 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// `s` as a quoted JSON string. Each run between bytes that need escaping
+/// is pushed in one piece; those bytes (quote, backslash, U+0000–U+001F)
+/// are all ASCII, so every run starts and ends on a char boundary.
 fn escape_into(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..at]);
+        run = at + 1;
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            control => {
+                let _ = write!(out, "\\u{control:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -830,7 +945,7 @@ mod tests {
                     out.push_str("null");
                 }
             }
-            JsonValue::String(s) => escape_into(out, s),
+            JsonValue::String(s) => escape_chars(out, s),
             JsonValue::Array(items) => {
                 render_sequence(out, indent, depth, '[', ']', items.len(), |out, i| {
                     render(&items[i], out, indent, depth + 1);
@@ -839,7 +954,7 @@ mod tests {
             JsonValue::Object(fields) => {
                 render_sequence(out, indent, depth, '{', '}', fields.len(), |out, i| {
                     let (key, value) = &fields[i];
-                    escape_into(out, key);
+                    escape_chars(out, key);
                     out.push(':');
                     if indent.is_some() {
                         out.push(' ');
@@ -848,6 +963,25 @@ mod tests {
                 });
             }
         }
+    }
+
+    /// The escape the writer replaced: one `char` at a time.
+    fn escape_chars(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
     }
 
     fn render_sequence(
@@ -1045,6 +1179,84 @@ mod tests {
         assert_eq!(runs.to_json(), "[1.5,null,1.5,null,1.5,0,0,2]");
     }
 
+    #[test]
+    fn writer_matches_the_oracle_under_memo_pressure() {
+        let mut rng = Rng::new(33);
+        // More than 10,000 distinct numbers, so the memo's table doubles
+        // from 64 slots to 32,768: integers, fractions, arbitrary bit
+        // patterns.
+        let mut distinct: Vec<f64> = (0..4_000).map(f64::from).collect();
+        distinct.extend((0..4_000).map(|i| f64::from(i) / 7.0));
+        distinct.extend((0..4_000).map(|_| f64::from_bits(rng.next())));
+        // Signed zeros side by side, the integer-rendering cutoff at 10^15
+        // from both sides, and non-finite values, which write `null` and
+        // are never memoized.
+        let edges = [
+            0.0,
+            -0.0,
+            1e15 - 1.0,
+            1e15 - 0.5,
+            1e15,
+            1e15 + 2.0,
+            -(1e15 - 1.0),
+            -1e15,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        // Numbers a few ulps apart that share one home slot in the first
+        // table, written first and then again: each lookup among them walks
+        // past the others' slots.
+        let crowd: Vec<f64> = (0..)
+            .map(|ulps| f64::from_bits(0.1f64.to_bits() + ulps))
+            .filter(|n| NumberMemo::home(n.to_bits(), NumberMemo::FIRST_SLOTS - 1) == 0)
+            .take(24)
+            .collect();
+        let mut tree = JsonValue::object();
+        tree.set("crowd", [&crowd[..], &crowd[..]].concat());
+        for (i, chunk) in distinct.chunks(97).enumerate() {
+            let mut items = Vec::new();
+            for (j, &n) in chunk.iter().enumerate() {
+                items.push(n);
+                match j % 4 {
+                    // A run of repeats.
+                    0 => items.extend([n; 3]),
+                    // Repeats interleaved with other numbers.
+                    1 => items.extend([chunk[0], n, chunk[0]]),
+                    2 => items.push(edges[(i + j) % edges.len()]),
+                    _ => {}
+                }
+            }
+            items.extend(edges);
+            // Keys and strings with and without bytes that need escaping.
+            let piece = STRING_PIECES[i % STRING_PIECES.len()];
+            let text = STRING_PIECES[(i * 7 + 3) % STRING_PIECES.len()];
+            tree.set(format!("series {i}{piece}"), items);
+            tree.set(
+                format!("{piece}label"),
+                format!("{text}node {i}{piece}{text}"),
+            );
+            tree.set("plain", format!("node_utilization_{i}"));
+        }
+        let finite: std::collections::BTreeSet<u64> = distinct
+            .iter()
+            .chain(&edges)
+            .chain(&crowd)
+            .filter(|n| n.is_finite())
+            .map(|n| n.to_bits())
+            .collect();
+        assert!(finite.len() > 10_000, "{}", finite.len());
+        for pretty in [false, true] {
+            let mut writer = JsonWriter::new(pretty);
+            tree.write(&mut writer);
+            // Each distinct number was formatted once, into its own slot.
+            assert_eq!(writer.numbers.len, finite.len());
+            assert!(writer.numbers.slots.len() >= 2 * finite.len());
+            let expected = oracle(&tree, pretty.then_some(2));
+            assert!(writer.finish() == expected, "pretty: {pretty}");
+        }
+    }
+
     /// The byte offset an error names (`JSON at byte N: …`).
     fn error_offset(err: &CoreError) -> usize {
         let text = err.to_string();
@@ -1054,9 +1266,9 @@ mod tests {
             .unwrap_or_else(|| panic!("no byte offset in '{text}'"))
     }
 
-    #[test]
-    fn parse_survives_hostile_mutations_of_a_real_report() {
-        let report = Experiment::new(&SweepJoin::section_5_4(JoinQuerySpec::q3_dual_shuffle()))
+    /// A real report: three designs under two lenses.
+    fn small_report() -> String {
+        Experiment::new(&SweepJoin::section_5_4(JoinQuerySpec::q3_dual_shuffle()))
             .designs([
                 ClusterSpec::homogeneous(cluster_v_node(), 4).unwrap(),
                 ClusterSpec::homogeneous(cluster_v_node(), 2).unwrap(),
@@ -1065,8 +1277,53 @@ mod tests {
             .estimator(Analytical)
             .estimator(Behavioural)
             .run()
-            .unwrap();
-        let text = report.to_json_string();
+            .unwrap()
+            .to_json_string()
+    }
+
+    #[test]
+    fn parsed_containers_are_allocated_at_their_final_size() {
+        fn walk(value: &JsonValue, containers: &mut usize) {
+            match value {
+                JsonValue::Array(items) => {
+                    assert_eq!(items.capacity(), items.len());
+                    *containers += 1;
+                    items.iter().for_each(|item| walk(item, containers));
+                }
+                JsonValue::Object(fields) => {
+                    assert_eq!(fields.capacity(), fields.len());
+                    *containers += 1;
+                    fields.iter().for_each(|(_, value)| walk(value, containers));
+                }
+                _ => {}
+            }
+        }
+        let mut containers = 0;
+        walk(&JsonValue::parse(&small_report()).unwrap(), &mut containers);
+        assert!(containers > 40, "{containers}");
+        // An error inside the innermost container MAX_NESTING deep, with an
+        // element already on the stack at every level, still names its byte.
+        for (doc, at, message) in [
+            (
+                "[0,".repeat(MAX_NESTING) + "1,}",
+                3 * MAX_NESTING + 2,
+                "unexpected '}'",
+            ),
+            (
+                "{\"a\":".repeat(MAX_NESTING - 1) + "{\"k\" 1}",
+                5 * MAX_NESTING,
+                "expected ':'",
+            ),
+        ] {
+            let err = JsonValue::parse(&doc).unwrap_err().to_string();
+            let expected = format!("JSON at byte {at}: {message}");
+            assert!(err.contains(&expected), "{err}");
+        }
+    }
+
+    #[test]
+    fn parse_survives_hostile_mutations_of_a_real_report() {
+        let text = small_report();
         // Never a panic; an error names a byte inside the input (or its
         // end); a document that parses re-renders to text that parses back
         // to the same tree.
@@ -1370,6 +1627,24 @@ mod tests {
         assert!(v.array_field("n").is_err());
         assert!(v.usize_field("n").is_err(), "1.5 is not an integer");
         assert!(v.usize_field("neg").is_err());
+        // A count the `as usize` cast would saturate is an error naming the
+        // field, not `usize::MAX`; the largest double below 2^64 still reads.
+        let big = JsonValue::parse(
+            r#"{"e300": 1e300, "two64": 18446744073709551616, "two53": 9007199254740992,
+            "below64": 18446744073709549568, "counts": [1, 1e300]}"#,
+        )
+        .unwrap();
+        for key in ["e300", "two64"] {
+            let err = big.usize_field(key).unwrap_err().to_string();
+            assert!(err.contains(&format!("'{key}'")), "{err}");
+        }
+        let err = big.usize_array_field("counts").unwrap_err().to_string();
+        assert!(err.contains("'counts'"), "{err}");
+        assert_eq!(big.usize_field("two53").unwrap(), 1 << 53);
+        assert_eq!(
+            big.usize_field("below64").unwrap(),
+            18_446_744_073_709_549_568
+        );
         // Non-objects have no fields.
         assert!(JsonValue::Null.get("k").is_none());
         assert!(JsonValue::Null.as_object().is_none());

@@ -312,7 +312,7 @@ impl PhaseRecord {
         w.key("scan_time_s").number(self.scan_time.value());
         w.key("network_time_s").number(self.network_time.value());
         w.key("compute_time_s").number(self.compute_time.value());
-        w.key("bottleneck").string(&self.bottleneck.to_string());
+        w.key("bottleneck").string(self.bottleneck.as_str());
         w.end_object();
     }
 
@@ -391,8 +391,8 @@ impl RunRecord {
         w.key("workload").string(&self.workload);
         w.key("estimator").string(&self.estimator);
         w.key("design").string(&self.design);
-        w.key("strategy").string(&self.strategy.to_string());
-        w.key("mode").string(&self.mode.to_string());
+        w.key("strategy").string(self.strategy.as_str());
+        w.key("mode").string(self.mode.as_str());
         w.key("concurrency").number(self.concurrency as f64);
         w.key("response_time_s").number(self.response_time.value());
         w.key("energy_j").number(self.energy.value());

@@ -19,11 +19,7 @@ pub enum JoinStrategy {
 
 impl fmt::Display for JoinStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JoinStrategy::DualShuffle => write!(f, "dual-shuffle"),
-            JoinStrategy::Broadcast => write!(f, "broadcast"),
-            JoinStrategy::PrePartitioned => write!(f, "prepartitioned"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
@@ -34,22 +30,29 @@ impl JoinStrategy {
         JoinStrategy::Broadcast,
         JoinStrategy::PrePartitioned,
     ];
+
+    /// The strategy's label: its `Display` text and its serialized form.
+    pub const fn as_str(self) -> &'static str {
+        match self {
+            JoinStrategy::DualShuffle => "dual-shuffle",
+            JoinStrategy::Broadcast => "broadcast",
+            JoinStrategy::PrePartitioned => "prepartitioned",
+        }
+    }
 }
 
-/// Inverse of the `Display` labels, so serialized run records (the
+/// Inverse of [`JoinStrategy::as_str`], so serialized run records (the
 /// `eedc_core::json` reader) round-trip.
 impl std::str::FromStr for JoinStrategy {
     type Err = crate::error::PStoreError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dual-shuffle" => Ok(JoinStrategy::DualShuffle),
-            "broadcast" => Ok(JoinStrategy::Broadcast),
-            "prepartitioned" => Ok(JoinStrategy::PrePartitioned),
-            other => Err(crate::error::PStoreError::planning(format!(
-                "unknown join strategy '{other}'"
-            ))),
-        }
+        Self::ALL
+            .into_iter()
+            .find(|strategy| strategy.as_str() == s)
+            .ok_or_else(|| {
+                crate::error::PStoreError::planning(format!("unknown join strategy '{s}'"))
+            })
     }
 }
 
@@ -193,12 +196,14 @@ mod tests {
         assert_eq!(JoinStrategy::Broadcast.to_string(), "broadcast");
         assert_eq!(JoinStrategy::PrePartitioned.to_string(), "prepartitioned");
         for strategy in JoinStrategy::ALL {
-            assert_eq!(
-                strategy.to_string().parse::<JoinStrategy>().unwrap(),
-                strategy
-            );
+            assert_eq!(strategy.to_string(), strategy.as_str());
+            assert_eq!(strategy.as_str().parse::<JoinStrategy>().unwrap(), strategy);
         }
-        assert!("shuffle".parse::<JoinStrategy>().is_err());
+        let err = "shuffle".parse::<JoinStrategy>().unwrap_err();
+        assert!(
+            err.to_string().contains("unknown join strategy 'shuffle'"),
+            "{err}"
+        );
         assert_eq!(JoinStrategy::ALL.len(), 3);
     }
 

@@ -18,27 +18,37 @@ pub enum ExecutionMode {
     Heterogeneous,
 }
 
-impl fmt::Display for ExecutionMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl ExecutionMode {
+    /// Both modes.
+    pub const ALL: [ExecutionMode; 2] = [ExecutionMode::Homogeneous, ExecutionMode::Heterogeneous];
+
+    /// The mode's label: its `Display` text and its serialized form.
+    pub const fn as_str(self) -> &'static str {
         match self {
-            ExecutionMode::Homogeneous => write!(f, "homogeneous"),
-            ExecutionMode::Heterogeneous => write!(f, "heterogeneous"),
+            ExecutionMode::Homogeneous => "homogeneous",
+            ExecutionMode::Heterogeneous => "heterogeneous",
         }
     }
 }
 
-/// Inverse of the `Display` labels, so serialized run records round-trip.
+impl fmt::Display for ExecutionMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// Inverse of [`ExecutionMode::as_str`], so serialized run records
+/// round-trip.
 impl std::str::FromStr for ExecutionMode {
     type Err = crate::error::PStoreError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "homogeneous" => Ok(ExecutionMode::Homogeneous),
-            "heterogeneous" => Ok(ExecutionMode::Heterogeneous),
-            other => Err(crate::error::PStoreError::planning(format!(
-                "unknown execution mode '{other}'"
-            ))),
-        }
+        Self::ALL
+            .into_iter()
+            .find(|mode| mode.as_str() == s)
+            .ok_or_else(|| {
+                crate::error::PStoreError::planning(format!("unknown execution mode '{s}'"))
+            })
     }
 }
 
@@ -54,6 +64,18 @@ pub enum Bottleneck {
 }
 
 impl Bottleneck {
+    /// Every bottleneck.
+    pub const ALL: [Bottleneck; 3] = [Bottleneck::Scan, Bottleneck::Network, Bottleneck::Compute];
+
+    /// The bottleneck's label: its `Display` text and its serialized form.
+    pub const fn as_str(self) -> &'static str {
+        match self {
+            Bottleneck::Scan => "scan",
+            Bottleneck::Network => "network",
+            Bottleneck::Compute => "compute",
+        }
+    }
+
     /// The component that bounds a phase whose three pipelined components
     /// take the given times. Ties read network, then scan, then compute.
     pub fn slowest(scan: Seconds, network: Seconds, compute: Seconds) -> Self {
@@ -69,27 +91,19 @@ impl Bottleneck {
 
 impl fmt::Display for Bottleneck {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Bottleneck::Scan => write!(f, "scan"),
-            Bottleneck::Network => write!(f, "network"),
-            Bottleneck::Compute => write!(f, "compute"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
-/// Inverse of the `Display` labels, so serialized run records round-trip.
+/// Inverse of [`Bottleneck::as_str`], so serialized run records round-trip.
 impl std::str::FromStr for Bottleneck {
     type Err = crate::error::PStoreError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scan" => Ok(Bottleneck::Scan),
-            "network" => Ok(Bottleneck::Network),
-            "compute" => Ok(Bottleneck::Compute),
-            other => Err(crate::error::PStoreError::planning(format!(
-                "unknown bottleneck '{other}'"
-            ))),
-        }
+        Self::ALL
+            .into_iter()
+            .find(|bottleneck| bottleneck.as_str() == s)
+            .ok_or_else(|| crate::error::PStoreError::planning(format!("unknown bottleneck '{s}'")))
     }
 }
 
@@ -954,16 +968,23 @@ mod tests {
 
     #[test]
     fn enum_labels_round_trip_through_from_str() {
-        for mode in [ExecutionMode::Homogeneous, ExecutionMode::Heterogeneous] {
-            assert_eq!(mode.to_string().parse::<ExecutionMode>().unwrap(), mode);
+        assert_eq!(ExecutionMode::ALL.len(), 2);
+        for mode in ExecutionMode::ALL {
+            assert_eq!(mode.to_string(), mode.as_str());
+            assert_eq!(mode.as_str().parse::<ExecutionMode>().unwrap(), mode);
         }
-        for bottleneck in [Bottleneck::Scan, Bottleneck::Network, Bottleneck::Compute] {
+        assert_eq!(Bottleneck::ALL.len(), 3);
+        for bottleneck in Bottleneck::ALL {
+            assert_eq!(bottleneck.to_string(), bottleneck.as_str());
             assert_eq!(
-                bottleneck.to_string().parse::<Bottleneck>().unwrap(),
+                bottleneck.as_str().parse::<Bottleneck>().unwrap(),
                 bottleneck
             );
         }
-        assert!("homo".parse::<ExecutionMode>().is_err());
-        assert!("disk".parse::<Bottleneck>().is_err());
+        // Unknown labels keep their error text.
+        let err = "homo".parse::<ExecutionMode>().unwrap_err().to_string();
+        assert!(err.contains("unknown execution mode 'homo'"), "{err}");
+        let err = "disk".parse::<Bottleneck>().unwrap_err().to_string();
+        assert!(err.contains("unknown bottleneck 'disk'"), "{err}");
     }
 }

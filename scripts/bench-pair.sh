@@ -22,12 +22,16 @@
 # for neither) — and, under `gain`, whether the §8 rule for *claiming* that
 # metric holds: the change wins at least nine tenths of the pairs and the
 # medians differ by more than the distance between the base's quartiles.
+# Then, per workload, `output digests identical: n/n`: the `digest` (the
+# workload's output digest) of every pair's kept base and head result files
+# compared — a speed-up must not change what the workload computes.
 # Last, the `nm -S` size of the functions whose inlining has moved serving
 # numbers before with no source change (`Simulation::run`,
 # `ServingEngine::{on_event, admit, start}`, `simulate_serving`,
 # `PhaseStats::close`), from both binaries: read them before believing a
 # metric that moved while its sources did not.
-# Exits non-zero if any run reports `correct: false` or fails to run.
+# Exits non-zero if any run reports `correct: false` or fails to run, or if
+# any pair's two output digests differ (each such pair is named).
 #
 # It only *calls* the benchmark; nothing under benchmark/ is read for
 # numbers other than what the command prints. One run is ≈ 16 s, so the
@@ -159,6 +163,28 @@ for workload in $workloads; do
             hm / bm, wins, n, gain
         }' || status=1
   done <<<"$metrics"
+done
+
+# digest <result file>: the workload's output digest, or nothing.
+digest() {
+  sed -n 's/.*"digest": *"\([^"]*\)".*/\1/p' "$1" | head -n 1
+}
+echo
+for workload in $workloads; do
+  same=0
+  for ((pair = 1; pair <= pairs; pair++)); do
+    seed=$((first_seed + pair - 1))
+    kept="$head_tree/target/bench-pair/$workload/pair$pair-seed$seed"
+    base_digest="$(digest "$kept-base.json")"
+    head_digest="$(digest "$kept-head.json")"
+    if [ -n "$base_digest" ] && [ "$base_digest" = "$head_digest" ]; then
+      same=$((same + 1))
+    else
+      echo "bench-pair: $workload: pair $pair (seed $seed) output digests differ: base ${base_digest:-none}, head ${head_digest:-none}" >&2
+      status=1
+    fi
+  done
+  printf '%-16s output digests identical: %d/%d\n' "$workload" "$same" "$pairs"
 done
 
 # symbol_sizes <binary> <regex>: the size in bytes of every function whose
