@@ -53,7 +53,7 @@
 
 use crate::faults::{FaultModel, PoolLifecycle, TransitionCost};
 use eedc_simkit::error::SimError;
-use eedc_simkit::sim::{EventHandler, Simulation};
+use eedc_simkit::sim::{from_order_key, order_key, EventHandler, Simulation};
 use eedc_simkit::units::{Joules, Seconds, Watts};
 use std::collections::VecDeque;
 
@@ -400,6 +400,8 @@ pub trait Scheduler {
     /// own queue otherwise. `draw` yields uniform `[0, 1)` variates from
     /// the run's seeded RNG — the only randomness a policy may use, so
     /// placements stay a deterministic function of `(seed, arguments)`.
+    /// A pool id out of range, or a pool that cannot serve `template`, ends
+    /// the run: [`simulate_serving`] returns an error naming both.
     fn place(
         &mut self,
         template: usize,
@@ -450,18 +452,20 @@ impl Scheduler for EnergyAwareScheduler {
         pools: &[PoolView],
         _draw: &mut dyn FnMut() -> f64,
     ) -> Option<usize> {
-        (0..servers.len())
-            .filter(|&s| {
-                pools[s].online && pools[s].free_slots > 0 && servers[s].can_serve(template)
-            })
-            .min_by(|&a, &b| {
-                let energy = |s: usize| {
-                    servers[s].profiles[template]
-                        .map(|p| p.energy.value())
-                        .unwrap_or(f64::INFINITY)
-                };
-                energy(a).total_cmp(&energy(b)).then(a.cmp(&b))
-            })
+        let mut best: Option<(usize, f64)> = None;
+        for (s, (server, pool)) in servers.iter().zip(pools).enumerate() {
+            let Some(Some(profile)) = server.profiles.get(template) else {
+                continue;
+            };
+            let energy = profile.energy.value();
+            if pool.online
+                && pool.free_slots > 0
+                && best.is_none_or(|(_, cheapest)| energy.total_cmp(&cheapest).is_lt())
+            {
+                best = Some((s, energy));
+            }
+        }
+        best.map(|(s, _)| s)
     }
 }
 
@@ -483,9 +487,16 @@ impl Scheduler for JoinShortestQueue {
         pools: &[PoolView],
         _draw: &mut dyn FnMut() -> f64,
     ) -> Option<usize> {
-        (0..servers.len())
-            .filter(|&s| pools[s].online && servers[s].can_serve(template))
-            .min_by_key(|&s| (pools[s].depth(), s))
+        let mut best: Option<(usize, usize)> = None;
+        for (s, (server, pool)) in servers.iter().zip(pools).enumerate() {
+            if pool.online
+                && server.can_serve(template)
+                && best.is_none_or(|(_, shortest)| pool.depth() < shortest)
+            {
+                best = Some((s, pool.depth()));
+            }
+        }
+        best.map(|(s, _)| s)
     }
 }
 
@@ -509,16 +520,14 @@ impl Scheduler for PowerOfTwoChoices {
         pools: &[PoolView],
         draw: &mut dyn FnMut() -> f64,
     ) -> Option<usize> {
-        let capable: Vec<usize> = (0..servers.len())
-            .filter(|&s| pools[s].online && servers[s].can_serve(template))
-            .collect();
-        match capable.len() {
+        let mut capable = capable(template, servers, pools);
+        match capable.clone().count() {
             0 => None,
-            1 => Some(capable[0]),
+            1 => capable.next(),
             n => {
                 let first = sample_below(draw(), n);
                 let second = (first + 1 + sample_below(draw(), n - 1)) % n;
-                let (a, b) = (capable[first], capable[second]);
+                let (a, b) = (capable.clone().nth(first)?, capable.nth(second)?);
                 Some(if (pools[a].depth(), a) <= (pools[b].depth(), b) {
                     a
                 } else {
@@ -546,14 +555,28 @@ impl Scheduler for RandomScheduler {
         pools: &[PoolView],
         draw: &mut dyn FnMut() -> f64,
     ) -> Option<usize> {
-        let capable: Vec<usize> = (0..servers.len())
-            .filter(|&s| pools[s].online && servers[s].can_serve(template))
-            .collect();
-        match capable.len() {
+        let mut capable = capable(template, servers, pools);
+        match capable.clone().count() {
             0 => None,
-            n => Some(capable[sample_below(draw(), n)]),
+            n => capable.nth(sample_below(draw(), n)),
         }
     }
+}
+
+/// The online pools able to serve `template`, in id order. The randomized
+/// policies walk it twice — once to count, once to reach the drawn pool —
+/// rather than collecting it on every placement.
+fn capable<'a>(
+    template: usize,
+    servers: &'a [ServingServer],
+    pools: &'a [PoolView],
+) -> impl Iterator<Item = usize> + Clone + 'a {
+    servers
+        .iter()
+        .zip(pools)
+        .enumerate()
+        .filter(move |(_, (server, pool))| pool.online && server.can_serve(template))
+        .map(|(s, _)| s)
 }
 
 /// Map a uniform `[0, 1)` variate onto `0..n` (clamped defensively so a
@@ -886,10 +909,15 @@ struct ServingEngine<'a> {
     readmitted: usize,
     scale_out_events: usize,
     scale_in_events: usize,
-    latencies: Vec<f64>,
+    /// Completed-query latencies as [`order_key`]s, so the closing sort is
+    /// an integer sort in place.
+    latencies: Vec<u64>,
     wait_sum: f64,
     wait_count: usize,
     template_completed: Vec<usize>,
+    /// The first placement the scheduler got wrong; once set, every
+    /// remaining event is ignored and the run reports this error.
+    rejected: Option<SimError>,
 }
 
 impl ServingEngine<'_> {
@@ -964,20 +992,16 @@ impl ServingEngine<'_> {
         }
     }
 
-    /// Start service for `query` on `server` at time `now`.
+    /// Start service for `query` on `server` at time `now`, priced by
+    /// `server`'s `profile` for the query's template.
     fn start(
         &mut self,
         sim: &mut Simulation<ServingEvent>,
         server: usize,
+        profile: ServiceProfile,
         query: Queued,
         now: f64,
     ) {
-        #[expect(
-            clippy::expect_used,
-            reason = "scheduler contract — place() must return a capable pool; the shipped policies are property-tested for it"
-        )]
-        let profile = self.servers[server].profiles[query.template]
-            .expect("scheduler placed an unservable template");
         let mut service = match self.config.service {
             ServiceDistribution::Deterministic => profile.time.value(),
             #[expect(
@@ -1067,7 +1091,7 @@ impl ServingEngine<'_> {
 
     /// Record a finished query popped out of `server`'s in-flight set.
     fn complete(&mut self, done: InFlight, server: usize, now: f64) {
-        self.latencies.push(now - done.arrival);
+        self.latencies.push(order_key(now - done.arrival));
         self.template_completed[done.template] += 1;
         self.pools[server].completed += 1;
     }
@@ -1118,9 +1142,21 @@ impl ServingEngine<'_> {
             let mut draw = || sim.sample_unit();
             scheduler.place(query.template, self.servers, &views, &mut draw)
         };
+        // The scheduler is caller-supplied: a pool that does not exist or
+        // cannot serve the template ends the run with an error.
+        let placed = placed.map(|server| {
+            let profile = self
+                .servers
+                .get(server)
+                .and_then(|s| s.profiles[query.template]);
+            (server, profile)
+        });
         match placed {
-            Some(server) if views[server].free_slots > 0 => self.start(sim, server, query, now),
-            Some(server)
+            Some((server, None)) => self.reject(server, query.template),
+            Some((server, Some(profile))) if views[server].free_slots > 0 => {
+                self.start(sim, server, profile, query, now)
+            }
+            Some((server, _))
                 if views[server].online && self.total_waiting() < self.config.queue_capacity =>
             {
                 let pool = &mut self.pools[server];
@@ -1138,24 +1174,46 @@ impl ServingEngine<'_> {
         }
     }
 
+    /// Record the first invalid placement as the run's error.
+    fn reject(&mut self, server: usize, template: usize) {
+        if self.rejected.is_some() {
+            return;
+        }
+        let pool = match self.servers.get(server) {
+            Some(s) => format!("pool {server} ('{}'), which cannot serve it", s.label),
+            None => format!("pool {server} of a {}-pool cluster", self.servers.len()),
+        };
+        self.rejected = Some(SimError::invalid(format!(
+            "scheduler '{}' placed template {template} on {pool}",
+            self.scheduler.name()
+        )));
+    }
+
     /// Fill every free slot of `server` from its own queue first, then from
     /// the oldest capable entry of the central queue.
     fn refill(&mut self, sim: &mut Simulation<ServingEvent>, server: usize, now: f64) {
         if !self.life[server].online() {
             return;
         }
+        let profiles = &self.servers[server].profiles;
         while self.pools[server].in_flight.len() < self.servers[server].concurrency_limit {
             let pool = &mut self.pools[server];
-            if let Some(query) = pool.queue.front().copied() {
+            // Admission checked every own-queue entry against this pool.
+            if let Some((query, profile)) = pool
+                .queue
+                .front()
+                .and_then(|q| Some((*q, profiles[q.template]?)))
+            {
                 pool.note_depth(now);
                 pool.queue.pop_front();
-                self.start(sim, server, query, now);
+                self.start(sim, server, profile, query, now);
                 continue;
             }
-            let Some(pos) = self
+            let Some((pos, profile)) = self
                 .central
                 .iter()
-                .position(|q| self.servers[server].can_serve(q.template))
+                .enumerate()
+                .find_map(|(pos, q)| Some((pos, profiles[q.template]?)))
             else {
                 break;
             };
@@ -1165,7 +1223,7 @@ impl ServingEngine<'_> {
                 reason = "the position came from the same queue one line above"
             )]
             let query = self.central.remove(pos).expect("position is in bounds");
-            self.start(sim, server, query, now);
+            self.start(sim, server, profile, query, now);
         }
     }
 
@@ -1351,6 +1409,9 @@ impl ServingEngine<'_> {
 
 impl EventHandler<ServingEvent> for ServingEngine<'_> {
     fn on_event(&mut self, sim: &mut Simulation<ServingEvent>, event: ServingEvent) {
+        if self.rejected.is_some() {
+            return;
+        }
         let now = sim.time();
         match event {
             ServingEvent::Arrival => {
@@ -1451,7 +1512,9 @@ impl EventHandler<ServingEvent> for ServingEngine<'_> {
 ///
 /// Validates the inputs, schedules the first arrival, and drives the event
 /// loop until the arrival window has passed and every admitted query has
-/// completed (or timed out).
+/// completed (or timed out). An invalid input, or a `scheduler` placing a
+/// query on a pool that does not exist or cannot serve its template, is an
+/// error.
 pub fn simulate_serving(
     servers: &[ServingServer],
     config: &ServingConfig,
@@ -1554,6 +1617,7 @@ pub fn simulate_serving(
         wait_sum: 0.0,
         wait_count: 0,
         template_completed: vec![0; templates],
+        rejected: None,
     };
 
     let mut sim: Simulation<ServingEvent> = Simulation::new(config.seed);
@@ -1578,6 +1642,9 @@ pub fn simulate_serving(
         }
     }
     sim.run(&mut engine);
+    if let Some(error) = engine.rejected {
+        return Err(error);
+    }
 
     // Under fault churn a run can end with stranded waiters (every capable
     // pool parked, or a post-window outage); they count as dropped. A
@@ -1604,8 +1671,12 @@ pub fn simulate_serving(
     for life in &mut engine.life {
         life.finalize(makespan);
     }
+    // Keys sort like the latencies under `total_cmp`, and equal keys are
+    // equal bits, so this is the stable float sort; the collect reuses the
+    // allocation.
     let mut latencies = engine.latencies;
-    latencies.sort_by(f64::total_cmp);
+    latencies.sort_unstable();
+    let latencies: Vec<f64> = latencies.into_iter().map(from_order_key).collect();
 
     let server_energy: Vec<Joules> = engine
         .pools

@@ -235,3 +235,52 @@ fn same_seed_reproduces_bit_identically_for_every_combination() {
         );
     });
 }
+
+/// A foreign policy that always commits to one fixed pool, whatever it is.
+struct Rogue(usize);
+
+impl Scheduler for Rogue {
+    fn name(&self) -> String {
+        "rogue".into()
+    }
+
+    fn place(
+        &mut self,
+        _template: usize,
+        _servers: &[ServingServer],
+        _pools: &[PoolView],
+        _draw: &mut dyn FnMut() -> f64,
+    ) -> Option<usize> {
+        Some(self.0)
+    }
+}
+
+fn rogue_error(pool: usize) -> String {
+    let config = config_with(ArrivalProcess::Poisson { qps: 2.5 });
+    match simulate_serving(&heterogeneous_cluster(), &config, &mut Rogue(pool)) {
+        Ok(result) => panic!("a rogue placement on pool {pool} ran to completion: {result:?}"),
+        Err(error) => error.to_string(),
+    }
+}
+
+/// A scheduler naming a pool the cluster does not have is an error naming
+/// the scheduler, the pool and the template — not an index panic.
+#[test]
+fn an_out_of_range_placement_is_an_error() {
+    let error = rogue_error(7);
+    assert!(
+        error.contains("'rogue'") && error.contains("pool 7") && error.contains("template 0"),
+        "{error}"
+    );
+}
+
+/// A scheduler committing a template to a pool that cannot serve it is an
+/// error naming all three — not a panic when service starts.
+#[test]
+fn an_incapable_placement_is_an_error() {
+    let error = rogue_error(1);
+    assert!(
+        error.contains("'rogue'") && error.contains("pool 1") && error.contains("template 1"),
+        "{error}"
+    );
+}

@@ -15,9 +15,9 @@
 //!   performance (1 / response time), energy, the Energy-Delay-Product (EDP) and
 //!   normalized energy-vs-performance points relative to a reference
 //!   configuration,
-//! * a discrete-event [`sim`] kernel (queryable clock, binary-heap event queue
-//!   with stable FIFO tie-breaking, deterministic seeded RNG) that the serving
-//!   simulator in `eedc-dbmsim` builds on.
+//! * a discrete-event [`sim`] kernel (queryable clock, integer-keyed
+//!   binary-heap event queue with stable FIFO tie-breaking, deterministic
+//!   seeded RNG) that the serving simulator in `eedc-dbmsim` builds on.
 //!
 //! The substrate is deliberately free of any database logic; the storage engine,
 //! the P-store execution kernel, the behavioural DBMS simulators and the

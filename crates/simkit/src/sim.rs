@@ -10,9 +10,17 @@
 //! The kernel is deliberately tiny:
 //!
 //! * a queryable `f64` clock ([`Simulation::time`]),
-//! * a binary-heap event queue ordered by `(time, seq)` — the monotonically
-//!   increasing sequence number gives **stable FIFO tie-breaking** for events
-//!   scheduled at the same timestamp, which is what makes runs reproducible,
+//! * an event queue ordered by `(time, seq)` — the monotonically increasing
+//!   sequence number gives **stable FIFO tie-breaking** for events scheduled
+//!   at the same timestamp, which is what makes runs reproducible. The queue
+//!   is the kernel's own binary min-heap over one `u128` key per event,
+//!   `(order_key(time) << 64) | seq`: one unsigned comparison is exactly the
+//!   `f64::total_cmp`-then-`seq` order (so the pop order is the one a
+//!   `(time, seq)` comparator gives, `-0.0` before `+0.0` included), and
+//!   its push and pop are inlined into [`Simulation::run`]'s instance
+//!   rather than left to how the caller's build happens to inline a
+//!   library heap. [`order_key`] / [`from_order_key`] are public for any
+//!   other `f64` that wants sorting as an integer,
 //! * an [`EventHandler`] trait the owning component implements, driven by
 //!   [`Simulation::run`] until the queue is empty,
 //! * a deterministic seeded RNG ([`Simulation::sample_unit`],
@@ -45,45 +53,132 @@
 use crate::error::SimError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::ptr;
 
-/// Heap entry. `BinaryHeap` is a max-heap, so `Ord` is inverted to pop the
-/// *earliest* `(time, seq)` first.
+/// Map an `f64` onto a `u64` whose unsigned order is exactly
+/// [`f64::total_cmp`] order: `-0.0` sorts before `+0.0`, and NaNs sit
+/// outside the infinities by sign. [`from_order_key`] inverts it bit for
+/// bit, so a sort of keys is a sort of the values.
+#[inline]
+pub fn order_key(value: f64) -> u64 {
+    let bits = value.to_bits();
+    // Negative values flip every bit (larger magnitude sorts lower);
+    // non-negative values only set the sign bit (lifting them above).
+    bits ^ (((bits as i64 >> 63) as u64) | (1 << 63))
+}
+
+/// The inverse of [`order_key`]: `from_order_key(order_key(x))` has the
+/// bits of `x`, NaN payloads and the sign of zero included.
+#[inline]
+pub fn from_order_key(key: u64) -> f64 {
+    // A clear top bit marks a key that came from a negative value.
+    f64::from_bits(key ^ (((!key as i64 >> 63) as u64) | (1 << 63)))
+}
+
+/// Queue entry: `(order_key(time) << 64) | seq` in one integer, so one
+/// unsigned comparison is the `(time, seq)` order and `seq` (unique)
+/// breaks exact ties FIFO.
 #[derive(Debug)]
 struct Scheduled<E> {
-    time: f64,
-    seq: u64,
+    key: u128,
     payload: E,
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
+impl<E> Scheduled<E> {
+    fn time(&self) -> f64 {
+        from_order_key((self.key >> 64) as u64)
     }
 }
 
-impl<E> Eq for Scheduled<E> {}
+/// Binary min-heap over [`Scheduled`] keys with hole-based sifts: the
+/// entry being placed is held aside, each entry on its path moves once into
+/// the vacant slot (the hole), and the held entry is written once at the
+/// end — the `std` `BinaryHeap` technique, owned here so that `push` and
+/// `pop` are `#[inline]` into the kernel rather than left to the caller's
+/// codegen.
+#[derive(Debug)]
+struct EventQueue<E> {
+    heap: Vec<Scheduled<E>>,
+}
 
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl<E> EventQueue<E> {
+    /// Insert an entry whose key is unique.
+    #[inline]
+    fn push(&mut self, entry: Scheduled<E>) {
+        let hole = self.heap.len();
+        self.heap.push(entry);
+        let heap = self.heap.as_mut_ptr();
+        // SAFETY: `hole` is the last index of the live vector. Reading the
+        // entry out of it vacates that slot and `settle` fills it or
+        // another vacated slot exactly once, as its contract requires.
+        unsafe {
+            let entry = ptr::read(heap.add(hole));
+            settle(heap, hole, entry);
+        }
+    }
+
+    /// Remove the entry with the smallest key.
+    #[inline]
+    fn pop(&mut self) -> Option<Scheduled<E>> {
+        let mut top = self.heap.pop()?;
+        let len = self.heap.len();
+        if len == 0 {
+            return Some(top);
+        }
+        // The former last entry takes the root's slot and sinks back.
+        std::mem::swap(&mut top, &mut self.heap[0]);
+        let heap = self.heap.as_mut_ptr();
+        // SAFETY: every index dereferenced is below `len`: a child is used
+        // only after checking it against `len`, and `settle` only climbs.
+        // Reading the root out vacates slot 0; each copy moves a live entry
+        // into the hole and leaves its source as the new hole, so the other
+        // entries stay present exactly once, and `settle` fills the last
+        // hole. Nothing between the read and the final write can panic.
+        unsafe {
+            let entry = ptr::read(heap);
+            // Floyd's variant: sink the hole to a leaf along the smaller
+            // children, then let `settle` climb back to where `entry`
+            // belongs — in an event queue the former last entry is usually
+            // late, so the climb is short. Which child is smaller is a coin
+            // flip, so it is chosen without a branch.
+            let mut hole = 0;
+            let mut child = 1;
+            while child + 1 < len {
+                child += usize::from((*heap.add(child + 1)).key < (*heap.add(child)).key);
+                ptr::copy_nonoverlapping(heap.add(child), heap.add(hole), 1);
+                hole = child;
+                child = 2 * hole + 1;
+            }
+            if child + 1 == len {
+                ptr::copy_nonoverlapping(heap.add(child), heap.add(hole), 1);
+                hole = child;
+            }
+            settle(heap, hole, entry);
+        }
+        Some(top)
     }
 }
 
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // `total_cmp` keeps the order total even if a NaN ever slipped past
-        // entry validation (a NaN-poisoned heap silently corrupts pop order
-        // under `partial_cmp` + fallback); seq is unique, making the order
-        // deterministic. Times are finite, so -0.0/+0.0 is the only pair
-        // total_cmp splits that `==` does not — both sort before every
-        // positive time, and seq still breaks exact ties FIFO.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+/// Move `entry` up from the vacant slot `hole` past every ancestor with a
+/// larger key — each such ancestor moves down into the hole — and write it
+/// into the slot where the climb stops.
+///
+/// # Safety
+///
+/// `hole` indexes the live heap behind `heap`, that slot is vacant (its
+/// entry was moved out), and every other slot from the root to `hole`
+/// holds a live entry.
+#[inline]
+unsafe fn settle<E>(heap: *mut Scheduled<E>, mut hole: usize, entry: Scheduled<E>) {
+    while hole > 0 {
+        let parent = (hole - 1) / 2;
+        if (*heap.add(parent)).key < entry.key {
+            break;
+        }
+        ptr::copy_nonoverlapping(heap.add(parent), heap.add(hole), 1);
+        hole = parent;
     }
+    ptr::write(heap.add(hole), entry);
 }
 
 /// A component that reacts to events popped by [`Simulation::run`].
@@ -100,7 +195,7 @@ pub trait EventHandler<E> {
 #[derive(Debug)]
 pub struct Simulation<E> {
     clock: f64,
-    queue: BinaryHeap<Scheduled<E>>,
+    queue: EventQueue<E>,
     next_seq: u64,
     processed: u64,
     seed: u64,
@@ -113,7 +208,7 @@ impl<E> Simulation<E> {
     pub fn new(seed: u64) -> Self {
         Simulation {
             clock: 0.0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue { heap: Vec::new() },
             next_seq: 0,
             processed: 0,
             seed,
@@ -159,19 +254,25 @@ impl<E> Simulation<E> {
         self.push(time, payload)
     }
 
+    #[inline]
     fn push(&mut self, time: f64, payload: E) -> Result<u64, SimError> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(Scheduled { time, seq, payload });
+        self.queue.push(Scheduled {
+            key: (u128::from(order_key(time)) << 64) | u128::from(seq),
+            payload,
+        });
         Ok(seq)
     }
 
     /// Pop the earliest event's payload, advancing the clock to its
     /// timestamp. Events at equal times pop in scheduling (FIFO) order.
+    #[inline]
     fn step(&mut self) -> Option<E> {
         let next = self.queue.pop()?;
-        debug_assert!(next.time >= self.clock, "event queue went backwards");
-        self.clock = next.time;
+        let time = next.time();
+        debug_assert!(time >= self.clock, "event queue went backwards");
+        self.clock = time;
         self.processed += 1;
         Some(next.payload)
     }
@@ -290,10 +391,8 @@ mod tests {
 
     #[test]
     fn total_cmp_heap_pops_in_stable_time_seq_order() {
-        // The event-queue comparator moved from a `partial_cmp` +
-        // `unwrap_or(Equal)` chain to `f64::total_cmp`; for finite inputs
-        // the pop order must be unchanged — nondecreasing time, FIFO seq at
-        // equal times — i.e. exactly the stable sort of the schedule.
+        // The pop order is nondecreasing time, FIFO seq at equal times —
+        // i.e. exactly the stable sort of the schedule.
         let mut sim: Simulation<usize> = Simulation::new(99);
         let mut times = Vec::new();
         for i in 0..512 {
@@ -310,6 +409,167 @@ mod tests {
             popped.push((sim.time(), payload));
         }
         assert_eq!(popped, expected);
+    }
+
+    /// Schedules from inside `on_event`, so pushes interleave with pops:
+    /// each event schedules two more at quantized delays (zero included, so
+    /// exact duplicates of the clock are common) until 4,000 exist.
+    struct Spawner {
+        scheduled: Vec<(f64, u64)>,
+        popped: Vec<(u64, u64)>,
+        max_queued: usize,
+    }
+
+    impl Spawner {
+        fn schedule(&mut self, sim: &mut Simulation<u64>, delay: f64) {
+            let seq = self.scheduled.len() as u64;
+            assert_eq!(sim.schedule_in(delay, seq).unwrap(), seq);
+            self.scheduled.push((sim.time() + delay, seq));
+        }
+    }
+
+    impl EventHandler<u64> for Spawner {
+        fn on_event(&mut self, sim: &mut Simulation<u64>, payload: u64) {
+            self.popped.push((sim.time().to_bits(), payload));
+            self.max_queued = self.max_queued.max(sim.queue.heap.len() + 1);
+            if self.scheduled.len() < 4_000 {
+                for _ in 0..2 {
+                    let delay = (sim.sample_unit() * 8.0).floor() / 4.0;
+                    self.schedule(sim, delay);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interleaved_pushes_and_pops_follow_the_stable_time_seq_order() {
+        let mut sim: Simulation<u64> = Simulation::new(5);
+        let mut spawner = Spawner {
+            scheduled: Vec::new(),
+            popped: Vec::new(),
+            max_queued: 0,
+        };
+        // Both zeros at clock 0, in both scheduling orders: -0.0 pops
+        // first whatever its seq, +0.0 entries FIFO among themselves.
+        for time in [0.0, -0.0, 0.0, -0.0] {
+            let seq = spawner.scheduled.len() as u64;
+            sim.schedule_at(time, seq).unwrap();
+            spawner.scheduled.push((time, seq));
+        }
+        assert_eq!(sim.run(&mut spawner), 4_000);
+        assert!(spawner.max_queued > 300, "{}", spawner.max_queued);
+        let mut expected = spawner.scheduled;
+        expected.sort_by(|a, b| a.0.total_cmp(&b.0)); // sort_by is stable
+        let expected: Vec<(u64, u64)> = expected.iter().map(|&(t, s)| (t.to_bits(), s)).collect();
+        assert_eq!(
+            &spawner.popped[..4],
+            &[
+                ((-0.0f64).to_bits(), 1),
+                ((-0.0f64).to_bits(), 3),
+                (0, 0),
+                (0, 2)
+            ]
+        );
+        assert_eq!(spawner.popped, expected);
+    }
+
+    thread_local! {
+        static DROPPED: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    /// A payload that logs its id when dropped.
+    struct Tracked(u64);
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            DROPPED.with(|d| d.borrow_mut().push(self.0));
+        }
+    }
+
+    #[test]
+    fn queue_drops_every_owned_payload_exactly_once() {
+        // The hole-based sifts move entries bitwise; a slot filled twice or
+        // never would drop an id twice or not at all.
+        let mut queue = EventQueue { heap: Vec::new() };
+        let mut sim: Simulation<u8> = Simulation::new(3);
+        let mut popped = Vec::new();
+        for seq in 0..600_u64 {
+            let time = order_key((sim.sample_unit() * 64.0).floor());
+            queue.push(Scheduled {
+                key: (u128::from(time) << 64) | u128::from(seq),
+                payload: Tracked(seq),
+            });
+            if seq % 3 == 0 {
+                popped.extend(queue.pop());
+            }
+        }
+        while queue.heap.len() > 100 {
+            popped.extend(queue.pop());
+        }
+        assert!(DROPPED.with(|d| d.borrow().is_empty()));
+        drop(popped);
+        drop(queue);
+        let mut dropped = DROPPED.with(|d| d.take());
+        dropped.sort_unstable();
+        assert_eq!(dropped, (0..600).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn order_key_round_trips_every_bit_pattern_class() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::from_bits(1), // smallest subnormal
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0, // a larger subnormal
+            -f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN payload
+            f64::from_bits(0xfff8_0000_dead_beef), // negative NaN payload
+            f64::from_bits(u64::MAX),
+        ];
+        for x in specials {
+            assert_eq!(from_order_key(order_key(x)).to_bits(), x.to_bits(), "{x:?}");
+        }
+        for (a, b) in specials.iter().zip(specials.iter().skip(1)) {
+            assert_eq!(
+                order_key(*a).cmp(&order_key(*b)),
+                a.total_cmp(b),
+                "{a:?} vs {b:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn order_key_order_is_total_cmp_order() {
+        let mut sim: Simulation<u8> = Simulation::new(23);
+        // Raw bit patterns cover NaNs and subnormals; scaled draws give
+        // near neighbours and exact duplicates.
+        let values: Vec<f64> = (0..512)
+            .map(|i| {
+                let bits = rand::RngCore::next_u64(sim.rng());
+                if i % 2 == 0 {
+                    f64::from_bits(bits)
+                } else {
+                    ((sim.sample_unit() - 0.5) * 16.0).round() / 4.0
+                }
+            })
+            .collect();
+        for a in &values {
+            assert_eq!(from_order_key(order_key(*a)).to_bits(), a.to_bits());
+            for b in &values {
+                assert_eq!(
+                    order_key(*a).cmp(&order_key(*b)),
+                    a.total_cmp(b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,8 +26,10 @@
 # workload's output digest) of every pair's kept base and head result files
 # compared — a speed-up must not change what the workload computes.
 # Last, the `nm -S` size of the functions whose inlining has moved serving
-# numbers before with no source change (`Simulation::run`,
-# `ServingEngine::{on_event, admit, start}`, `simulate_serving`,
+# numbers before with no source change (`Simulation::run`, the kernel's
+# `EventQueue::{push, pop}` — `absent` when inlined into `run` and the
+# `schedule_*` calls, as intended — `ServingEngine::{on_event, admit,
+# start}`, `JoinShortestQueue::place`, `simulate_serving`,
 # `PhaseStats::close`), from both binaries: read them before believing a
 # metric that moved while its sources did not.
 # Exits non-zero if any run reports `correct: false` or fails to run, or if
@@ -201,8 +203,9 @@ symbol_sizes() {
 echo
 echo "symbol sizes in bytes (nm -S), base -> head: a metric that moves while its"
 echo "sources did not may be a function inlined into, or out of, its caller"
-for symbol in 'Simulation<E>::run' 'ServingEngine as .*>::on_event' 'ServingEngine::admit' \
-  'ServingEngine::start' 'serving::simulate_serving' 'PhaseStats::close'; do
+for symbol in 'Simulation<E>::run' 'EventQueue<E>::push' 'EventQueue<E>::pop' \
+  'ServingEngine as .*>::on_event' 'ServingEngine::admit' 'ServingEngine::start' \
+  'JoinShortestQueue as .*>::place' 'serving::simulate_serving' 'PhaseStats::close'; do
   printf '%-36s %s -> %s\n' "$symbol" \
     "$(symbol_sizes "$work/base/benchmark/target/release/benchmark" "$symbol")" \
     "$(symbol_sizes "$head_tree/benchmark/target/release/benchmark" "$symbol")"
