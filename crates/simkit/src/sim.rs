@@ -13,14 +13,12 @@
 //! * an event queue ordered by `(time, seq)` — the monotonically increasing
 //!   sequence number gives **stable FIFO tie-breaking** for events scheduled
 //!   at the same timestamp, which is what makes runs reproducible. The queue
-//!   is the kernel's own binary min-heap over one `u128` key per event,
+//!   is `std`'s [`BinaryHeap`] over one `u128` key per event,
 //!   `(order_key(time) << 64) | seq`: one unsigned comparison is exactly the
 //!   `f64::total_cmp`-then-`seq` order (so the pop order is the one a
-//!   `(time, seq)` comparator gives, `-0.0` before `+0.0` included), and
-//!   its push and pop are inlined into [`Simulation::run`]'s instance
-//!   rather than left to how the caller's build happens to inline a
-//!   library heap. [`order_key`] / [`from_order_key`] are public for any
-//!   other `f64` that wants sorting as an integer,
+//!   `(time, seq)` comparator gives, `-0.0` before `+0.0` included).
+//!   [`order_key`] / [`from_order_key`] are public for any other `f64` that
+//!   wants sorting as an integer,
 //! * an [`EventHandler`] trait the owning component implements, driven by
 //!   [`Simulation::run`] until the queue is empty,
 //! * a deterministic seeded RNG ([`Simulation::sample_unit`],
@@ -53,7 +51,8 @@
 use crate::error::SimError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::ptr;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Map an `f64` onto a `u64` whose unsigned order is exactly
 /// [`f64::total_cmp`] order: `-0.0` sorts before `+0.0`, and NaNs sit
@@ -90,95 +89,26 @@ impl<E> Scheduled<E> {
     }
 }
 
-/// Binary min-heap over [`Scheduled`] keys with hole-based sifts: the
-/// entry being placed is held aside, each entry on its path moves once into
-/// the vacant slot (the hole), and the held entry is written once at the
-/// end — the `std` `BinaryHeap` technique, owned here so that `push` and
-/// `pop` are `#[inline]` into the kernel rather than left to the caller's
-/// codegen.
-#[derive(Debug)]
-struct EventQueue<E> {
-    heap: Vec<Scheduled<E>>,
-}
-
-impl<E> EventQueue<E> {
-    /// Insert an entry whose key is unique.
-    #[inline]
-    fn push(&mut self, entry: Scheduled<E>) {
-        let hole = self.heap.len();
-        self.heap.push(entry);
-        let heap = self.heap.as_mut_ptr();
-        // SAFETY: `hole` is the last index of the live vector. Reading the
-        // entry out of it vacates that slot and `settle` fills it or
-        // another vacated slot exactly once, as its contract requires.
-        unsafe {
-            let entry = ptr::read(heap.add(hole));
-            settle(heap, hole, entry);
-        }
-    }
-
-    /// Remove the entry with the smallest key.
-    #[inline]
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        let mut top = self.heap.pop()?;
-        let len = self.heap.len();
-        if len == 0 {
-            return Some(top);
-        }
-        // The former last entry takes the root's slot and sinks back.
-        std::mem::swap(&mut top, &mut self.heap[0]);
-        let heap = self.heap.as_mut_ptr();
-        // SAFETY: every index dereferenced is below `len`: a child is used
-        // only after checking it against `len`, and `settle` only climbs.
-        // Reading the root out vacates slot 0; each copy moves a live entry
-        // into the hole and leaves its source as the new hole, so the other
-        // entries stay present exactly once, and `settle` fills the last
-        // hole. Nothing between the read and the final write can panic.
-        unsafe {
-            let entry = ptr::read(heap);
-            // Floyd's variant: sink the hole to a leaf along the smaller
-            // children, then let `settle` climb back to where `entry`
-            // belongs — in an event queue the former last entry is usually
-            // late, so the climb is short. Which child is smaller is a coin
-            // flip, so it is chosen without a branch.
-            let mut hole = 0;
-            let mut child = 1;
-            while child + 1 < len {
-                child += usize::from((*heap.add(child + 1)).key < (*heap.add(child)).key);
-                ptr::copy_nonoverlapping(heap.add(child), heap.add(hole), 1);
-                hole = child;
-                child = 2 * hole + 1;
-            }
-            if child + 1 == len {
-                ptr::copy_nonoverlapping(heap.add(child), heap.add(hole), 1);
-                hole = child;
-            }
-            settle(heap, hole, entry);
-        }
-        Some(top)
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
     }
 }
 
-/// Move `entry` up from the vacant slot `hole` past every ancestor with a
-/// larger key — each such ancestor moves down into the hole — and write it
-/// into the slot where the climb stops.
-///
-/// # Safety
-///
-/// `hole` indexes the live heap behind `heap`, that slot is vacant (its
-/// entry was moved out), and every other slot from the root to `hole`
-/// holds a live entry.
-#[inline]
-unsafe fn settle<E>(heap: *mut Scheduled<E>, mut hole: usize, entry: Scheduled<E>) {
-    while hole > 0 {
-        let parent = (hole - 1) / 2;
-        if (*heap.add(parent)).key < entry.key {
-            break;
-        }
-        ptr::copy_nonoverlapping(heap.add(parent), heap.add(hole), 1);
-        hole = parent;
+impl<E> Eq for Scheduled<E> {}
+
+impl<E> PartialOrd for Scheduled<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
-    ptr::write(heap.add(hole), entry);
+}
+
+impl<E> Ord for Scheduled<E> {
+    /// By key alone, reversed: `BinaryHeap` is a max-heap, so the smallest
+    /// key — the earliest `(time, seq)` — pops first.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
+    }
 }
 
 /// A component that reacts to events popped by [`Simulation::run`].
@@ -195,7 +125,7 @@ pub trait EventHandler<E> {
 #[derive(Debug)]
 pub struct Simulation<E> {
     clock: f64,
-    queue: EventQueue<E>,
+    queue: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
     processed: u64,
     seed: u64,
@@ -208,7 +138,7 @@ impl<E> Simulation<E> {
     pub fn new(seed: u64) -> Self {
         Simulation {
             clock: 0.0,
-            queue: EventQueue { heap: Vec::new() },
+            queue: BinaryHeap::new(),
             next_seq: 0,
             processed: 0,
             seed,
@@ -231,15 +161,17 @@ impl<E> Simulation<E> {
         self.processed
     }
 
-    /// Schedule `payload` to fire `delay` simulated seconds from now.
-    /// Returns the event's sequence number.
+    /// Schedule `payload` to fire `delay` simulated seconds from now (the
+    /// sum must stay finite). Returns the event's sequence number.
     pub fn schedule_in(&mut self, delay: f64, payload: E) -> Result<u64, SimError> {
-        if !delay.is_finite() || delay < 0.0 {
+        let time = self.clock + delay;
+        if !delay.is_finite() || delay < 0.0 || !time.is_finite() {
             return Err(SimError::invalid(format!(
-                "event delay must be finite and non-negative, got {delay}"
+                "event delay {delay} must be finite, non-negative and keep the clock ({}) finite",
+                self.clock
             )));
         }
-        self.push(self.clock + delay, payload)
+        self.push(time, payload)
     }
 
     /// Schedule `payload` at absolute time `time` (which must not lie in the
@@ -369,6 +301,16 @@ mod tests {
         sim.step();
         assert!(sim.schedule_at(4.0, 0).is_err(), "past is rejected");
         assert!(sim.schedule_at(5.0, 0).is_ok(), "present is allowed");
+        // A finite delay whose sum with the clock overflows to +inf.
+        let mut sim: Simulation<u8> = Simulation::new(1);
+        sim.schedule_at(1e308, 0).unwrap();
+        sim.step();
+        assert!(
+            sim.schedule_in(1e308, 0).is_err(),
+            "clock + delay overflows"
+        );
+        assert_eq!(sim.time(), 1e308);
+        assert!(sim.schedule_at(1e308, 0).is_ok());
     }
 
     #[test]
@@ -431,7 +373,7 @@ mod tests {
     impl EventHandler<u64> for Spawner {
         fn on_event(&mut self, sim: &mut Simulation<u64>, payload: u64) {
             self.popped.push((sim.time().to_bits(), payload));
-            self.max_queued = self.max_queued.max(sim.queue.heap.len() + 1);
+            self.max_queued = self.max_queued.max(sim.queue.len() + 1);
             if self.scheduled.len() < 4_000 {
                 for _ in 0..2 {
                     let delay = (sim.sample_unit() * 8.0).floor() / 4.0;
@@ -488,27 +430,23 @@ mod tests {
 
     #[test]
     fn queue_drops_every_owned_payload_exactly_once() {
-        // The hole-based sifts move entries bitwise; a slot filled twice or
-        // never would drop an id twice or not at all.
-        let mut queue = EventQueue { heap: Vec::new() };
-        let mut sim: Simulation<u8> = Simulation::new(3);
+        // Every payload leaves the kernel once: popped by `step` (and
+        // dropped by its owner) or dropped with the `Simulation`.
+        let mut sim: Simulation<Tracked> = Simulation::new(3);
         let mut popped = Vec::new();
         for seq in 0..600_u64 {
-            let time = order_key((sim.sample_unit() * 64.0).floor());
-            queue.push(Scheduled {
-                key: (u128::from(time) << 64) | u128::from(seq),
-                payload: Tracked(seq),
-            });
+            let time = sim.time() + (sim.sample_unit() * 64.0).floor();
+            assert_eq!(sim.schedule_at(time, Tracked(seq)).unwrap(), seq);
             if seq % 3 == 0 {
-                popped.extend(queue.pop());
+                popped.extend(sim.step());
             }
         }
-        while queue.heap.len() > 100 {
-            popped.extend(queue.pop());
+        while sim.queue.len() > 100 {
+            popped.extend(sim.step());
         }
         assert!(DROPPED.with(|d| d.borrow().is_empty()));
         drop(popped);
-        drop(queue);
+        drop(sim);
         let mut dropped = DROPPED.with(|d| d.take());
         dropped.sort_unstable();
         assert_eq!(dropped, (0..600).collect::<Vec<u64>>());

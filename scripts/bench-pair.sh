@@ -26,12 +26,12 @@
 # workload's output digest) of every pair's kept base and head result files
 # compared — a speed-up must not change what the workload computes.
 # Last, the `nm -S` size of the functions whose inlining has moved serving
-# numbers before with no source change (`Simulation::run`, the kernel's
-# `EventQueue::{push, pop}` — `absent` when inlined into `run` and the
-# `schedule_*` calls, as intended — `ServingEngine::{on_event, admit,
-# start}`, `JoinShortestQueue::place`, `simulate_serving`,
-# `PhaseStats::close`), from both binaries: read them before believing a
-# metric that moved while its sources did not.
+# numbers before with no source change (`Simulation::run`, `std`'s
+# `BinaryHeap::{push, pop}` — the kernel's queue, whose `pop` an edit in
+# another crate has outlined before; every instance in the binary is listed —
+# `ServingEngine::{on_event, admit, start}`, `JoinShortestQueue::place`,
+# `simulate_serving`, `PhaseStats::close`), from both binaries: read them
+# before believing a metric that moved while its sources did not.
 # Exits non-zero if any run reports `correct: false` or fails to run, or if
 # any pair's two output digests differ (each such pair is named).
 #
@@ -203,7 +203,7 @@ symbol_sizes() {
 echo
 echo "symbol sizes in bytes (nm -S), base -> head: a metric that moves while its"
 echo "sources did not may be a function inlined into, or out of, its caller"
-for symbol in 'Simulation<E>::run' 'EventQueue<E>::push' 'EventQueue<E>::pop' \
+for symbol in 'Simulation<E>::run' 'BinaryHeap<T,A>::push' 'BinaryHeap<T,A>::pop' \
   'ServingEngine as .*>::on_event' 'ServingEngine::admit' 'ServingEngine::start' \
   'JoinShortestQueue as .*>::place' 'serving::simulate_serving' 'PhaseStats::close'; do
   printf '%-36s %s -> %s\n' "$symbol" \

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # The workspace's static policy, proved against seeded violations. The policy
-# is stock clippy configuration: the root `clippy.toml`, the root manifest's
-# `[workspace.lints.clippy]`, and one `#![warn(...)]` in each library
-# `lib.rs`. This script shows that it still catches what it promises to catch
-# and still exempts what it promises to exempt.
+# is stock rustc and clippy configuration: the root `clippy.toml`, the root
+# manifest's `[workspace.lints.rust]` and `[workspace.lints.clippy]`, and one
+# `#![warn(...)]` in each library `lib.rs`. This script shows that it still
+# catches what it promises to catch and still exempts what it promises to
+# exempt.
 #
 # It exports `rev` (default HEAD) with `git archive` into a temporary
 # directory, seeds violations of every rule into `eedc-dbmsim` — the serving
@@ -13,14 +14,16 @@
 #   determinism     HashMap, Instant::now        clippy::disallowed_types / _methods
 #   float-ordering  partial_cmp                  clippy::disallowed_methods
 #   panic-policy    unwrap                       clippy::unwrap_used
-#   unsafe-audit    unsafe without SAFETY        clippy::undocumented_unsafe_blocks
+#   unsafe-audit    any unsafe, SAFETY or not    unsafe_code (forbid)
 #   waiver-hygiene  stale / reason-less expect,  unfulfilled_lint_expectations,
 #                   any allow                    clippy::allow_attributes(_without_reason)
 #
-# A reasoned `#[expect]` that suppresses something and an `unsafe` under a
-# `// SAFETY:` comment pass. Scope: panic-policy is exempt inside
+# A reasoned `#[expect]` that suppresses something passes; an `unsafe` under
+# a `// SAFETY:` comment does not. Scope: panic-policy is exempt inside
 # `#[cfg(test)]` and in integration tests; the other four rules apply to
-# test code too.
+# test code too. `forbid` makes an `unsafe` a compile error, so the library
+# `unsafe` seeds sit in the seeded `#[cfg(test)]` module: the library target
+# itself still compiles, and the integration test that links it is checked.
 #
 # Needs `jq`. Nightly CI runs it beside the soak; it is not part of
 # `check.sh` (it builds a second tree).
@@ -53,20 +56,20 @@ seed "$lib" '^#\[cfg\(test\)\]$' \
   '#[cfg(test)]' \
   'mod seeded_tests {' \
   '    fn seeded_test_helper() -> u8 { let _ = std::time::Instant::now(); "1".parse::<u8>().unwrap() }' \
+  '    fn seeded_sneak(p: *const u8) -> u8 { unsafe { *p } }' \
+  '    fn seeded_safe(p: &u8) -> u8 {' \
+  '        // SAFETY: a reference is valid for reads.' \
+  '        unsafe { *(p as *const u8) }' \
+  '    }' \
   '}'
 seed "$lib" '^use ' \
   'use std::collections::HashMap;' \
   'fn seeded_clock() -> std::time::Instant { std::time::Instant::now() }' \
   'fn seeded_worst(a: f64, b: f64) -> std::cmp::Ordering { a.partial_cmp(&b).unwrap() }' \
-  'fn seeded_sneak(p: *const u8) -> u8 { unsafe { *p } }' \
   '#[expect(clippy::unwrap_used, reason = "seeded")] fn seeded_stale() {}' \
   '#[expect(clippy::unwrap_used)] fn seeded_bare() -> u8 { "1".parse::<u8>().unwrap() }' \
   '#[allow(dead_code, reason = "seeded")] fn seeded_allow() {}' \
-  '#[expect(clippy::unwrap_used, reason = "seeded")] fn seeded_waived() -> u8 { "1".parse::<u8>().unwrap() }' \
-  'fn seeded_safe(p: &u8) -> u8 {' \
-  '    // SAFETY: a reference is valid for reads.' \
-  '    unsafe { *(p as *const u8) }' \
-  '}'
+  '#[expect(clippy::unwrap_used, reason = "seeded")] fn seeded_waived() -> u8 { "1".parse::<u8>().unwrap() }'
 seed "$it" '^type ' \
   'fn seeded_it_clock() -> std::time::Instant { std::time::Instant::now() }' \
   'fn seeded_it_unwrap() -> u8 { "1".parse::<u8>().unwrap() }' \
@@ -102,18 +105,18 @@ check yes clippy::disallowed_types "$lib" 'use std::collections::HashMap;'
 check yes clippy::disallowed_methods "$lib" 'fn seeded_clock'
 check yes clippy::disallowed_methods "$lib" 'fn seeded_worst'
 check yes clippy::unwrap_used "$lib" 'fn seeded_worst'
-check yes clippy::undocumented_unsafe_blocks "$lib" 'fn seeded_sneak'
 check yes unfulfilled_lint_expectations "$lib" 'fn seeded_stale'
 check yes clippy::allow_attributes_without_reason "$lib" 'fn seeded_bare'
 check yes clippy::allow_attributes "$lib" 'fn seeded_allow'
 check no clippy::unwrap_used "$lib" 'fn seeded_waived'
 check no unfulfilled_lint_expectations "$lib" 'fn seeded_waived'
-check no clippy::undocumented_unsafe_blocks "$lib" 'unsafe { *(p as'
 check yes clippy::disallowed_methods "$lib" 'fn seeded_test_helper'
 check no clippy::unwrap_used "$lib" 'fn seeded_test_helper'
+check yes unsafe_code "$lib" 'fn seeded_sneak'
+check yes unsafe_code "$lib" 'unsafe { *(p as'
 check yes clippy::disallowed_methods "$it" 'fn seeded_it_clock'
 check no clippy::unwrap_used "$it" 'fn seeded_it_unwrap'
-check yes clippy::undocumented_unsafe_blocks "$it" 'fn seeded_it_sneak'
+check yes unsafe_code "$it" 'fn seeded_it_sneak'
 check yes clippy::allow_attributes "$it" 'fn seeded_it_allow'
 check yes clippy::allow_attributes_without_reason "$it" 'fn seeded_it_allow'
 
