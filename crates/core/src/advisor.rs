@@ -207,10 +207,8 @@ impl RunSeries {
     /// performance is at least `min_performance`, the one with the lowest
     /// normalized energy.
     pub fn recommend(&self, min_performance: f64) -> Option<Recommendation> {
-        // `NormalizedSeries::best_meeting_target`'s rule, taken over the
-        // records themselves: they are in the order of the series' points
-        // (reference first, then design order), so the first of several
-        // equal minima wins exactly as it does there.
+        // Records are in series order (reference first, then design order),
+        // so the first of several equal minima wins.
         self.records
             .iter()
             .filter_map(|record| Some((record, record.normalized?)))
@@ -404,13 +402,10 @@ mod tests {
     fn evaluation_accounts_for_every_design() {
         let space = DesignSpace::new(cluster_v_node(), laptop_b(), 4, 4).unwrap();
         let report = advisor().evaluate(&space).unwrap();
-        // Every grid point is either a feasible series point or recorded
-        // infeasible.
-        assert_eq!(
-            report.normalized.points().len() + report.infeasible.len(),
-            space.len()
-        );
-        assert_eq!(report.records.len(), report.normalized.points().len());
+        // Every grid point is either a feasible record carrying its
+        // normalized point or recorded infeasible.
+        assert_eq!(report.records.len() + report.infeasible.len(), space.len());
+        assert!(report.records.iter().all(|r| r.normalized.is_some()));
         // The 70 GB dual-shuffle hash table fits no all-Wimpy design here
         // (17.5 GB+ per 8 GB laptop), so the infeasible list is non-empty.
         assert!(!report.infeasible.is_empty());
@@ -420,10 +415,6 @@ mod tests {
             .any(|(label, _)| label.starts_with("0B,")));
         // The reference leads the records and sits at (1, 1).
         assert_eq!(report.records[0].design, "4B,0W");
-        assert_eq!(
-            report.normalized.points()[0].1,
-            NormalizedPoint::reference()
-        );
         assert_eq!(
             report.records[0].normalized,
             Some(NormalizedPoint::reference())
@@ -449,16 +440,15 @@ mod tests {
                 pick.point.performance + 1e-9 >= target,
                 "{target}: {pick} below the floor"
             );
-            // Picking over the records names the design the normalized
-            // series' own rule names.
-            let (label, point) = report.normalized.best_meeting_target(target).unwrap();
-            assert_eq!((&pick.label, &pick.point), (label, point), "{target}");
-            assert_eq!(pick.mode, report.record(label).unwrap().mode);
-            for (label, point) in report.normalized.points() {
+            assert_eq!(report.point(&pick.label), Some(&pick.point), "{target}");
+            assert_eq!(pick.mode, report.record(&pick.label).unwrap().mode);
+            for record in &report.records {
+                let point = record.normalized.unwrap();
                 if point.performance + 1e-9 >= target {
                     assert!(
                         pick.point.energy <= point.energy + 1e-9,
-                        "{target}: {label} beats the pick"
+                        "{target}: {} beats the pick",
+                        record.design
                     );
                 }
             }
@@ -467,10 +457,87 @@ mod tests {
         // (performance above 1.0) — but a truly unreachable target yields no
         // recommendation.
         assert!(report
-            .normalized
-            .highest_performance()
-            .is_some_and(|(_, p)| p.performance > 1.0));
+            .records
+            .iter()
+            .any(|r| r.normalized.unwrap().performance > 1.0));
         assert!(report.recommend(1e9).is_none());
+    }
+
+    #[test]
+    fn recommend_properties_hold_over_random_series() {
+        // Property test over deterministic pseudo-random series: the
+        // selection rule must (a) never return a point below the target and
+        // (b) return a point of minimal energy among the qualifiers; when it
+        // returns nothing, no point may qualify.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next_unit = || {
+            // xorshift64*: cheap, deterministic, no external dependency.
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            let word = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
+            (word >> 11) as f64 / (1u64 << 53) as f64
+        };
+        // One real record, relabelled and re-pointed per design.
+        let design = ClusterSpec::homogeneous(cluster_v_node(), 4).unwrap();
+        let template = Analytical
+            .estimate(advisor().plan().unwrap(), &design)
+            .unwrap();
+        let record = |design: String, normalized: NormalizedPoint| RunRecord {
+            design,
+            normalized: Some(normalized),
+            ..template.clone()
+        };
+        for trial in 0..200 {
+            let mut records = vec![record("ref".into(), NormalizedPoint::reference())];
+            let points = 1 + (next_unit() * 12.0) as usize;
+            for i in 0..points {
+                let point = NormalizedPoint {
+                    performance: 0.05 + 1.5 * next_unit(),
+                    energy: 0.05 + 1.5 * next_unit(),
+                };
+                records.push(record(format!("d{i}"), point));
+            }
+            let series = RunSeries {
+                estimator: template.estimator.clone(),
+                workload: template.workload.clone(),
+                strategy: template.strategy,
+                records,
+                infeasible: Vec::new(),
+            };
+            let target = 1.6 * next_unit();
+            let qualifies = |p: &NormalizedPoint| p.performance + EDP_EPSILON >= target;
+            match series.recommend(target) {
+                Some(pick) => {
+                    assert!(
+                        qualifies(&pick.point),
+                        "trial {trial}: pick {} perf {} below target {target}",
+                        pick.label,
+                        pick.point.performance
+                    );
+                    for other in &series.records {
+                        let point = other.normalized.unwrap();
+                        if qualifies(&point) {
+                            assert!(
+                                pick.point.energy <= point.energy,
+                                "trial {trial}: {} (energy {}) beats pick {} ({})",
+                                other.design,
+                                point.energy,
+                                pick.label,
+                                pick.point.energy
+                            );
+                        }
+                    }
+                }
+                None => assert!(
+                    series
+                        .records
+                        .iter()
+                        .all(|r| !qualifies(&r.normalized.unwrap())),
+                    "trial {trial}: a qualifying point was skipped"
+                ),
+            }
+        }
     }
 
     #[test]
@@ -664,10 +731,7 @@ mod tests {
         assert_eq!(adv.plan().unwrap().strategy, JoinStrategy::DualShuffle);
         let space = DesignSpace::new(cluster_v_node(), laptop_b(), 4, 2).unwrap();
         let report = adv.evaluate(&space).unwrap();
-        assert_eq!(
-            report.normalized.points().len() + report.infeasible.len(),
-            space.len()
-        );
+        assert_eq!(report.records.len() + report.infeasible.len(), space.len());
         let pick = report.recommend(0.75).expect("reference qualifies");
         assert!(pick.point.performance + 1e-9 >= 0.75);
         assert_eq!(report.records[0].estimator, "behavioural");

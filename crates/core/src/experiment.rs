@@ -36,13 +36,14 @@ use crate::lens::Estimator;
 use crate::record::RunRecord;
 use crate::workload::{Workload, WorkloadPlan};
 use eedc_pstore::{ClusterSpec, JoinQuerySpec, JoinStrategy};
-use eedc_simkit::metrics::{NormalizedPoint, NormalizedSeries};
+use eedc_simkit::metrics::NormalizedPoint;
 use std::io;
 use std::path::Path;
 
 /// One estimator's sweep of one workload plan across the experiment's
-/// designs: the uniform records (reference first), the designs the estimator
-/// refused as infeasible, and the normalized series the figures plot.
+/// designs: the uniform records (reference first, each carrying the
+/// normalized point the figures plot) and the designs the estimator refused
+/// as infeasible.
 ///
 /// This is also the Section 6 advisor's report:
 /// [`DesignAdvisor::evaluate`](crate::DesignAdvisor::evaluate) returns the
@@ -65,9 +66,6 @@ pub struct RunSeries {
     /// Designs whose hash table fits no execution mode, with the planner's
     /// reason — accounted rather than silently dropped.
     pub infeasible: Vec<(String, String)>,
-    /// The normalized (performance, energy) series relative to the reference
-    /// design.
-    pub normalized: NormalizedSeries,
 }
 
 impl RunSeries {
@@ -76,30 +74,17 @@ impl RunSeries {
         self.records.iter().find(|r| r.design == design)
     }
 
+    /// The reference design's label: the first record's (empty for a series
+    /// without records).
+    fn reference(&self) -> &str {
+        self.records.first().map_or("", |r| r.design.as_str())
+    }
+
     /// Reconstruct a series from the JSON shape the writer emits. The
-    /// normalized series is rebuilt from the records' carried
-    /// points (the reference design leads, exactly as the evaluation
-    /// protocol wrote them).
+    /// `reference` must name the first record, and every later record must
+    /// carry its normalized point, exactly as the evaluation protocol wrote
+    /// them.
     pub fn from_json(value: &JsonValue) -> Result<Self, CoreError> {
-        let records: Vec<RunRecord> = value
-            .array_field("records")?
-            .iter()
-            .map(RunRecord::from_json)
-            .collect::<Result<_, _>>()?;
-        let reference = value.str_field("reference")?.to_string();
-        let mut normalized = NormalizedSeries::with_reference(reference.clone());
-        for record in &records {
-            if record.design == reference {
-                continue;
-            }
-            let point = record.normalized.ok_or_else(|| {
-                CoreError::invalid(format!(
-                    "record '{}' in a serialized series has no normalized point",
-                    record.design
-                ))
-            })?;
-            normalized.push(record.design.clone(), point);
-        }
         let infeasible = value
             .array_field("infeasible")?
             .iter()
@@ -110,14 +95,36 @@ impl RunSeries {
                 ))
             })
             .collect::<Result<_, CoreError>>()?;
-        Ok(Self {
+        let series = Self {
             estimator: value.str_field("estimator")?.to_string(),
             workload: value.str_field("workload")?.to_string(),
             strategy: value.str_field("strategy")?.parse()?,
-            records,
+            records: value
+                .array_field("records")?
+                .iter()
+                .map(RunRecord::from_json)
+                .collect::<Result<_, _>>()?,
             infeasible,
-            normalized,
-        })
+        };
+        let reference = value.str_field("reference")?;
+        if reference != series.reference() {
+            return Err(CoreError::invalid(format!(
+                "serialized series names reference '{reference}' but its first record is '{}'",
+                series.reference()
+            )));
+        }
+        if let Some(record) = series
+            .records
+            .iter()
+            .skip(1)
+            .find(|r| r.normalized.is_none())
+        {
+            return Err(CoreError::invalid(format!(
+                "record '{}' in a serialized series has no normalized point",
+                record.design
+            )));
+        }
+        Ok(series)
     }
 
     /// Write the series as a JSON object.
@@ -126,7 +133,7 @@ impl RunSeries {
         w.key("estimator").string(&self.estimator);
         w.key("workload").string(&self.workload);
         w.key("strategy").string(self.strategy.as_str());
-        w.key("reference").string(&self.normalized.reference_label);
+        w.key("reference").string(self.reference());
         w.key("records").begin_array();
         for record in &self.records {
             record.write_json(w);
@@ -333,7 +340,6 @@ pub(crate) fn evaluate_series(
     let mut reference = estimator.estimate(plan, reference_design)?;
     let reference_measurement = reference.measurement();
     reference.normalized = Some(NormalizedPoint::reference());
-    let mut normalized = NormalizedSeries::with_reference(reference.design.clone());
     let mut records = vec![reference];
     let mut infeasible = Vec::new();
     for design in &designs[1..] {
@@ -343,7 +349,6 @@ pub(crate) fn evaluate_series(
                     .measurement()
                     .normalized_against(&reference_measurement)?;
                 record.normalized = Some(point);
-                normalized.push(record.design.clone(), point);
                 records.push(record);
             }
             Err(CoreError::Runtime(err)) => {
@@ -358,7 +363,6 @@ pub(crate) fn evaluate_series(
         strategy: plan.strategy,
         records,
         infeasible,
-        normalized,
     })
 }
 

@@ -50,8 +50,6 @@ fn analytical_series_normalizes_against_the_first_design() {
     // Smaller clusters are slower: normalized performance below 1.
     let p8 = series.record("8B,0W").unwrap().normalized.unwrap();
     assert!(p8.performance < 1.0);
-    // The normalized series carries the same points.
-    assert_eq!(series.normalized.points().len(), 3);
     // Phase breakdowns and per-node vectors are populated.
     let r = series.record("4B,0W").unwrap();
     assert_eq!(r.phases.len(), 2);
@@ -547,6 +545,38 @@ fn reports_round_trip_through_the_json_reader() {
 }
 
 #[test]
+fn a_repeated_reference_design_round_trips() {
+    // The reference is the first record, so a later record of the same
+    // design is an ordinary point and comes back with the rest.
+    let workload = sweep();
+    let report = Experiment::new(&workload)
+        .designs([homogeneous(8), homogeneous(8)])
+        .estimator(Analytical)
+        .run()
+        .unwrap();
+    assert_eq!(report.series[0].records.len(), 2);
+    let json = report.to_json_string();
+    let restored = ExperimentReport::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
+    assert_eq!(restored, report);
+    // A reference that does not name the first record is refused.
+    let renamed = json.replacen("\"reference\": \"8B,0W\"", "\"reference\": \"4B,0W\"", 1);
+    assert_ne!(renamed, json);
+    let err = ExperimentReport::from_json(&JsonValue::parse(&renamed).unwrap()).unwrap_err();
+    assert!(err.to_string().contains("reference"), "{err}");
+    // A series without records writes an empty reference and reads back.
+    let empty = ExperimentReport {
+        series: vec![RunSeries {
+            records: Vec::new(),
+            ..report.series[0].clone()
+        }],
+    };
+    let json = empty.to_json_string();
+    assert!(json.contains("\"reference\": \"\""), "{json}");
+    let restored = ExperimentReport::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
+    assert_eq!(restored, empty);
+}
+
+#[test]
 fn serving_tail_latency_grows_strictly_with_offered_load() {
     // A single 4-node design served at 30/60/90% of its analytical
     // service rate: queueing theory says the tail must stretch as the
@@ -675,6 +705,15 @@ fn serving_requires_params_and_records_infeasible_designs() {
     assert_eq!(series.infeasible.len(), 1);
     assert_eq!(series.infeasible[0].0, "0B,4W");
     assert!(series.infeasible[0].1.contains("fits no pool"));
+    // A rate the simulator's kernel refuses mid-run (its mean gap overflows
+    // to infinity) is the kernel's error, not a panic and not infeasible.
+    let glacial = ServingWorkload::new(&sweep(), 1e-310, Seconds(10.0), 9);
+    let err = Experiment::new(&glacial)
+        .designs([homogeneous(4)])
+        .estimator(Serving::fcfs())
+        .run()
+        .unwrap_err();
+    assert!(matches!(err, CoreError::Metrics(_)), "{err}");
 }
 
 #[test]

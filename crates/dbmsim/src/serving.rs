@@ -915,9 +915,10 @@ struct ServingEngine<'a> {
     wait_sum: f64,
     wait_count: usize,
     template_completed: Vec<usize>,
-    /// The first placement the scheduler got wrong; once set, every
-    /// remaining event is ignored and the run reports this error.
-    rejected: Option<SimError>,
+    /// The run's first error — a placement the scheduler got wrong, or a
+    /// draw or schedule the kernel refused; once set, every remaining event
+    /// is ignored and [`simulate_serving`] returns it.
+    error: Option<SimError>,
 }
 
 impl ServingEngine<'_> {
@@ -940,24 +941,27 @@ impl ServingEngine<'_> {
     }
 
     /// The next arrival instant strictly inside the window, advancing the
-    /// process state (trace cursor / RNG stream).
-    fn next_arrival(&mut self, now: f64, sim: &mut Simulation<ServingEvent>) -> Option<f64> {
+    /// process state (trace cursor / RNG stream). A rate so small that its
+    /// mean gap overflows to infinity is the kernel's error.
+    fn next_arrival(
+        &mut self,
+        now: f64,
+        sim: &mut Simulation<ServingEvent>,
+    ) -> Result<Option<f64>, SimError> {
         let horizon = self.config.duration.value();
         match &self.config.arrival {
             ArrivalProcess::Poisson { qps } => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "qps was validated finite-positive by simulate_serving"
-                )]
-                let gap = sim.sample_exponential(1.0 / qps).expect("validated rate");
-                Some(now + gap).filter(|&t| t < horizon)
+                let gap = sim.sample_exponential(1.0 / qps)?;
+                Ok(Some(now + gap).filter(|&t| t < horizon))
             }
             ArrivalProcess::Trace(times) => {
-                let time = times.get(self.trace_next)?.value();
+                let Some(time) = times.get(self.trace_next) else {
+                    return Ok(None);
+                };
                 self.trace_next += 1;
                 // Validation pinned the instants non-decreasing, so `time`
                 // never lies before the clock.
-                Some(time).filter(|&t| t < horizon)
+                Ok(Some(time.value()).filter(|&t| t < horizon))
             }
             ArrivalProcess::Ramp(segments) => {
                 let mut t = now;
@@ -969,16 +973,10 @@ impl ServingEngine<'_> {
                         continue;
                     }
                     if segment.qps > 0.0 {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "segment rates were validated finite by simulate_serving"
-                        )]
-                        let gap = sim
-                            .sample_exponential(1.0 / segment.qps)
-                            .expect("validated rate");
+                        let gap = sim.sample_exponential(1.0 / segment.qps)?;
                         let candidate = t.max(start) + gap;
                         if candidate < end {
-                            return Some(candidate).filter(|&c| c < horizon);
+                            return Ok(Some(candidate).filter(|&c| c < horizon));
                         }
                     }
                     // Memorylessness: restarting the draw at the boundary
@@ -987,7 +985,7 @@ impl ServingEngine<'_> {
                     t = end;
                     start = end;
                 }
-                None
+                Ok(None)
             }
         }
     }
@@ -1001,16 +999,10 @@ impl ServingEngine<'_> {
         profile: ServiceProfile,
         query: Queued,
         now: f64,
-    ) {
+    ) -> Result<(), SimError> {
         let mut service = match self.config.service {
             ServiceDistribution::Deterministic => profile.time.value(),
-            #[expect(
-                clippy::expect_used,
-                reason = "profile times were validated finite-positive by simulate_serving"
-            )]
-            ServiceDistribution::Exponential => sim
-                .sample_exponential(profile.time.value())
-                .expect("profile times are validated positive"),
+            ServiceDistribution::Exponential => sim.sample_exponential(profile.time.value())?,
         };
         // Checkpoint recovery: a killed query resumes at its residual
         // requirement (the guard keeps the fault-free arithmetic untouched).
@@ -1039,12 +1031,9 @@ impl ServingEngine<'_> {
                     started: now,
                     progress: query.progress,
                 });
-                #[expect(
-                    clippy::expect_used,
-                    reason = "service times are finite and non-negative by construction"
-                )]
-                sim.schedule_in(service, ServingEvent::Completion { server, query: id })
-                    .expect("service times are finite and non-negative");
+                // A finite service time can still carry the clock past
+                // `f64::MAX`; the kernel refuses that schedule.
+                sim.schedule_in(service, ServingEvent::Completion { server, query: id })?;
             }
             ServiceMode::ProcessorSharing => {
                 pool.advance_shared(now);
@@ -1057,36 +1046,32 @@ impl ServingEngine<'_> {
                     started: now,
                     progress: query.progress,
                 });
-                self.reschedule_ps(sim, server);
+                self.reschedule_ps(sim, server)?;
             }
         }
+        Ok(())
     }
 
     /// Re-arm the processor-sharing horizon event for `server` after its
     /// in-flight set changed (remaining work must already be advanced).
-    fn reschedule_ps(&mut self, sim: &mut Simulation<ServingEvent>, server: usize) {
+    fn reschedule_ps(
+        &mut self,
+        sim: &mut Simulation<ServingEvent>,
+        server: usize,
+    ) -> Result<(), SimError> {
         let pool = &mut self.pools[server];
         pool.epoch += 1;
-        let k = pool.in_flight.len();
-        if k == 0 {
-            return;
-        }
-        let epoch = pool.epoch;
-        #[expect(
-            clippy::expect_used,
-            reason = "a non-empty in-flight set has a minimum"
-        )]
-        let soonest = pool.min_remaining().expect("non-empty in-flight set");
+        // An empty in-flight set has no horizon to arm.
+        let Some(soonest) = pool.min_remaining() else {
+            return Ok(());
+        };
+        let (k, epoch) = (pool.in_flight.len(), pool.epoch);
         // Everyone shares the rate equally, so the least remaining work
         // completes after `remaining * k` wall seconds (clamped: float
         // drift may leave a hair of negative remainder at the horizon).
         let delay = (pool.in_flight[soonest].remaining * k as f64).max(0.0);
-        #[expect(
-            clippy::expect_used,
-            reason = "the delay is clamped finite and non-negative one line above"
-        )]
-        sim.schedule_in(delay, ServingEvent::PsHorizon { server, epoch })
-            .expect("horizon delay is finite and non-negative");
+        sim.schedule_in(delay, ServingEvent::PsHorizon { server, epoch })?;
+        Ok(())
     }
 
     /// Record a finished query popped out of `server`'s in-flight set.
@@ -1115,7 +1100,12 @@ impl ServingEngine<'_> {
     }
 
     /// Place an admitted query, or queue/drop it.
-    fn admit(&mut self, sim: &mut Simulation<ServingEvent>, query: Queued, now: f64) {
+    fn admit(
+        &mut self,
+        sim: &mut Simulation<ServingEvent>,
+        query: Queued,
+        now: f64,
+    ) -> Result<(), SimError> {
         let views: Vec<PoolView> = self
             .pools
             .iter()
@@ -1152,9 +1142,9 @@ impl ServingEngine<'_> {
             (server, profile)
         });
         match placed {
-            Some((server, None)) => self.reject(server, query.template),
+            Some((server, None)) => return Err(self.misplaced(server, query.template)),
             Some((server, Some(profile))) if views[server].free_slots > 0 => {
-                self.start(sim, server, profile, query, now)
+                self.start(sim, server, profile, query, now)?;
             }
             Some((server, _))
                 if views[server].online && self.total_waiting() < self.config.queue_capacity =>
@@ -1172,28 +1162,32 @@ impl ServingEngine<'_> {
             }
             _ => self.dropped += 1,
         }
+        Ok(())
     }
 
-    /// Record the first invalid placement as the run's error.
-    fn reject(&mut self, server: usize, template: usize) {
-        if self.rejected.is_some() {
-            return;
-        }
+    /// The error for a placement on a pool that does not exist or cannot
+    /// serve `template`.
+    fn misplaced(&self, server: usize, template: usize) -> SimError {
         let pool = match self.servers.get(server) {
             Some(s) => format!("pool {server} ('{}'), which cannot serve it", s.label),
             None => format!("pool {server} of a {}-pool cluster", self.servers.len()),
         };
-        self.rejected = Some(SimError::invalid(format!(
+        SimError::invalid(format!(
             "scheduler '{}' placed template {template} on {pool}",
             self.scheduler.name()
-        )));
+        ))
     }
 
     /// Fill every free slot of `server` from its own queue first, then from
     /// the oldest capable entry of the central queue.
-    fn refill(&mut self, sim: &mut Simulation<ServingEvent>, server: usize, now: f64) {
+    fn refill(
+        &mut self,
+        sim: &mut Simulation<ServingEvent>,
+        server: usize,
+        now: f64,
+    ) -> Result<(), SimError> {
         if !self.life[server].online() {
-            return;
+            return Ok(());
         }
         let profiles = &self.servers[server].profiles;
         while self.pools[server].in_flight.len() < self.servers[server].concurrency_limit {
@@ -1206,7 +1200,7 @@ impl ServingEngine<'_> {
             {
                 pool.note_depth(now);
                 pool.queue.pop_front();
-                self.start(sim, server, profile, query, now);
+                self.start(sim, server, profile, query, now)?;
                 continue;
             }
             let Some((pos, profile)) = self
@@ -1218,55 +1212,51 @@ impl ServingEngine<'_> {
                 break;
             };
             self.note_central_depth(now);
-            #[expect(
-                clippy::expect_used,
-                reason = "the position came from the same queue one line above"
-            )]
-            let query = self.central.remove(pos).expect("position is in bounds");
-            self.start(sim, server, profile, query, now);
+            let Some(query) = self.central.remove(pos) else {
+                break;
+            };
+            self.start(sim, server, profile, query, now)?;
         }
+        Ok(())
     }
 
     /// Draw a time-to-failure for `server` from the seeded RNG and schedule
     /// the hazard event if it lands inside the arrival window (armed once
     /// per online episode, so one draw per up-transition).
-    fn arm_hazard(&mut self, sim: &mut Simulation<ServingEvent>, server: usize, now: f64) {
-        let Some(model) = self.faults else {
-            return;
+    /// A rate so small that the mean overflows to infinity is the kernel's
+    /// error.
+    fn arm_hazard(
+        &mut self,
+        sim: &mut Simulation<ServingEvent>,
+        server: usize,
+        now: f64,
+    ) -> Result<(), SimError> {
+        let Some(mean) = self
+            .faults
+            .and_then(|model| model.hazard_mean(self.servers[server].nodes))
+        else {
+            return Ok(());
         };
-        let Some(mean) = model.hazard_mean(self.servers[server].nodes) else {
-            return;
-        };
-        #[expect(
-            clippy::expect_used,
-            reason = "hazard_mean only yields finite positive means"
-        )]
-        let ttf = sim
-            .sample_exponential(mean)
-            .expect("hazard mean is positive");
-        let at = now + ttf;
+        let at = now + sim.sample_exponential(mean)?;
         if at < self.config.duration.value() {
             let epoch = self.life[server].epoch;
-            #[expect(
-                clippy::expect_used,
-                reason = "the instant is finite and after the clock by construction"
-            )]
-            sim.schedule_at(at, ServingEvent::HazardFailure { server, epoch })
-                .expect("failure instants are finite and non-past");
+            sim.schedule_at(at, ServingEvent::HazardFailure { server, epoch })?;
         }
+        Ok(())
     }
 
     /// Take `server` down at `now`: kill its in-flight queries (dropping or
     /// re-admitting them per the recovery policy), push its own queue back
     /// through admission, bill the restart, and schedule the rejoin after
     /// `repair` unpowered seconds plus the model's warm-up time.
-    fn fail_pool(&mut self, sim: &mut Simulation<ServingEvent>, server: usize, repair: f64) {
+    fn fail_pool(
+        &mut self,
+        sim: &mut Simulation<ServingEvent>,
+        model: &FaultModel,
+        server: usize,
+        repair: f64,
+    ) -> Result<(), SimError> {
         let now = sim.time();
-        #[expect(
-            clippy::expect_used,
-            reason = "fail_pool is only called with an active fault model"
-        )]
-        let model = self.faults.expect("fault model is active");
         let (recovery, restart) = (model.recovery, model.restart);
         self.failures += 1;
         let pool = &mut self.pools[server];
@@ -1297,12 +1287,12 @@ impl ServingEngine<'_> {
                     (victim.service - left, left)
                 }
             };
-            #[expect(
-                clippy::expect_used,
-                reason = "the query was started on this pool, so the profile exists"
-            )]
-            let profile = self.servers[server].profiles[victim.template]
-                .expect("killed query ran on a capable pool");
+            let profile = self.servers[server].profiles[victim.template].ok_or_else(|| {
+                SimError::invalid(format!(
+                    "pool {server} ran template {} without a profile",
+                    victim.template
+                ))
+            })?;
             let pool = &mut self.pools[server];
             if self.servers[server].mode == ServiceMode::Dedicated {
                 pool.busy -= left;
@@ -1324,28 +1314,28 @@ impl ServingEngine<'_> {
         // Waiting queries lost nothing; re-admit them first, then the
         // killed set, so relative order is preserved within each class.
         for query in waiting {
-            self.admit(sim, query, now);
+            self.admit(sim, query, now)?;
         }
         for query in resumed {
-            self.admit(sim, query, now);
+            self.admit(sim, query, now)?;
         }
         let epoch = self.life[server].epoch;
-        #[expect(
-            clippy::expect_used,
-            reason = "repair and warm-up spans are validated finite non-negative"
-        )]
         sim.schedule_in(
             repair + restart.time.value(),
             ServingEvent::PoolRestore { server, epoch },
-        )
-        .expect("restore delay is finite and non-negative");
+        )?;
+        Ok(())
     }
 
     /// One queue-depth check of the elastic scale policy: revive a parked
     /// pool when depth builds, park an idle pool when the system drains.
-    fn scale_check(&mut self, sim: &mut Simulation<ServingEvent>, now: f64) {
+    fn scale_check(
+        &mut self,
+        sim: &mut Simulation<ServingEvent>,
+        now: f64,
+    ) -> Result<(), SimError> {
         let Some(policy) = self.faults.and_then(|m| m.scale) else {
-            return;
+            return Ok(());
         };
         let migration = policy.migration.unwrap_or_else(TransitionCost::free);
         let depth = self.central.len()
@@ -1360,15 +1350,10 @@ impl ServingEngine<'_> {
                 self.pools[server].overhead += migration.energy.value();
                 self.scale_out_events += 1;
                 let epoch = self.life[server].epoch;
-                #[expect(
-                    clippy::expect_used,
-                    reason = "migration spans are validated finite non-negative"
-                )]
                 sim.schedule_in(
                     migration.time.value(),
                     ServingEvent::PoolRestore { server, epoch },
-                )
-                .expect("migration delay is finite and non-negative");
+                )?;
             }
         } else if depth <= policy.scale_in_depth {
             let online: Vec<usize> = (0..self.pools.len())
@@ -1397,21 +1382,17 @@ impl ServingEngine<'_> {
         }
         let next = now + policy.check_interval.value();
         if next < self.config.duration.value() {
-            #[expect(
-                clippy::expect_used,
-                reason = "the next check instant is finite and after the clock"
-            )]
-            sim.schedule_at(next, ServingEvent::ScaleCheck)
-                .expect("scale checks are finite and non-past");
+            sim.schedule_at(next, ServingEvent::ScaleCheck)?;
         }
+        Ok(())
     }
-}
 
-impl EventHandler<ServingEvent> for ServingEngine<'_> {
-    fn on_event(&mut self, sim: &mut Simulation<ServingEvent>, event: ServingEvent) {
-        if self.rejected.is_some() {
-            return;
-        }
+    /// React to one event; the first error ends the run.
+    fn handle(
+        &mut self,
+        sim: &mut Simulation<ServingEvent>,
+        event: ServingEvent,
+    ) -> Result<(), SimError> {
         let now = sim.time();
         match event {
             ServingEvent::Arrival => {
@@ -1426,16 +1407,11 @@ impl EventHandler<ServingEvent> for ServingEngine<'_> {
                         progress: 0.0,
                     },
                     now,
-                );
+                )?;
                 // Open loop: the next arrival is scheduled regardless of
                 // service progress, but only inside the arrival window.
-                if let Some(at) = self.next_arrival(now, sim) {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "next_arrival only yields finite instants at or after the clock"
-                    )]
-                    sim.schedule_at(at, ServingEvent::Arrival)
-                        .expect("arrival instants are finite and non-past");
+                if let Some(at) = self.next_arrival(now, sim)? {
+                    sim.schedule_at(at, ServingEvent::Arrival)?;
                 }
             }
             ServingEvent::Completion { server, query } => {
@@ -1444,66 +1420,73 @@ impl EventHandler<ServingEvent> for ServingEngine<'_> {
                 // this completion was scheduled; the kill already accounted
                 // for it.
                 let Some(index) = pool.in_flight.iter().position(|f| f.id == query) else {
-                    return;
+                    return Ok(());
                 };
                 pool.note_depth(now);
                 let done = pool.in_flight.swap_remove(index);
                 self.complete(done, server, now);
                 self.purge_expired(now);
-                self.refill(sim, server, now);
+                self.refill(sim, server, now)?;
             }
             ServingEvent::HazardFailure { server, epoch } => {
+                let Some(model) = self.faults else {
+                    return Ok(());
+                };
                 // Stale draws (the pool transitioned since arming) are
                 // dead letters; the next up-transition re-arms.
                 if self.life[server].epoch != epoch || !self.life[server].online() {
-                    return;
+                    return Ok(());
                 }
-                #[expect(
-                    clippy::expect_used,
-                    reason = "hazard events are only scheduled with an active fault model"
-                )]
-                let repair = self.faults.expect("fault model is active").repair_time;
-                self.fail_pool(sim, server, repair.value());
+                self.fail_pool(sim, model, server, model.repair_time.value())?;
             }
             ServingEvent::ScriptedOutage { outage } => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "outage events are only scheduled with an active fault model"
-                )]
-                let outage = self.faults.expect("fault model is active").trace[outage];
+                let Some(model) = self.faults else {
+                    return Ok(());
+                };
+                let outage = model.trace[outage];
                 // An outage aimed at an already-offline pool is ignored.
                 if self.life[outage.pool].online() {
-                    self.fail_pool(sim, outage.pool, outage.duration.value());
+                    self.fail_pool(sim, model, outage.pool, outage.duration.value())?;
                 }
             }
             ServingEvent::PoolRestore { server, epoch } => {
                 if self.life[server].epoch != epoch {
-                    return;
+                    return Ok(());
                 }
                 self.life[server].restore(now);
-                self.arm_hazard(sim, server, now);
+                self.arm_hazard(sim, server, now)?;
                 self.purge_expired(now);
-                self.refill(sim, server, now);
+                self.refill(sim, server, now)?;
             }
-            ServingEvent::ScaleCheck => {
-                self.scale_check(sim, now);
-            }
+            ServingEvent::ScaleCheck => self.scale_check(sim, now)?,
             ServingEvent::PsHorizon { server, epoch } => {
                 if self.pools[server].epoch != epoch {
-                    return; // Stale horizon: the in-flight set changed.
+                    return Ok(()); // Stale horizon: the in-flight set changed.
                 }
                 let pool = &mut self.pools[server];
                 pool.note_depth(now);
                 pool.advance_shared(now);
                 let Some(index) = pool.min_remaining() else {
-                    return;
+                    return Ok(());
                 };
                 let done = pool.in_flight.swap_remove(index);
                 self.complete(done, server, now);
-                self.reschedule_ps(sim, server);
+                self.reschedule_ps(sim, server)?;
                 self.purge_expired(now);
-                self.refill(sim, server, now);
+                self.refill(sim, server, now)?;
             }
+        }
+        Ok(())
+    }
+}
+
+impl EventHandler<ServingEvent> for ServingEngine<'_> {
+    fn on_event(&mut self, sim: &mut Simulation<ServingEvent>, event: ServingEvent) {
+        if self.error.is_some() {
+            return;
+        }
+        if let Err(error) = self.handle(sim, event) {
+            self.error = Some(error);
         }
     }
 }
@@ -1512,9 +1495,11 @@ impl EventHandler<ServingEvent> for ServingEngine<'_> {
 ///
 /// Validates the inputs, schedules the first arrival, and drives the event
 /// loop until the arrival window has passed and every admitted query has
-/// completed (or timed out). An invalid input, or a `scheduler` placing a
-/// query on a pool that does not exist or cannot serve its template, is an
-/// error.
+/// completed (or timed out). An invalid input is an error, and so is a
+/// `scheduler` placing a query on a pool that does not exist or cannot
+/// serve its template, or a draw or schedule the kernel refuses mid-run (a
+/// rate whose mean gap overflows to infinity, a completion past `f64::MAX`
+/// seconds): the first error ends the run.
 pub fn simulate_serving(
     servers: &[ServingServer],
     config: &ServingConfig,
@@ -1565,11 +1550,24 @@ pub fn simulate_serving(
         }
     }
     config.arrival.validate()?;
-    if config.duration.value() <= 0.0 {
-        return Err(SimError::invalid("arrival window must be positive"));
+    let window = config.duration.value();
+    if !window.is_finite() || window <= 0.0 {
+        return Err(SimError::invalid(format!(
+            "arrival window must be positive and finite, got {window}"
+        )));
     }
-    if config.template_theta < 0.0 {
-        return Err(SimError::invalid("Zipf theta must be non-negative"));
+    let theta = config.template_theta;
+    if theta.is_nan() || theta < 0.0 {
+        return Err(SimError::invalid(format!(
+            "Zipf theta must be non-negative, got {theta}"
+        )));
+    }
+    if let Some(wait) = config.max_wait.map(Seconds::value) {
+        if wait.is_nan() || wait < 0.0 {
+            return Err(SimError::invalid(format!(
+                "max wait must be non-negative, got {wait}"
+            )));
+        }
     }
     if let Some(model) = &config.faults {
         model.validate(servers.len())?;
@@ -1617,11 +1615,11 @@ pub fn simulate_serving(
         wait_sum: 0.0,
         wait_count: 0,
         template_completed: vec![0; templates],
-        rejected: None,
+        error: None,
     };
 
     let mut sim: Simulation<ServingEvent> = Simulation::new(config.seed);
-    if let Some(first) = engine.next_arrival(0.0, &mut sim) {
+    if let Some(first) = engine.next_arrival(0.0, &mut sim)? {
         sim.schedule_at(first, ServingEvent::Arrival)?;
     }
     if let Some(model) = faults {
@@ -1632,7 +1630,7 @@ pub fn simulate_serving(
             )?;
         }
         for server in 0..servers.len() {
-            engine.arm_hazard(&mut sim, server, 0.0);
+            engine.arm_hazard(&mut sim, server, 0.0)?;
         }
         if let Some(policy) = &model.scale {
             let first = policy.check_interval.value();
@@ -1642,7 +1640,7 @@ pub fn simulate_serving(
         }
     }
     sim.run(&mut engine);
-    if let Some(error) = engine.rejected {
+    if let Some(error) = engine.error {
         return Err(error);
     }
 
@@ -2236,6 +2234,46 @@ mod tests {
         let zero_nodes = vec![server("s", &[Some((1.0, 1.0))], 1.0).nodes(0)];
         let plain = ServingConfig::new(1.0, Seconds(10.0), 1);
         assert!(simulate_serving(&zero_nodes, &plain, &mut FcfsScheduler).is_err());
+        // Windows, theta and max_wait: NaN and the unbounded window are
+        // refused up front; an infinite theta (all weight on template 0) and
+        // an infinite max_wait (no timeouts) stay legal.
+        for window in [f64::NAN, f64::INFINITY] {
+            let bad_window = ServingConfig::new(1.0, Seconds(window), 1);
+            assert!(simulate_serving(&ok, &bad_window, &mut FcfsScheduler).is_err());
+        }
+        let nan_theta = plain.clone().template_theta(f64::NAN);
+        assert!(simulate_serving(&ok, &nan_theta, &mut FcfsScheduler).is_err());
+        for wait in [f64::NAN, -1.0] {
+            let bad_wait = plain.clone().max_wait(Seconds(wait));
+            assert!(simulate_serving(&ok, &bad_wait, &mut FcfsScheduler).is_err());
+        }
+        let lenient = plain
+            .clone()
+            .template_theta(f64::INFINITY)
+            .max_wait(Seconds(f64::INFINITY));
+        assert!(simulate_serving(&ok, &lenient, &mut FcfsScheduler).is_ok());
+        // Inputs that pass validation but that the kernel refuses mid-run:
+        // the run ends with the kernel's reason instead of a panic.
+        let kernel_refuses = |servers: &[ServingServer], config: &ServingConfig, reason: &str| {
+            let error = simulate_serving(servers, config, &mut FcfsScheduler)
+                .expect_err("the kernel refuses this run");
+            assert!(error.to_string().contains(reason), "{error}");
+        };
+        // A rate whose mean gap overflows to infinity.
+        let mean = "exponential mean must be finite";
+        kernel_refuses(&ok, &ServingConfig::new(1e-310, Seconds(10.0), 1), mean);
+        let slow_ramp = plain
+            .clone()
+            .arrival(ArrivalProcess::Ramp(vec![RampSegment {
+                duration: Seconds(10.0),
+                qps: 1e-310,
+            }]));
+        kernel_refuses(&ok, &slow_ramp, mean);
+        let rare_faults = plain.clone().faults(FaultModel::new(1e-320));
+        kernel_refuses(&ok, &rare_faults, mean);
+        // A finite service time whose second completion overflows the clock.
+        let endless = vec![server("s", &[Some((1.7e308, 1.0))], 1.0)];
+        kernel_refuses(&endless, &plain, "keep the clock");
     }
 
     /// `arrivals = completed + dropped + timed_out + (killed − readmitted)`

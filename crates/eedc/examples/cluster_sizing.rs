@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for series in &report.series {
         println!(
             "{} lens, normalized against {}",
-            series.estimator, series.normalized.reference_label
+            series.estimator, series.records[0].design
         );
         for record in &series.records {
             let point = record.normalized.expect("experiment normalizes records");

@@ -27,12 +27,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "evaluated {} designs: {} feasible, {} infeasible (hash table fits no mode)",
         space.len(),
-        report.normalized.points().len(),
+        report.records.len(),
         report.infeasible.len(),
     );
     println!(
         "normalized against {} (all-Beefy reference)",
-        report.normalized.reference_label
+        report.records[0].design
     );
 
     // A few representative rows of the design space.

@@ -38,7 +38,7 @@ pub mod sim;
 pub mod units;
 
 pub use error::SimError;
-pub use metrics::{Measurement, NormalizedPoint, NormalizedSeries};
+pub use metrics::{Measurement, NormalizedPoint};
 pub use node::{NodeClass, NodeSpec, NodeSpecBuilder};
 pub use power::PowerModel;
 pub use sim::{EventHandler, Simulation};

@@ -21,8 +21,8 @@ use crate::units::{Joules, Seconds};
 use std::fmt;
 
 /// Tolerance used when classifying points against the constant-EDP curve
-/// and when holding a point to a performance floor
-/// ([`NormalizedSeries::best_meeting_target`]).
+/// and when holding a point to a performance floor (`eedc-core`'s
+/// `RunSeries::recommend`).
 pub const EDP_EPSILON: f64 = 1e-9;
 
 /// One measured (or modeled) execution: the query response time and the total
@@ -154,55 +154,6 @@ impl fmt::Display for NormalizedPoint {
     }
 }
 
-/// A labelled series of normalized design points relative to a single
-/// reference configuration — one figure's worth of data.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct NormalizedSeries {
-    /// Label of the reference configuration (e.g. `"16B,0W"` or `"2B,2W"`).
-    pub reference_label: String,
-    /// Labelled points, in the order they were added.
-    pub points: Vec<(String, NormalizedPoint)>,
-}
-
-impl NormalizedSeries {
-    /// Start a series whose reference configuration carries the given label.
-    /// The reference point itself (1.0, 1.0) is inserted automatically.
-    pub fn with_reference(label: impl Into<String>) -> Self {
-        let label = label.into();
-        Self {
-            reference_label: label.clone(),
-            points: vec![(label, NormalizedPoint::reference())],
-        }
-    }
-
-    /// Append a labelled point.
-    pub fn push(&mut self, label: impl Into<String>, point: NormalizedPoint) {
-        self.points.push((label.into(), point));
-    }
-
-    /// The labelled points.
-    pub fn points(&self) -> &[(String, NormalizedPoint)] {
-        &self.points
-    }
-
-    /// The point with the highest normalized performance, if any.
-    pub fn highest_performance(&self) -> Option<&(String, NormalizedPoint)> {
-        self.points
-            .iter()
-            .max_by(|a, b| a.1.performance.total_cmp(&b.1.performance))
-    }
-
-    /// Among points whose performance is at least `min_performance`, the one
-    /// with the lowest energy — the paper's "pick the most efficient design
-    /// that still meets the performance target" selection rule (Section 6).
-    pub fn best_meeting_target(&self, min_performance: f64) -> Option<&(String, NormalizedPoint)> {
-        self.points
-            .iter()
-            .filter(|(_, p)| p.performance + EDP_EPSILON >= min_performance)
-            .min_by(|a, b| a.1.energy.total_cmp(&b.1.energy))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,98 +225,6 @@ mod tests {
         assert!(ok.normalized_against(&zero_t).is_err());
         assert!(ok.normalized_against(&zero_e).is_err());
         assert!(zero_t.normalized_against(&ok).is_err());
-    }
-
-    #[test]
-    fn series_selection_helpers() {
-        let reference = measurement(100.0, 10_000.0);
-        let mut series = NormalizedSeries::with_reference("16B,0W");
-        for (label, m) in [
-            ("14B,0W", measurement(110.0, 9_500.0)),
-            ("12B,0W", measurement(125.0, 9_000.0)),
-            ("10B,0W", measurement(132.0, 8_400.0)),
-            ("8B,0W", measurement(156.0, 8_000.0)),
-        ] {
-            series.push(label, m.normalized_against(&reference).unwrap());
-        }
-        assert_eq!(series.points().len(), 5);
-        // No performance floor at all: the lowest-energy point.
-        assert_eq!(series.best_meeting_target(0.0).unwrap().0, "8B,0W");
-        assert_eq!(series.highest_performance().unwrap().0, "16B,0W");
-        // With a 0.75 performance floor, 10 nodes (perf 0.7576) is the most
-        // efficient admissible configuration.
-        assert_eq!(series.best_meeting_target(0.75).unwrap().0, "10B,0W");
-        // An unreachable target returns the reference (perf 1.0) only.
-        assert_eq!(series.best_meeting_target(1.0).unwrap().0, "16B,0W");
-        // Homogeneous scale-down points sit above the EDP curve.
-        assert!(series.points().iter().all(|(_, p)| !p.is_below_edp()));
-    }
-
-    #[test]
-    fn best_meeting_target_properties_hold_over_random_series() {
-        // Property test over deterministic pseudo-random series: the
-        // selection rule must (a) never return a point below the target and
-        // (b) return a point of minimal energy among the qualifiers; when it
-        // returns nothing, no point may qualify.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next_unit = || {
-            // xorshift64*: cheap, deterministic, no external dependency.
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            let word = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
-            (word >> 11) as f64 / (1u64 << 53) as f64
-        };
-        for trial in 0..200 {
-            let mut series = NormalizedSeries::with_reference("ref");
-            let points = 1 + (next_unit() * 12.0) as usize;
-            for i in 0..points {
-                series.push(
-                    format!("d{i}"),
-                    NormalizedPoint {
-                        performance: 0.05 + 1.5 * next_unit(),
-                        energy: 0.05 + 1.5 * next_unit(),
-                    },
-                );
-            }
-            let target = 1.6 * next_unit();
-            match series.best_meeting_target(target) {
-                Some((label, pick)) => {
-                    assert!(
-                        pick.performance + EDP_EPSILON >= target,
-                        "trial {trial}: pick {label} perf {} below target {target}",
-                        pick.performance
-                    );
-                    for (other, point) in series.points() {
-                        if point.performance + EDP_EPSILON >= target {
-                            assert!(
-                                pick.energy <= point.energy,
-                                "trial {trial}: {other} (energy {}) beats pick {label} ({})",
-                                point.energy,
-                                pick.energy
-                            );
-                        }
-                    }
-                }
-                None => {
-                    assert!(
-                        series
-                            .points()
-                            .iter()
-                            .all(|(_, p)| p.performance + EDP_EPSILON < target),
-                        "trial {trial}: a qualifying point was skipped"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn series_with_reference_contains_the_reference_point() {
-        let series = NormalizedSeries::with_reference("8B,0W");
-        assert_eq!(series.points().len(), 1);
-        assert_eq!(series.points()[0].0, "8B,0W");
-        assert_eq!(series.points()[0].1, NormalizedPoint::reference());
     }
 
     #[test]

@@ -7,7 +7,9 @@
 # is all test code) and is neither blank nor a comment (first non-blank
 # characters `//`, which covers `///` and `//!` docs). A public type is a
 # counted line that starts with `pub struct`, `pub enum`, `pub trait` or
-# `pub type`. Integration tests, examples and `benchmark/` are not counted.
+# `pub type`. A waiver is a counted line that starts with `#[expect(`: a
+# reasoned lint suppression in library code. Integration tests, examples and
+# `benchmark/` are not counted.
 #
 # Prints one row per crate and a total. No threshold: it reports, the reader
 # compares.
@@ -24,15 +26,19 @@ if [ $# -gt 0 ]; then
   cd "$work"
 fi
 
-printf '%-10s %8s %12s\n' crate lines "pub types"
+printf '%-10s %8s %12s %8s\n' crate lines "pub types" waivers
 find crates -path 'crates/*/src/*' -name '*.rs' -print0 | sort -z | xargs -0 awk '
   FNR == 1 { in_test = 0; split(FILENAME, part, "/"); crate = part[2] }
   /^[[:space:]]*#!?\[cfg\(test\)\]/ { in_test = 1 }
   in_test || /^[[:space:]]*($|\/\/)/ { next }
   { lines[crate]++ }
   /^[[:space:]]*pub (struct|enum|trait|type) / { types[crate]++ }
-  END { for (crate in lines) printf "%-10s %8d %12d\n", crate, lines[crate], types[crate] }
+  /^[[:space:]]*#\[expect\(/ { waivers[crate]++ }
+  END {
+    for (crate in lines)
+      printf "%-10s %8d %12d %8d\n", crate, lines[crate], types[crate], waivers[crate]
+  }
 ' | sort | awk '
-  { print; lines += $2; types += $3 }
-  END { printf "%-10s %8d %12d\n", "total", lines, types }
+  { print; lines += $2; types += $3; waivers += $4 }
+  END { printf "%-10s %8d %12d %8d\n", "total", lines, types, waivers }
 '
