@@ -274,9 +274,17 @@ impl Estimator for Serving {
         let mut node_utilization = vec![0.0; design.len()];
         let mut node_energy = vec![Joules::zero(); design.len()];
         for (pool, ids) in pool_ids.iter().enumerate() {
-            let share = result.server_energy[pool] / ids.len() as f64;
+            let (Some(&energy), Some(utilization)) = (
+                result.server_energy.get(pool),
+                result.server_utilization(pool),
+            ) else {
+                return Err(CoreError::invalid(format!(
+                    "the serving run reports no pool {pool}"
+                )));
+            };
+            let share = energy / ids.len() as f64;
             for &id in ids {
-                node_utilization[id] = result.server_utilization(pool);
+                node_utilization[id] = utilization;
                 node_energy[id] = share;
             }
         }

@@ -732,12 +732,15 @@ impl ServingResult {
 
     /// Busy share of a server over the makespan: per-slot mean utilization
     /// for dedicated pools, non-empty fraction for processor sharing.
-    pub fn server_utilization(&self, server: usize) -> f64 {
-        let capacity = self.makespan.value() * self.server_slots[server].max(1) as f64;
+    /// `None` for a server id the run did not have.
+    pub fn server_utilization(&self, server: usize) -> Option<f64> {
+        let busy = self.server_busy.get(server)?.value();
+        let slots = *self.server_slots.get(server)?;
+        let capacity = self.makespan.value() * slots.max(1) as f64;
         if capacity <= f64::EPSILON {
-            return 0.0;
+            return Some(0.0);
         }
-        (self.server_busy[server].value() / capacity).clamp(0.0, 1.0)
+        Some((busy / capacity).clamp(0.0, 1.0))
     }
 
     /// Time-averaged queries in system across every pool and the central
@@ -1533,10 +1536,24 @@ pub fn simulate_serving(
                 server.label
             )));
         }
+        let idle = server.idle_power.value();
+        if !idle.is_finite() || idle < 0.0 {
+            return Err(SimError::invalid(format!(
+                "server '{}' has idle power {idle}; it must be finite and non-negative",
+                server.label
+            )));
+        }
         for profile in server.profiles.iter().flatten() {
             if profile.time.value() <= 0.0 || !profile.time.value().is_finite() {
                 return Err(SimError::invalid(format!(
                     "server '{}' has a non-positive service time",
+                    server.label
+                )));
+            }
+            let energy = profile.energy.value();
+            if !energy.is_finite() || energy < 0.0 {
+                return Err(SimError::invalid(format!(
+                    "server '{}' has query energy {energy}; it must be finite and non-negative",
                     server.label
                 )));
             }
@@ -1784,7 +1801,7 @@ mod tests {
             "simulated mean wait {observed} vs M/M/1 closed form {expected}"
         );
         // Utilization converges to ρ as well.
-        assert!((result.server_utilization(0) - rho).abs() < 0.02);
+        assert!((result.server_utilization(0).unwrap() - rho).abs() < 0.02);
         // The central queue is where every waiting query sat; its mean
         // length converges to the M/M/1 L_q = ρ²/(1−ρ).
         let lq = rho * rho / (1.0 - rho);
@@ -1831,7 +1848,7 @@ mod tests {
             result.arrivals
         );
         // The server never idles once saturated; throughput pins near μ.
-        assert!(result.server_utilization(0) > 0.95);
+        assert!(result.server_utilization(0).unwrap() > 0.95);
         assert!((result.achieved_qps() - 1.0).abs() < 0.05);
     }
 
@@ -1959,7 +1976,7 @@ mod tests {
         );
         assert!(pooled.mean_wait.value() < 1.0);
         // Per-slot utilization reads ρ = λ/(cμ) = 0.75, not 3.0.
-        assert!((pooled.server_utilization(0) - 0.75).abs() < 0.05);
+        assert!((pooled.server_utilization(0).unwrap() - 0.75).abs() < 0.05);
         assert_eq!(pooled.server_slots, vec![4]);
     }
 
@@ -2274,6 +2291,22 @@ mod tests {
         // A finite service time whose second completion overflows the clock.
         let endless = vec![server("s", &[Some((1.7e308, 1.0))], 1.0)];
         kernel_refuses(&endless, &plain, "keep the clock");
+        // Energies that would total NaN or a negative number of joules.
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            let bad_energy = vec![server("s", &[Some((1.0, bad))], 1.0)];
+            assert!(simulate_serving(&bad_energy, &plain, &mut FcfsScheduler).is_err());
+            let bad_idle = vec![server("s", &[Some((1.0, 1.0))], bad)];
+            assert!(simulate_serving(&bad_idle, &plain, &mut FcfsScheduler).is_err());
+        }
+        // Zero is a legal energy and a legal idle power.
+        let free = vec![server("s", &[Some((1.0, 0.0))], 0.0)];
+        let result = simulate_serving(&free, &plain, &mut FcfsScheduler).unwrap();
+        assert_eq!(result.energy, Joules::zero());
+        // A one-pool result has utilization for pool 0 only.
+        let result = simulate_serving(&ok, &plain, &mut FcfsScheduler).unwrap();
+        assert!(result.server_utilization(0).is_some());
+        assert_eq!(result.server_utilization(1), None);
+        assert_eq!(result.server_utilization(3), None);
     }
 
     /// `arrivals = completed + dropped + timed_out + (killed − readmitted)`

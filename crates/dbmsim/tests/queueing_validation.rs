@@ -77,8 +77,8 @@ fn mmc_mean_wait_matches_erlang_c() {
     );
     // Per-slot utilization converges to ρ.
     assert!(
-        (result.server_utilization(0) - 0.8).abs() < 0.02,
-        "utilization {}",
+        (result.server_utilization(0).unwrap() - 0.8).abs() < 0.02,
+        "utilization {:?}",
         result.server_utilization(0)
     );
 }

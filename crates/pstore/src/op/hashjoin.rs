@@ -1,47 +1,42 @@
 //! The morsel-driven in-memory hash join operator.
 //!
 //! This is the paper's workhorse compute operator: "our hash join code is
-//! cache-conscious and multi-threaded" (Section 5.1). One rule governs its
-//! output — **match first, write once** — and the kernel runs in four stages:
+//! cache-conscious and multi-threaded" (Section 5.1). Every caller reads the
+//! join's cardinality and nothing else — the measured path checks it against
+//! a reference, the microbenchmark against the foreign key, and time and
+//! energy are modeled, not timed — so the product of the join *is* its
+//! cardinality, and the kernel runs in two stages:
 //!
-//! 1. **Partitioned radix build** — build-side keys are hashed once, rows are
-//!    radix-partitioned on the low hash bits (counting sort, no per-key
+//! 1. **Partitioned radix build** — build-side keys are hashed once, radix-
+//!    partitioned on the low hash bits (counting sort, no per-key
 //!    allocations), and workers steal partitions to build private
-//!    open-addressing [`RadixTable`]s over `(key, row)` pairs.
-//! 2. **Morsel-stealing probe** — probe rows are consumed in fixed-size
+//!    open-addressing [`RadixTable`]s that map each distinct key to its
+//!    multiplicity.
+//! 2. **Morsel-stealing count** — probe rows are consumed in fixed-size
 //!    *morsels* claimed from a shared atomic [`MorselCursor`], so fast
 //!    workers steal work from slow ones instead of idling at a static chunk
-//!    boundary. A worker only *records* its matches: a `(probe_row,
-//!    build_row)` pair of `u32` index lists, and where each morsel it retired
-//!    ends in them. No output cell is written yet.
-//! 3. **Order** — the match lists are laid end to end in *morsel* order,
-//!    which is probe-row order, whatever the schedule was.
-//! 4. **Columnar materialization** — every output column is one gather from
-//!    its source column through the ordered index list, allocated once at its
-//!    final length; workers steal whole columns. No row-at-a-time `Value`
-//!    boxing, no per-worker fragment, no second copy.
+//!    boundary. A worker adds up, per probe row, how many build rows share
+//!    its key; nothing is written per match.
 //!
-//! The output is therefore the same table, bit for bit, for every thread
-//! count, morsel size and radix width: rows in probe-row order, and a probe
-//! row's several matches in the build's chain order (latest build row first).
+//! `output_rows` is a sum of per-row counts, so it is the same number for
+//! every thread count, morsel size and radix width. A kernel rung that
+//! needs the joined rows brings back its own gather, with a caller.
 
 use crate::error::PStoreError;
 use crate::op::kernel::{JoinKernelConfig, KeySlice, MorselCursor, RadixTable};
-use eedc_storage::{hash_i64, Column, Schema, Table};
-use std::ops::Range;
+use eedc_storage::{hash_i64, Table};
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Output of a hash join.
+/// Row counts of a hash join.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HashJoinOutput {
-    /// The joined rows: probe columns followed by build columns.
-    pub output: Table,
     /// Number of rows in the build-side hash table.
     pub build_rows: usize,
     /// Number of probe-side rows scanned.
     pub probe_rows: usize,
-    /// Number of output (matching) rows.
+    /// Number of output (matching) rows: the sum over probe rows of how many
+    /// build rows share the probe row's key.
     pub output_rows: usize,
     /// Morsels retired by each probe worker, in worker order: one entry per
     /// requested thread, zero for a worker that was never started because no
@@ -51,45 +46,10 @@ pub struct HashJoinOutput {
     pub morsels_per_worker: Vec<usize>,
 }
 
-/// The output-table name of a join, with bounded growth under chaining.
-///
-/// A naive `{probe}_join_{build}` doubles in length on every chained join
-/// (the previous output becomes the next probe). Instead, a probe name that
-/// is itself a join output is compacted to its original base plus a depth
-/// counter: `LINEITEM_join_ORDERS` joined with `CUSTOMER` becomes
-/// `LINEITEM_join2_CUSTOMER`, then `LINEITEM_join3_…`, and the result is
-/// capped at 64 bytes.
-fn join_output_name(probe: &str, build: &str) -> String {
-    const MAX_LEN: usize = 64;
-    let (base, depth) = match probe.find("_join") {
-        Some(i) => {
-            let digits: String = probe[i + 5..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect();
-            (&probe[..i], digits.parse::<u64>().unwrap_or(1))
-        }
-        None => (probe, 0),
-    };
-    let mut name = if depth == 0 {
-        format!("{base}_join_{build}")
-    } else {
-        format!("{base}_join{}_{build}", depth + 1)
-    };
-    if name.len() > MAX_LEN {
-        let mut cut = MAX_LEN;
-        while !name.is_char_boundary(cut) {
-            cut -= 1;
-        }
-        name.truncate(cut);
-    }
-    name
-}
-
-/// The kernel addresses rows with `u32` ids — half the index traffic of
-/// `usize` through the build chains and the match lists — so a side must have
-/// at most `u32::MAX` rows. Checked once here; the `as u32` in the build and
-/// probe loops cannot truncate after it.
+/// A key's build rows are counted in `u32`, so the build side must have at
+/// most `u32::MAX` rows; the probe side is held to the same bound, so the
+/// join's limit reads the same from either side. Checked once here; no
+/// count can overflow after it.
 fn addressable_rows(side: &str, rows: usize) -> Result<usize, PStoreError> {
     match u32::try_from(rows) {
         Ok(_) => Ok(rows),
@@ -137,31 +97,18 @@ fn steal<T: Send>(workers: usize, items: usize, task: impl Fn(usize) -> T + Sync
     done.into_iter().map(|(_, result)| result).collect()
 }
 
-/// What one probe worker found: the matching `(probe row, build row)` pairs
-/// in the order it probed them, and where each morsel it retired ends in them.
-struct ProbeRun {
-    probe_idx: Vec<u32>,
-    build_idx: Vec<u32>,
-    /// `(morsel, match count once it was retired)`, in claim order.
-    morsels: Vec<(usize, usize)>,
-}
-
 /// Join `probe` against `build` on integer key columns `probe_key` /
-/// `build_key`, producing probe columns followed by build columns.
+/// `build_key` and count the joined rows.
 ///
-/// Every `threads` and every `config` (morsel size, radix bits) produce the
-/// same output table, bit for bit: rows in probe-row order, and the several
-/// matches of one probe row in the build's chain order (latest build row
-/// first). The tunables trade cache locality against scheduling overhead,
-/// never the result.
+/// Every `threads` and every `config` (morsel size, radix bits) give the
+/// same `output_rows`; the tunables trade cache locality against scheduling
+/// overhead, never the result.
 ///
 /// `threads` is an upper bound on the workers of each stage; values of 0 or
 /// 1 run everything on the calling thread. A worker is spawned only if work
 /// exists for it: the probe starts `min(threads, probe morsels)` workers (on
-/// the calling thread when that is one), a build side smaller than one
-/// morsel is hashed and built on the calling thread, and an output smaller
-/// than one morsel is gathered on the calling thread (a larger one by at
-/// most one worker per output column).
+/// the calling thread when that is one), and a build side smaller than one
+/// morsel is hashed and built on the calling thread.
 pub fn hash_join_with(
     probe: &Table,
     probe_key: &str,
@@ -209,7 +156,7 @@ pub fn hash_join_with(
     }
 
     // Counting sort by partition id (the low radix bits of the hash): one
-    // flat `ordered_rows` array replaces any per-partition or per-key Vecs.
+    // flat array of `(key, hash)` pairs replaces any per-partition Vecs.
     let mut offsets = vec![0usize; partitions + 1];
     for &hash in &hashes {
         offsets[(hash & partition_mask) as usize + 1] += 1;
@@ -218,12 +165,10 @@ pub fn hash_join_with(
         offsets[p + 1] += offsets[p];
     }
     let mut cursors: Vec<usize> = offsets[..partitions].to_vec();
-    let mut ordered_rows = vec![0u32; build_rows];
-    let mut ordered_hashes = vec![0u64; build_rows];
+    let mut ordered = vec![(0i64, 0u64); build_rows];
     for (row, &hash) in hashes.iter().enumerate() {
         let p = (hash & partition_mask) as usize;
-        ordered_rows[cursors[p]] = row as u32;
-        ordered_hashes[cursors[p]] = hash;
+        ordered[cursors[p]] = (build_keys.get(row), hash);
         cursors[p] += 1;
     }
     drop(hashes);
@@ -231,121 +176,48 @@ pub fn hash_join_with(
     // Workers steal whole partitions and build private open-addressing
     // tables; nothing is shared mutably, so no locks anywhere.
     let build_partition = |p: usize| {
-        let range = offsets[p]..offsets[p + 1];
-        let mut table = RadixTable::with_capacity(range.len(), config.radix_bits);
-        for i in range {
-            let row = ordered_rows[i];
-            table.insert(build_keys.get(row as usize), row, ordered_hashes[i]);
+        let entries = &ordered[offsets[p]..offsets[p + 1]];
+        let mut table = RadixTable::with_capacity(entries.len(), config.radix_bits);
+        for &(key, hash) in entries {
+            table.insert(key, hash);
         }
         table
     };
     let tables = steal(build_workers, partitions, build_partition);
+    drop(ordered);
 
-    // ---- Stage 2: morsel-stealing probe — match, write nothing ----------
+    // ---- Stage 2: morsel-stealing count ---------------------------------
     let cursor = MorselCursor::new(probe_rows, config.morsel_rows, workers);
+    // `(matches, morsels retired)` of one worker.
     let probe_worker = |worker: usize| {
-        let mut run = ProbeRun {
-            probe_idx: Vec::new(),
-            build_idx: Vec::new(),
-            morsels: Vec::new(),
-        };
+        let (mut matches, mut retired) = (0usize, 0usize);
         // First-claim morsel, then steal from the shared cursor until drained.
         let mut morsel = (worker < cursor.morsels()).then_some(worker);
         while let Some(m) = morsel {
             for row in cursor.range_of(m) {
                 let key = probe_keys.get(row);
                 let hash = hash_i64(key);
-                let matched = tables[(hash & partition_mask) as usize].probe_into(
-                    key,
-                    hash,
-                    &mut run.build_idx,
-                );
-                run.probe_idx
-                    .extend(std::iter::repeat_n(row as u32, matched));
+                matches += tables[(hash & partition_mask) as usize].matches(key, hash);
             }
-            run.morsels.push((m, run.probe_idx.len()));
+            retired += 1;
             morsel = cursor.claim();
         }
-        run
+        (matches, retired)
     };
     // A worker past the last morsel would find its first claim missing and
     // the cursor drained, so it is never started and reports zero morsels
     // below. One item per started worker: what *they* steal is morsels.
     let probe_workers = workers.min(cursor.morsels());
-    let mut runs = steal(probe_workers, probe_workers, probe_worker);
+    let runs = steal(probe_workers, probe_workers, probe_worker);
     let mut morsels_per_worker = vec![0; workers];
-    for (slot, run) in morsels_per_worker.iter_mut().zip(&runs) {
-        *slot = run.morsels.len();
+    for (slot, &(_, retired)) in morsels_per_worker.iter_mut().zip(&runs) {
+        *slot = retired;
     }
-
-    // ---- Stage 3: order — match lists end to end, in probe-row order ----
-    let output_rows: usize = runs.iter().map(|run| run.probe_idx.len()).sum();
-    let (probe_idx, build_idx) = if runs.len() <= 1 {
-        // One worker retired the morsels in order: its lists are the answer.
-        runs.pop()
-            .map_or_else(Default::default, |run| (run.probe_idx, run.build_idx))
-    } else {
-        // Each morsel was retired once: `(worker, its matches in that worker's lists)`.
-        let mut by_morsel: Vec<(usize, Range<usize>)> = vec![(0, 0..0); cursor.morsels()];
-        for (worker, run) in runs.iter().enumerate() {
-            let mut start = 0;
-            for &(morsel, end) in &run.morsels {
-                by_morsel[morsel] = (worker, start..end);
-                start = end;
-            }
-        }
-        let mut probe_idx = Vec::with_capacity(output_rows);
-        let mut build_idx = Vec::with_capacity(output_rows);
-        for (worker, range) in by_morsel {
-            probe_idx.extend_from_slice(&runs[worker].probe_idx[range.clone()]);
-            build_idx.extend_from_slice(&runs[worker].build_idx[range]);
-        }
-        (probe_idx, build_idx)
-    };
-    // The per-worker lists are spent; free them before the output is allocated.
-    drop(runs);
-
-    // ---- Stage 4: materialise — one exact-size gather per output column -
-    let mut sources: Vec<(&Column, &[u32])> = Vec::new();
-    for (side, table, rows) in [("probe", probe, &probe_idx), ("build", build, &build_idx)] {
-        for index in 0..table.schema().len() {
-            let column = table.column(index).ok_or_else(|| {
-                PStoreError::planning(format!(
-                    "{side} table {} has no column {index} of its own schema",
-                    table.name()
-                ))
-            })?;
-            sources.push((column, rows));
-        }
-    }
-    let gather_workers = if output_rows < config.morsel_rows {
-        1
-    } else {
-        workers
-    };
-    let columns = steal(gather_workers, sources.len(), |c| {
-        let (source, rows) = sources[c];
-        source.gathered(rows)
-    });
-    let output_schema = Schema::new(
-        probe
-            .schema()
-            .columns()
-            .iter()
-            .chain(build.schema().columns())
-            .map(|(name, ty)| (name.clone(), *ty)),
-    );
-    let output = Table::from_columns(
-        join_output_name(probe.name(), build.name()),
-        output_schema,
-        columns,
-    )?;
 
     Ok(HashJoinOutput {
         build_rows,
         probe_rows,
-        output_rows,
-        output,
+        output_rows: runs.iter().map(|&(matches, _)| matches).sum(),
         morsels_per_worker,
     })
 }
@@ -353,7 +225,7 @@ pub fn hash_join_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eedc_storage::{ColumnType, Predicate, Value};
+    use eedc_storage::{ColumnType, Predicate, Schema, Value};
     use eedc_tpch::gen::{LineitemGenerator, OrdersGenerator};
     use eedc_tpch::scale::ScaleFactor;
 
@@ -389,23 +261,9 @@ mod tests {
         assert_eq!(joined.output_rows, li.row_count());
         assert_eq!(joined.build_rows, ord.row_count());
         assert_eq!(joined.probe_rows, li.row_count());
-        // Output schema is probe columns then build columns.
-        assert_eq!(joined.output.schema().len(), 8);
-        assert_eq!(joined.output.schema().columns()[0].0, "L_ORDERKEY");
-        assert_eq!(joined.output.schema().columns()[4].0, "O_ORDERKEY");
-    }
-
-    #[test]
-    fn join_keys_match_on_every_output_row() {
-        let joined = hash_join(&lineitem(), "L_ORDERKEY", &orders(), "O_ORDERKEY", 2).unwrap();
-        let l_keys = joined.output.column_by_name("L_ORDERKEY").unwrap();
-        let o_keys = joined.output.column_by_name("O_ORDERKEY").unwrap();
-        for i in 0..joined.output_rows {
-            assert_eq!(
-                l_keys.get(i).unwrap().as_i64(),
-                o_keys.get(i).unwrap().as_i64()
-            );
-        }
+        // The other direction fans out: every order has its 1–7 lines.
+        let reverse = hash_join(&ord, "O_ORDERKEY", &li, "L_ORDERKEY", 1).unwrap();
+        assert_eq!(reverse.output_rows, li.row_count());
     }
 
     #[test]
@@ -415,12 +273,8 @@ mod tests {
         let serial = hash_join(&li, "L_ORDERKEY", &ord, "O_ORDERKEY", 1).unwrap();
         let parallel = hash_join(&li, "L_ORDERKEY", &ord, "O_ORDERKEY", 8).unwrap();
         assert_eq!(serial.output_rows, parallel.output_rows);
-        // Compare multisets of full output rows.
-        let columns = ["L_ORDERKEY", "L_EXTENDEDPRICE", "O_ORDERKEY", "O_CUSTKEY"];
-        assert_eq!(
-            serial.output.sorted_row_signature(&columns).unwrap(),
-            parallel.output.sorted_row_signature(&columns).unwrap()
-        );
+        assert_eq!(serial.build_rows, parallel.build_rows);
+        assert_eq!(serial.probe_rows, parallel.probe_rows);
     }
 
     #[test]
@@ -428,8 +282,6 @@ mod tests {
         let li = lineitem();
         let ord = orders();
         let reference = hash_join(&li, "L_ORDERKEY", &ord, "O_ORDERKEY", 1).unwrap();
-        let columns = ["L_ORDERKEY", "L_EXTENDEDPRICE", "O_ORDERKEY", "O_CUSTKEY"];
-        let expected = reference.output.sorted_row_signature(&columns).unwrap();
         for (morsel_rows, radix_bits) in [(64, 0), (1 << 20, 8), (100, 4)] {
             let config = JoinKernelConfig {
                 morsel_rows,
@@ -437,8 +289,7 @@ mod tests {
             };
             let joined = hash_join_with(&li, "L_ORDERKEY", &ord, "O_ORDERKEY", 3, config).unwrap();
             assert_eq!(
-                joined.output.sorted_row_signature(&columns).unwrap(),
-                expected,
+                joined.output_rows, reference.output_rows,
                 "config {config:?} changed the result set"
             );
         }
@@ -467,25 +318,26 @@ mod tests {
         let ord = orders();
         assert!(li.row_count() < config.morsel_rows && ord.row_count() < config.morsel_rows);
         let one = |table: &Table| table.gather_rows(table.name(), &[0]);
-        let columns = ["L_ORDERKEY", "L_EXTENDEDPRICE", "O_ORDERKEY", "O_CUSTKEY"];
         let cases = [
-            (li.clone(), ord.clone()),
-            (Table::empty("LINEITEM", li.schema().clone()), ord.clone()),
-            (li.clone(), Table::empty("ORDERS", ord.schema().clone())),
-            (one(&li), one(&ord)),
+            (li.clone(), ord.clone(), li.row_count()),
+            (
+                Table::empty("LINEITEM", li.schema().clone()),
+                ord.clone(),
+                0,
+            ),
+            (li.clone(), Table::empty("ORDERS", ord.schema().clone()), 0),
+            (one(&li), one(&ord), 1),
         ];
-        for (probe, build) in &cases {
+        for (probe, build, expected) in &cases {
             let morsels = probe.row_count().div_ceil(config.morsel_rows);
-            let mut expected = None;
             for threads in [1, 2, 4, 8] {
                 let joined = hash_join(probe, "L_ORDERKEY", build, "O_ORDERKEY", threads).unwrap();
                 assert_eq!(joined.morsels_per_worker.len(), threads);
                 assert_eq!(joined.morsels_per_worker.iter().sum::<usize>(), morsels);
                 assert_eq!(joined.morsels_per_worker[0], morsels);
-                let signature = joined.output.sorted_row_signature(&columns).unwrap();
                 assert_eq!(
-                    expected.get_or_insert(signature.clone()),
-                    &signature,
+                    joined.output_rows,
+                    *expected,
                     "{} x {} rows on {threads} threads",
                     probe.row_count(),
                     build.row_count()
@@ -586,32 +438,6 @@ mod tests {
         let mut probe = Table::empty("P", Schema::new([("P_KEY", ColumnType::Int64)]));
         probe.append_row(&[Value::Int64(1)]).unwrap();
         assert!(hash_join(&probe, "P_KEY", &build, "B_KEY", 1).is_err());
-    }
-
-    #[test]
-    fn chained_join_names_stay_bounded() {
-        assert_eq!(
-            join_output_name("LINEITEM", "ORDERS"),
-            "LINEITEM_join_ORDERS"
-        );
-        assert_eq!(
-            join_output_name("LINEITEM_join_ORDERS", "CUSTOMER"),
-            "LINEITEM_join2_CUSTOMER"
-        );
-        assert_eq!(
-            join_output_name("LINEITEM_join2_CUSTOMER", "NATION"),
-            "LINEITEM_join3_NATION"
-        );
-        // Names never exceed the cap even for pathological inputs.
-        let long = "X".repeat(200);
-        assert!(join_output_name(&long, &long).len() <= 64);
-        // And the output table actually carries the compacted name.
-        let mut t = Table::empty("A_join_B", Schema::new([("K", ColumnType::Int64)]));
-        t.append_row(&[Value::Int64(1)]).unwrap();
-        let mut u = Table::empty("C", Schema::new([("K2", ColumnType::Int64)]));
-        u.append_row(&[Value::Int64(1)]).unwrap();
-        let joined = hash_join(&t, "K", &u, "K2", 1).unwrap();
-        assert_eq!(joined.output.name(), "A_join2_C");
     }
 
     #[test]

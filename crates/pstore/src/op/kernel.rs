@@ -9,8 +9,8 @@
 //!   hot loops hash raw `i64`/`i32` values instead of boxed [`Value`]s,
 //! * [`MorselCursor`] — the shared atomic cursor workers steal fixed-size
 //!   row ranges (*morsels*) from until the probe side is drained,
-//! * [`RadixTable`] — an open-addressing hash table over `(key, row)` pairs
-//!   with intrusive duplicate chains: one flat allocation per partition, no
+//! * [`RadixTable`] — an open-addressing hash table from each distinct key
+//!   to its build-side multiplicity: one flat allocation per partition, no
 //!   per-key `Vec`s.
 //!
 //! [`Value`]: eedc_storage::Value
@@ -184,14 +184,14 @@ impl MorselCursor {
     }
 }
 
-/// An open-addressing hash table over `(key: i64, row: u32)` pairs with
-/// intrusive duplicate chains, covering one radix partition of the build
-/// side.
+/// An open-addressing hash table from each distinct key of one radix
+/// partition of the build side to its multiplicity — the number of build
+/// rows carrying it, which is all a counting probe reads.
 ///
 /// Layout: `slots` is a power-of-two probe array holding entry indices (`-1`
-/// for empty); `keys`/`rows`/`next` are parallel entry arrays appended in
-/// insertion order. Duplicate keys share one slot and chain through `next`,
-/// so fan-out probes walk a flat array instead of a per-key `Vec`.
+/// for empty); `keys`/`counts` are parallel entry arrays, one entry per
+/// distinct key in first-insertion order. Duplicate keys share one entry, so
+/// a probe reads one count however many build rows matched.
 ///
 /// Slot indices are taken from the hash bits *above* the radix bits
 /// (`hash >> radix_bits`); the low bits already picked the partition, so
@@ -200,14 +200,13 @@ impl MorselCursor {
 pub struct RadixTable {
     slots: Vec<i32>,
     keys: Vec<i64>,
-    rows: Vec<u32>,
-    next: Vec<i32>,
+    counts: Vec<u32>,
     mask: u64,
     radix_bits: u8,
 }
 
 impl RadixTable {
-    /// A table sized for `expected` entries in a partition selected by
+    /// A table sized for `expected` build rows in a partition selected by
     /// `radix_bits` low hash bits.
     pub fn with_capacity(expected: usize, radix_bits: u8) -> Self {
         // Keep the load factor at or below 0.5.
@@ -215,21 +214,10 @@ impl RadixTable {
         Self {
             slots: vec![-1; slot_count],
             keys: Vec::with_capacity(expected),
-            rows: Vec::with_capacity(expected),
-            next: Vec::with_capacity(expected),
+            counts: Vec::with_capacity(expected),
             mask: (slot_count - 1) as u64,
             radix_bits,
         }
-    }
-
-    /// Number of `(key, row)` entries inserted.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the table holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
     }
 
     #[inline]
@@ -237,42 +225,34 @@ impl RadixTable {
         ((hash >> self.radix_bits) & self.mask) as usize
     }
 
-    /// Insert a build row. `hash` must be the key's full hash (the same one
-    /// that selected this partition).
-    pub fn insert(&mut self, key: i64, row: u32, hash: u64) {
+    /// Count one build row with `key`. `hash` must be the key's full hash
+    /// (the same one that selected this partition).
+    pub fn insert(&mut self, key: i64, hash: u64) {
         debug_assert!(
-            self.keys.len() * 2 <= self.slots.len(),
-            "RadixTable sized for {} entries overfilled",
+            self.keys.len() * 2 < self.slots.len(),
+            "RadixTable sized for {} keys overfilled",
             self.slots.len() / 2
         );
         let mut slot = self.slot_of(hash);
         loop {
             let entry = self.slots[slot];
             if entry < 0 {
-                self.slots[slot] = self.push_entry(key, row, -1);
+                self.slots[slot] = self.keys.len() as i32;
+                self.keys.push(key);
+                self.counts.push(1);
                 return;
             }
             if self.keys[entry as usize] == key {
-                // Duplicate key: new entry becomes the chain head.
-                self.slots[slot] = self.push_entry(key, row, entry);
+                self.counts[entry as usize] += 1;
                 return;
             }
             slot = (slot + 1) & self.mask as usize;
         }
     }
 
-    fn push_entry(&mut self, key: i64, row: u32, next: i32) -> i32 {
-        let index = self.keys.len() as i32;
-        self.keys.push(key);
-        self.rows.push(row);
-        self.next.push(next);
-        index
-    }
-
-    /// Append every build row matching `key` to `matches`, returning how many
-    /// were appended.
+    /// How many build rows carry `key`.
     #[inline]
-    pub fn probe_into(&self, key: i64, hash: u64, matches: &mut Vec<u32>) -> usize {
+    pub fn matches(&self, key: i64, hash: u64) -> usize {
         let mut slot = self.slot_of(hash);
         loop {
             let entry = self.slots[slot];
@@ -280,13 +260,7 @@ impl RadixTable {
                 return 0;
             }
             if self.keys[entry as usize] == key {
-                let before = matches.len();
-                let mut e = entry;
-                while e >= 0 {
-                    matches.push(self.rows[e as usize]);
-                    e = self.next[e as usize];
-                }
-                return matches.len() - before;
+                return self.counts[entry as usize] as usize;
             }
             slot = (slot + 1) & self.mask as usize;
         }
@@ -362,18 +336,13 @@ mod tests {
     #[test]
     fn radix_table_probes_duplicates_and_misses() {
         let mut table = RadixTable::with_capacity(4, 0);
-        for (key, row) in [(10, 0), (11, 1), (10, 2), (10, 3)] {
-            table.insert(key, row, hash_i64(key));
+        for key in [10, 11, 10, 10] {
+            table.insert(key, hash_i64(key));
         }
-        assert_eq!(table.len(), 4);
-        assert!(!table.is_empty());
-        let mut matches = Vec::new();
-        assert_eq!(table.probe_into(10, hash_i64(10), &mut matches), 3);
-        matches.sort_unstable();
-        assert_eq!(matches, vec![0, 2, 3]);
-        matches.clear();
-        assert_eq!(table.probe_into(11, hash_i64(11), &mut matches), 1);
-        assert_eq!(table.probe_into(99, hash_i64(99), &mut matches), 0);
+        assert_eq!(table.matches(10, hash_i64(10)), 3);
+        assert_eq!(table.matches(11, hash_i64(11)), 1);
+        assert_eq!(table.matches(99, hash_i64(99)), 0);
+        assert_eq!(table.matches(0, hash_i64(0)), 0);
     }
 
     #[test]
@@ -383,13 +352,11 @@ mod tests {
         // key retrievable.
         let keys: Vec<i64> = (0..128).map(|i| (i as i64 - 64) * 7919).collect();
         let mut table = RadixTable::with_capacity(keys.len(), 4);
-        for (row, &key) in keys.iter().enumerate() {
-            table.insert(key, row as u32, hash_i64(key));
+        for &key in &keys {
+            table.insert(key, hash_i64(key));
         }
-        for (row, &key) in keys.iter().enumerate() {
-            let mut matches = Vec::new();
-            assert_eq!(table.probe_into(key, hash_i64(key), &mut matches), 1);
-            assert_eq!(matches, vec![row as u32]);
+        for &key in &keys {
+            assert_eq!(table.matches(key, hash_i64(key)), 1);
         }
     }
 

@@ -10,32 +10,24 @@
 //!
 //! # The morsel-driven execution kernel
 //!
-//! The join's output rule is **match first, write once**, and it runs in
-//! four stages, built from the primitives in [`kernel`]:
+//! Every caller of the join reads its cardinality and nothing else, so the
+//! join's product *is* its cardinality. It runs in two stages, built from
+//! the primitives in [`kernel`]:
 //!
 //! 1. **Build: partitioned radix build.** Build-side keys are hashed once
 //!    (`hash_i64`, the same splitmix64 mix used for cluster placement) and
-//!    rows are radix-partitioned on the low `radix_bits` hash bits with a
-//!    counting sort — one flat index array, no per-key `Vec`s. Workers steal
-//!    whole partitions and build private open-addressing
-//!    [`kernel::RadixTable`]s over `(key: i64, row: u32)` entries with
-//!    intrusive duplicate chains; nothing is shared mutably, so the build
-//!    needs no locks.
-//! 2. **Probe: morsel stealing.** The probe side is consumed in fixed-size
+//!    radix-partitioned on the low `radix_bits` hash bits with a counting
+//!    sort — one flat array, no per-key `Vec`s. Workers steal whole
+//!    partitions and build private open-addressing [`kernel::RadixTable`]s
+//!    mapping each distinct key to its multiplicity; nothing is shared
+//!    mutably, so the build needs no locks.
+//! 2. **Count: morsel stealing.** The probe side is consumed in fixed-size
 //!    row ranges (*morsels*) claimed from a shared atomic
 //!    [`kernel::MorselCursor`]. Each worker is pre-assigned one first-claim
 //!    morsel and then steals until the input is drained, so a slow worker
 //!    delays the join by at most one morsel instead of a whole static chunk.
-//!    A worker writes no output: it records its matching
-//!    `(probe_row, build_row)` pairs as two `u32` index lists, and where each
-//!    morsel it retired ends in them.
-//! 3. **Order.** The match lists are laid end to end in morsel order —
-//!    probe-row order — whichever worker won which morsel.
-//! 4. **Materialize: one gather per output column.** Each output column is
-//!    gathered from its source column through the ordered index list into an
-//!    allocation of exactly its final length; workers steal whole columns.
-//!    No output cell is written twice, and never a row-at-a-time `Value`
-//!    round-trip.
+//!    A worker adds up the multiplicity of each probe row's key; nothing is
+//!    written per match.
 //!
 //! Defaults ([`kernel::DEFAULT_MORSEL_ROWS`] = 16384 rows,
 //! [`kernel::DEFAULT_RADIX_BITS`] = 4): a 16K-row morsel of the paper's
@@ -44,8 +36,7 @@
 //! cache-resident at the paper's 10 MB build sizes without making tiny
 //! builds pay for partitioning. Both are overridable per join via
 //! [`kernel::JoinKernelConfig`]; every configuration and every thread count
-//! yields the same output table, bit for bit (rows in probe-row order, one
-//! probe row's several matches in the build's chain order).
+//! yields the same `output_rows`, since it is a sum of per-row counts.
 
 pub mod exchange;
 pub mod hashjoin;

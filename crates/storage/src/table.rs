@@ -78,6 +78,15 @@ impl Schema {
     }
 }
 
+/// The rows to reserve for the table built from `rows`: the upper bound of
+/// its size hint, else the lower. Reserving the lower bound and growing from
+/// there is slower than reserving a generous upper bound once, and neither
+/// generator's upper bound exceeds its row count by more than 7×.
+fn reserved_rows(rows: &impl Iterator) -> usize {
+    let (lower, upper) = rows.size_hint();
+    upper.unwrap_or(lower)
+}
+
 /// An in-memory columnar table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
@@ -116,9 +125,9 @@ impl Table {
     }
 
     /// A table assembled from pre-built columns. The columns must match the
-    /// schema's types and all have the same length — this is how the
-    /// execution kernel turns its gathered output columns into a table
-    /// without touching any per-row path.
+    /// schema's types and all have the same length — this is how a scan
+    /// turns its gathered output columns into a table without touching any
+    /// per-row path.
     pub fn from_columns(
         name: impl Into<String>,
         schema: Schema,
@@ -164,7 +173,7 @@ impl Table {
     )]
     pub fn from_lineitem(rows: impl IntoIterator<Item = LineitemRow>) -> Self {
         let iter = rows.into_iter();
-        let capacity = iter.size_hint().0;
+        let capacity = reserved_rows(&iter);
         let mut orderkey = Vec::with_capacity(capacity);
         let mut extendedprice = Vec::with_capacity(capacity);
         let mut discount = Vec::with_capacity(capacity);
@@ -195,7 +204,7 @@ impl Table {
     )]
     pub fn from_orders(rows: impl IntoIterator<Item = OrdersRow>) -> Self {
         let iter = rows.into_iter();
-        let capacity = iter.size_hint().0;
+        let capacity = reserved_rows(&iter);
         let mut orderkey = Vec::with_capacity(capacity);
         let mut orderdate = Vec::with_capacity(capacity);
         let mut shippriority = Vec::with_capacity(capacity);
@@ -402,6 +411,20 @@ mod tests {
 
     fn small_orders() -> Table {
         Table::from_orders(OrdersGenerator::new(ScaleFactor(0.001), 1))
+    }
+
+    #[test]
+    fn generated_tables_equal_tables_of_their_collected_rows() {
+        for (scale, seed) in [(0.0, 1), (0.0001, 3), (0.001, 1), (0.002, 11)] {
+            let scale = ScaleFactor(scale);
+            let rows: Vec<_> = LineitemGenerator::new(scale, seed).collect();
+            let lineitem = Table::from_lineitem(LineitemGenerator::new(scale, seed));
+            assert_eq!(lineitem, Table::from_lineitem(rows.iter().copied()));
+            assert_eq!(lineitem.row_count(), rows.len());
+            let rows: Vec<_> = OrdersGenerator::new(scale, seed).collect();
+            let orders = Table::from_orders(OrdersGenerator::new(scale, seed));
+            assert_eq!(orders, Table::from_orders(rows));
+        }
     }
 
     #[test]

@@ -156,6 +156,14 @@ impl Iterator for LineitemGenerator {
             shipdate: self.rng.gen_range(0..DATE_DOMAIN_DAYS),
         })
     }
+
+    /// The current order's remaining lines, plus 1 to 7 for each order still
+    /// to come.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.lines_left_in_order as usize;
+        let later = (self.last_order - self.current_order).max(0) as usize;
+        (left + later, Some(left + 7 * later))
+    }
 }
 
 /// The ship-date threshold (in days since 1992-01-01) below which a fraction
@@ -262,6 +270,28 @@ mod tests {
             custkey_cutoff_for_selectivity(ScaleFactor(1.0), 2.0),
             150_000
         );
+    }
+
+    #[test]
+    fn lineitem_size_hint_bounds_the_rows_still_to_come() {
+        for scale in [0.0, 0.0001, TINY.0, 0.003] {
+            for seed in [0, 1, 7, 42] {
+                let mut generator = LineitemGenerator::new(ScaleFactor(scale), seed);
+                let total = generator.clone().count();
+                if scale == 0.0 {
+                    assert_eq!(total, 0);
+                }
+                for left in (0..=total).rev() {
+                    let (lower, upper) = generator.size_hint();
+                    assert!(
+                        lower <= left && upper.is_some_and(|upper| left <= upper),
+                        "scale {scale} seed {seed}: {left} rows left, hint ({lower}, {upper:?})"
+                    );
+                    assert_eq!(generator.next().is_some(), left > 0);
+                }
+                assert_eq!(generator.size_hint(), (0, Some(0)));
+            }
+        }
     }
 
     #[test]

@@ -30,8 +30,10 @@
 # `BinaryHeap::{push, pop}` — the kernel's queue, whose `pop` an edit in
 # another crate has outlined before; every instance in the binary is listed —
 # `ServingEngine::{on_event, admit, start}`, `JoinShortestQueue::place`,
-# `simulate_serving`, `PhaseStats::close`), from both binaries: read them
-# before believing a metric that moved while its sources did not.
+# `simulate_serving`, `PhaseStats::close`) and of the join kernel's two
+# entry points (`hash_join_with`, the counting join; `Table::from_lineitem`,
+# one size per generic instance), from both binaries: read them before
+# believing a metric that moved while its sources did not.
 # Exits non-zero if any run reports `correct: false` or fails to run, or if
 # any pair's two output digests differ (each such pair is named).
 #
@@ -205,7 +207,8 @@ echo "symbol sizes in bytes (nm -S), base -> head: a metric that moves while its
 echo "sources did not may be a function inlined into, or out of, its caller"
 for symbol in 'Simulation<E>::run' 'BinaryHeap<T,A>::push' 'BinaryHeap<T,A>::pop' \
   'ServingEngine as .*>::on_event' 'ServingEngine::admit' 'ServingEngine::start' \
-  'JoinShortestQueue as .*>::place' 'serving::simulate_serving' 'PhaseStats::close'; do
+  'JoinShortestQueue as .*>::place' 'serving::simulate_serving' 'PhaseStats::close' \
+  'hashjoin::hash_join_with' 'Table::from_lineitem'; do
   printf '%-36s %s -> %s\n' "$symbol" \
     "$(symbol_sizes "$work/base/benchmark/target/release/benchmark" "$symbol")" \
     "$(symbol_sizes "$head_tree/benchmark/target/release/benchmark" "$symbol")"
