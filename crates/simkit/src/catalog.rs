@@ -46,156 +46,146 @@ pub mod names {
 /// The Cluster-V node of Table 1: the machine behind every Vertica experiment
 /// and the Beefy node of the Section 5.4 model sweeps (`C_B = 5037`,
 /// `G_B = 0.25`, `f_B(c) = 130.03 · (100c)^0.2369`).
-#[expect(
-    clippy::expect_used,
-    reason = "a constant spec; the catalog tests build it"
-)]
 pub fn cluster_v_node() -> NodeSpec {
-    NodeSpec::builder(names::CLUSTER_V, NodeClass::Beefy)
-        .cpu(8, 16)
-        .memory(Megabytes::from_gigabytes(48.0))
+    let power_model = PowerModel::power_law(130.03, 0.2369);
+    NodeSpec {
+        name: names::CLUSTER_V.into(),
+        class: NodeClass::Beefy,
+        cores: 8,
+        threads: 16,
+        memory: Megabytes::from_gigabytes(48.0),
         // Section 5.4 models the I/O subsystem as four Crucial C300 SSDs.
-        .disk_bandwidth(MegabytesPerSec(1200.0))
-        .network_bandwidth(MegabytesPerSec(100.0))
-        .cpu_bandwidth(MegabytesPerSec(5037.0))
-        .hashjoin_bandwidth(MegabytesPerSec(180.0))
-        .utilization_floor(0.25)
-        .power_model(PowerModel::power_law(130.03, 0.2369))
-        .build()
-        .expect("cluster-v spec is valid")
+        disk_bandwidth: MegabytesPerSec(1200.0),
+        network_bandwidth: MegabytesPerSec(100.0),
+        cpu_bandwidth: MegabytesPerSec(5037.0),
+        hashjoin_bandwidth: MegabytesPerSec(180.0),
+        utilization_floor: 0.25,
+        idle_power: power_model.near_idle_power(),
+        power_model,
+    }
 }
 
 /// The Beefy prototype node of Section 5.2: HP ProLiant SE326M1R2 with dual
 /// low-power quad-core L5630 Xeons, 32 GB of memory and a Crucial C300 SSD
 /// (`C_B = 4034`, `f_B(c) = 79.006 · (100c)^0.2451`, ~154 W average during the
 /// prototype runs).
-#[expect(
-    clippy::expect_used,
-    reason = "a constant spec; the catalog tests build it"
-)]
 pub fn beefy_l5630_node() -> NodeSpec {
-    NodeSpec::builder(names::BEEFY_L5630, NodeClass::Beefy)
-        .cpu(8, 16)
-        .memory(Megabytes::from_gigabytes(32.0))
-        .disk_bandwidth(MegabytesPerSec(270.0))
-        .network_bandwidth(MegabytesPerSec(95.0))
-        .cpu_bandwidth(MegabytesPerSec(4034.0))
-        .hashjoin_bandwidth(MegabytesPerSec(160.0))
-        .utilization_floor(0.25)
-        .power_model(PowerModel::power_law(79.006, 0.2451))
-        .build()
-        .expect("beefy-l5630 spec is valid")
+    let power_model = PowerModel::power_law(79.006, 0.2451);
+    NodeSpec {
+        name: names::BEEFY_L5630.into(),
+        class: NodeClass::Beefy,
+        cores: 8,
+        threads: 16,
+        memory: Megabytes::from_gigabytes(32.0),
+        disk_bandwidth: MegabytesPerSec(270.0),
+        network_bandwidth: MegabytesPerSec(95.0),
+        cpu_bandwidth: MegabytesPerSec(4034.0),
+        hashjoin_bandwidth: MegabytesPerSec(160.0),
+        utilization_floor: 0.25,
+        idle_power: power_model.near_idle_power(),
+        power_model,
+    }
 }
 
 /// Table 2 Workstation A: i7 920 (4 cores / 8 threads), 12 GB RAM, 93 W idle.
-#[expect(
-    clippy::expect_used,
-    reason = "a constant spec; the catalog tests build it"
-)]
 pub fn workstation_a() -> NodeSpec {
-    NodeSpec::builder(names::WORKSTATION_A, NodeClass::Beefy)
-        .cpu(4, 8)
-        .memory(Megabytes::from_gigabytes(12.0))
-        .disk_bandwidth(MegabytesPerSec(250.0))
-        .network_bandwidth(MegabytesPerSec(100.0))
-        .cpu_bandwidth(MegabytesPerSec(3800.0))
+    NodeSpec {
+        name: names::WORKSTATION_A.into(),
+        class: NodeClass::Beefy,
+        cores: 4,
+        threads: 8,
+        memory: Megabytes::from_gigabytes(12.0),
+        disk_bandwidth: MegabytesPerSec(250.0),
+        network_bandwidth: MegabytesPerSec(100.0),
+        cpu_bandwidth: MegabytesPerSec(3800.0),
         // Figure 6: ~13 s for the 2 GB probe → ~160 MB/s through the
         // cache-conscious join, drawing ~103 W on average → ~1300 J.
-        .hashjoin_bandwidth(MegabytesPerSec(160.0))
-        .utilization_floor(0.2)
-        .power_model(PowerModel::linear(93.0, 40.0))
-        .idle_power(Watts(93.0))
-        .build()
-        .expect("workstation-a spec is valid")
+        hashjoin_bandwidth: MegabytesPerSec(160.0),
+        utilization_floor: 0.2,
+        power_model: PowerModel::linear(93.0, 40.0),
+        idle_power: Watts(93.0),
+    }
 }
 
 /// Table 2 Workstation B: quad-core Xeon (no SMT), 24 GB RAM, 69 W idle.
-#[expect(
-    clippy::expect_used,
-    reason = "a constant spec; the catalog tests build it"
-)]
 pub fn workstation_b() -> NodeSpec {
-    NodeSpec::builder(names::WORKSTATION_B, NodeClass::Beefy)
-        .cpu(4, 4)
-        .memory(Megabytes::from_gigabytes(24.0))
-        .disk_bandwidth(MegabytesPerSec(250.0))
-        .network_bandwidth(MegabytesPerSec(100.0))
-        .cpu_bandwidth(MegabytesPerSec(3400.0))
+    NodeSpec {
+        name: names::WORKSTATION_B.into(),
+        class: NodeClass::Beefy,
+        cores: 4,
+        threads: 4,
+        memory: Megabytes::from_gigabytes(24.0),
+        disk_bandwidth: MegabytesPerSec(250.0),
+        network_bandwidth: MegabytesPerSec(100.0),
+        cpu_bandwidth: MegabytesPerSec(3400.0),
         // Figure 6: slightly slower than Workstation A but lower power.
-        .hashjoin_bandwidth(MegabytesPerSec(140.0))
-        .utilization_floor(0.2)
-        .power_model(PowerModel::linear(69.0, 28.0))
-        .idle_power(Watts(69.0))
-        .build()
-        .expect("workstation-b spec is valid")
+        hashjoin_bandwidth: MegabytesPerSec(140.0),
+        utilization_floor: 0.2,
+        power_model: PowerModel::linear(69.0, 28.0),
+        idle_power: Watts(69.0),
+    }
 }
 
 /// Table 2 Atom desktop: dual-core / 4-thread Atom, 4 GB RAM, 28 W idle.
-#[expect(
-    clippy::expect_used,
-    reason = "a constant spec; the catalog tests build it"
-)]
 pub fn desktop_atom() -> NodeSpec {
-    NodeSpec::builder(names::DESKTOP_ATOM, NodeClass::Wimpy)
-        .cpu(2, 4)
-        .memory(Megabytes::from_gigabytes(4.0))
-        .disk_bandwidth(MegabytesPerSec(120.0))
-        .network_bandwidth(MegabytesPerSec(100.0))
-        .cpu_bandwidth(MegabytesPerSec(600.0))
+    NodeSpec {
+        name: names::DESKTOP_ATOM.into(),
+        class: NodeClass::Wimpy,
+        cores: 2,
+        threads: 4,
+        memory: Megabytes::from_gigabytes(4.0),
+        disk_bandwidth: MegabytesPerSec(120.0),
+        network_bandwidth: MegabytesPerSec(100.0),
+        cpu_bandwidth: MegabytesPerSec(600.0),
         // Figure 6: ~45 s for the join at ~29 W → ~1300 J; an in-order Atom is
         // the slowest of the five systems and not the most energy efficient.
-        .hashjoin_bandwidth(MegabytesPerSec(45.0))
-        .utilization_floor(0.15)
-        .power_model(PowerModel::linear(28.0, 4.0))
-        .idle_power(Watts(28.0))
-        .build()
-        .expect("desktop-atom spec is valid")
+        hashjoin_bandwidth: MegabytesPerSec(45.0),
+        utilization_floor: 0.15,
+        power_model: PowerModel::linear(28.0, 4.0),
+        idle_power: Watts(28.0),
+    }
 }
 
 /// Table 2 Laptop A: Core 2 Duo (2 cores / 2 threads), 4 GB RAM, 12 W idle
 /// (screen off).
-#[expect(
-    clippy::expect_used,
-    reason = "a constant spec; the catalog tests build it"
-)]
 pub fn laptop_a() -> NodeSpec {
-    NodeSpec::builder(names::LAPTOP_A, NodeClass::Wimpy)
-        .cpu(2, 2)
-        .memory(Megabytes::from_gigabytes(4.0))
-        .disk_bandwidth(MegabytesPerSec(200.0))
-        .network_bandwidth(MegabytesPerSec(100.0))
-        .cpu_bandwidth(MegabytesPerSec(700.0))
+    NodeSpec {
+        name: names::LAPTOP_A.into(),
+        class: NodeClass::Wimpy,
+        cores: 2,
+        threads: 2,
+        memory: Megabytes::from_gigabytes(4.0),
+        disk_bandwidth: MegabytesPerSec(200.0),
+        network_bandwidth: MegabytesPerSec(100.0),
+        cpu_bandwidth: MegabytesPerSec(700.0),
         // Figure 6: ~48 s at ~19 W → ~900 J.
-        .hashjoin_bandwidth(MegabytesPerSec(42.0))
-        .utilization_floor(0.13)
-        .power_model(PowerModel::linear(12.0, 9.0))
-        .idle_power(Watts(12.0))
-        .build()
-        .expect("laptop-a spec is valid")
+        hashjoin_bandwidth: MegabytesPerSec(42.0),
+        utilization_floor: 0.13,
+        power_model: PowerModel::linear(12.0, 9.0),
+        idle_power: Watts(12.0),
+    }
 }
 
 /// Table 2 / Section 5.2 Laptop B: i7 620m (2 cores / 4 threads), 8 GB RAM,
 /// Crucial C300 SSD, 11 W idle (screen off). This is the paper's "Wimpy" node:
 /// `C_W = 1129`, `G_W = 0.13`, `f_W(c) = 10.994 · (100c)^0.2875`, ~37 W average
 /// during the prototype runs.
-#[expect(
-    clippy::expect_used,
-    reason = "a constant spec; the catalog tests build it"
-)]
 pub fn laptop_b() -> NodeSpec {
-    NodeSpec::builder(names::LAPTOP_B, NodeClass::Wimpy)
-        .cpu(2, 4)
-        .memory(Megabytes::from_gigabytes(8.0))
-        .disk_bandwidth(MegabytesPerSec(270.0))
-        .network_bandwidth(MegabytesPerSec(95.0))
-        .cpu_bandwidth(MegabytesPerSec(1129.0))
+    NodeSpec {
+        name: names::LAPTOP_B.into(),
+        class: NodeClass::Wimpy,
+        cores: 2,
+        threads: 4,
+        memory: Megabytes::from_gigabytes(8.0),
+        disk_bandwidth: MegabytesPerSec(270.0),
+        network_bandwidth: MegabytesPerSec(95.0),
+        cpu_bandwidth: MegabytesPerSec(1129.0),
         // Figure 6: ~20 s at ~39 W → ~800 J, the lowest-energy system.
-        .hashjoin_bandwidth(MegabytesPerSec(100.0))
-        .utilization_floor(0.13)
-        .power_model(PowerModel::power_law(10.994, 0.2875))
-        .idle_power(Watts(11.0))
-        .build()
-        .expect("laptop-b spec is valid")
+        hashjoin_bandwidth: MegabytesPerSec(100.0),
+        utilization_floor: 0.13,
+        power_model: PowerModel::power_law(10.994, 0.2875),
+        idle_power: Watts(11.0),
+    }
 }
 
 /// The five single-node systems of Table 2, in the paper's order.
@@ -212,6 +202,30 @@ pub fn table2_systems() -> [NodeSpec; 5] {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_catalog_machine_is_physically_valid() {
+        let paper = [cluster_v_node(), beefy_l5630_node()];
+        for spec in paper.into_iter().chain(table2_systems()) {
+            let name = &spec.name;
+            assert!(!name.is_empty());
+            assert!(spec.cores > 0 && spec.threads >= spec.cores, "{name}");
+            for v in [
+                spec.memory.value(),
+                spec.disk_bandwidth.value(),
+                spec.network_bandwidth.value(),
+                spec.cpu_bandwidth.value(),
+            ] {
+                assert!(v.is_finite() && v > 0.0, "{name}: {v}");
+            }
+            assert!((0.0..=1.0).contains(&spec.utilization_floor), "{name}");
+        }
+        // The paper gives only a regression model for the two servers, so
+        // their idle power is that model's near-idle evaluation.
+        for spec in [cluster_v_node(), beefy_l5630_node()] {
+            assert_eq!(spec.idle_power, spec.power_model.near_idle_power());
+        }
+    }
 
     #[test]
     fn table2_systems_are_in_the_papers_order() {

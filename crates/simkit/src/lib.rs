@@ -39,7 +39,7 @@ pub mod units;
 
 pub use error::SimError;
 pub use metrics::{Measurement, NormalizedPoint};
-pub use node::{NodeClass, NodeSpec, NodeSpecBuilder};
+pub use node::{NodeClass, NodeSpec};
 pub use power::PowerModel;
 pub use sim::{EventHandler, Simulation};
 pub use units::{Joules, Megabytes, MegabytesPerSec, Seconds, Watts};

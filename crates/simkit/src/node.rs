@@ -7,11 +7,11 @@
 //! P-store operators (the `C_B` / `C_W` constants of Table 3), the engine
 //! utilization floor (`G_B` / `G_W`), and its wall-power model.
 //!
-//! Specs are constructed either from the [`crate::catalog`] (which contains
-//! the exact machines used in the paper) or with [`NodeSpecBuilder`] for
-//! what-if hardware.
+//! The [`crate::catalog`] holds the exact machines used in the paper. Every
+//! field is public, so a what-if node is a catalog machine with the fields
+//! that differ overridden, e.g.
+//! `NodeSpec { memory: Megabytes::from_gigabytes(2.0), ..laptop_b() }`.
 
-use crate::error::SimError;
 use crate::power::PowerModel;
 use crate::units::{Megabytes, MegabytesPerSec, Watts};
 use std::fmt;
@@ -73,11 +73,6 @@ pub struct NodeSpec {
 }
 
 impl NodeSpec {
-    /// Start building a node spec with the given name and class.
-    pub fn builder(name: impl Into<String>, class: NodeClass) -> NodeSpecBuilder {
-        NodeSpecBuilder::new(name, class)
-    }
-
     /// Whether this node is a Beefy node.
     pub fn is_beefy(&self) -> bool {
         self.class == NodeClass::Beefy
@@ -134,206 +129,16 @@ impl fmt::Display for NodeSpec {
     }
 }
 
-/// Builder for [`NodeSpec`] with validation of the physical parameters.
-#[derive(Debug, Clone)]
-pub struct NodeSpecBuilder {
-    name: String,
-    class: NodeClass,
-    cores: u32,
-    threads: u32,
-    memory: Megabytes,
-    disk_bandwidth: MegabytesPerSec,
-    network_bandwidth: MegabytesPerSec,
-    cpu_bandwidth: MegabytesPerSec,
-    hashjoin_bandwidth: Option<MegabytesPerSec>,
-    utilization_floor: f64,
-    power_model: PowerModel,
-    idle_power: Option<Watts>,
-}
-
-impl NodeSpecBuilder {
-    /// Start a new builder. Sensible server-class defaults are supplied for
-    /// every field; callers override what they know.
-    pub fn new(name: impl Into<String>, class: NodeClass) -> Self {
-        Self {
-            name: name.into(),
-            class,
-            cores: 4,
-            threads: 8,
-            memory: Megabytes::from_gigabytes(32.0),
-            disk_bandwidth: MegabytesPerSec(270.0),
-            network_bandwidth: MegabytesPerSec::from_gigabits_per_sec(1.0),
-            cpu_bandwidth: MegabytesPerSec(4000.0),
-            hashjoin_bandwidth: None,
-            utilization_floor: 0.25,
-            power_model: PowerModel::power_law(130.03, 0.2369),
-            idle_power: None,
-        }
-    }
-
-    /// Set the core / hardware thread counts.
-    pub fn cpu(mut self, cores: u32, threads: u32) -> Self {
-        self.cores = cores;
-        self.threads = threads;
-        self
-    }
-
-    /// Set the main memory capacity.
-    pub fn memory(mut self, memory: Megabytes) -> Self {
-        self.memory = memory;
-        self
-    }
-
-    /// Set the storage scan bandwidth (model variable `I`).
-    pub fn disk_bandwidth(mut self, bw: MegabytesPerSec) -> Self {
-        self.disk_bandwidth = bw;
-        self
-    }
-
-    /// Set the network bandwidth (model variable `L`).
-    pub fn network_bandwidth(mut self, bw: MegabytesPerSec) -> Self {
-        self.network_bandwidth = bw;
-        self
-    }
-
-    /// Set the maximum CPU processing bandwidth (model constants `C_B`/`C_W`).
-    pub fn cpu_bandwidth(mut self, bw: MegabytesPerSec) -> Self {
-        self.cpu_bandwidth = bw;
-        self
-    }
-
-    /// Set the single-node hash-join microbenchmark rate (Figure 6).
-    pub fn hashjoin_bandwidth(mut self, bw: MegabytesPerSec) -> Self {
-        self.hashjoin_bandwidth = Some(bw);
-        self
-    }
-
-    /// Set the engine utilization floor (model constants `G_B`/`G_W`).
-    pub fn utilization_floor(mut self, floor: f64) -> Self {
-        self.utilization_floor = floor;
-        self
-    }
-
-    /// Set the CPU-utilization → wall-power model.
-    pub fn power_model(mut self, model: PowerModel) -> Self {
-        self.power_model = model;
-        self
-    }
-
-    /// Set the measured idle power (Table 2). If not supplied, the power
-    /// model's near-idle evaluation is used.
-    pub fn idle_power(mut self, idle: Watts) -> Self {
-        self.idle_power = Some(idle);
-        self
-    }
-
-    /// Validate and produce the [`NodeSpec`].
-    pub fn build(self) -> Result<NodeSpec, SimError> {
-        if self.name.is_empty() {
-            return Err(SimError::invalid("node name must not be empty"));
-        }
-        if self.cores == 0 || self.threads == 0 {
-            return Err(SimError::invalid("core and thread counts must be positive"));
-        }
-        if self.threads < self.cores {
-            return Err(SimError::invalid(format!(
-                "thread count {} smaller than core count {}",
-                self.threads, self.cores
-            )));
-        }
-        for (label, v) in [
-            ("memory", self.memory.value()),
-            ("disk bandwidth", self.disk_bandwidth.value()),
-            ("network bandwidth", self.network_bandwidth.value()),
-            ("cpu bandwidth", self.cpu_bandwidth.value()),
-        ] {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(SimError::invalid(format!(
-                    "{label} must be a positive finite value, got {v}"
-                )));
-            }
-        }
-        if !(0.0..=1.0).contains(&self.utilization_floor) {
-            return Err(SimError::invalid(format!(
-                "utilization floor {} outside [0, 1]",
-                self.utilization_floor
-            )));
-        }
-        let idle_power = self
-            .idle_power
-            .unwrap_or_else(|| self.power_model.near_idle_power());
-        let hashjoin_bandwidth = self.hashjoin_bandwidth.unwrap_or(self.cpu_bandwidth);
-        Ok(NodeSpec {
-            name: self.name,
-            class: self.class,
-            cores: self.cores,
-            threads: self.threads,
-            memory: self.memory,
-            disk_bandwidth: self.disk_bandwidth,
-            network_bandwidth: self.network_bandwidth,
-            cpu_bandwidth: self.cpu_bandwidth,
-            hashjoin_bandwidth,
-            utilization_floor: self.utilization_floor,
-            power_model: self.power_model,
-            idle_power,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn beefy() -> NodeSpec {
-        NodeSpec::builder("beefy-test", NodeClass::Beefy)
-            .cpu(8, 16)
-            .memory(Megabytes::from_gigabytes(48.0))
-            .disk_bandwidth(MegabytesPerSec(1200.0))
-            .network_bandwidth(MegabytesPerSec(100.0))
-            .cpu_bandwidth(MegabytesPerSec(5037.0))
-            .utilization_floor(0.25)
-            .power_model(PowerModel::power_law(130.03, 0.2369))
-            .build()
-            .unwrap()
-    }
-
-    fn wimpy() -> NodeSpec {
-        NodeSpec::builder("wimpy-test", NodeClass::Wimpy)
-            .cpu(2, 4)
-            .memory(Megabytes::from_gigabytes(8.0))
-            .disk_bandwidth(MegabytesPerSec(270.0))
-            .network_bandwidth(MegabytesPerSec(100.0))
-            .cpu_bandwidth(MegabytesPerSec(1129.0))
-            .utilization_floor(0.13)
-            .power_model(PowerModel::power_law(10.994, 0.2875))
-            .idle_power(Watts(11.0))
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn builder_produces_expected_spec() {
-        let n = beefy();
-        assert!(n.is_beefy());
-        assert!(!n.is_wimpy());
-        assert_eq!(n.cores, 8);
-        assert_eq!(n.memory, Megabytes::from_gigabytes(48.0));
-        // Idle power defaults to the power model's near-idle value.
-        assert!((n.idle_power.value() - 130.03).abs() < 1e-6);
-        // Hash-join bandwidth defaults to the CPU bandwidth.
-        assert_eq!(n.hashjoin_bandwidth, n.cpu_bandwidth);
-    }
-
-    #[test]
-    fn explicit_idle_power_is_kept() {
-        let n = wimpy();
-        assert_eq!(n.idle_power, Watts(11.0));
-    }
+    use crate::catalog::{cluster_v_node, laptop_b};
 
     #[test]
     fn utilization_at_rate_follows_model() {
-        let n = beefy();
-        // Fully stalled node sits at the engine floor.
+        // Cluster-V: C_B = 5037, G_B = 0.25. A fully stalled node sits at the
+        // engine floor.
+        let n = cluster_v_node();
         assert!((n.utilization_at_rate(MegabytesPerSec(0.0)) - 0.25).abs() < 1e-12);
         // Processing at exactly C would exceed 1.0 together with the floor, so
         // it clamps.
@@ -345,7 +150,7 @@ mod tests {
 
     #[test]
     fn power_at_rate_is_monotonic() {
-        let n = wimpy();
+        let n = laptop_b();
         let power_at_rate = |rate: f64| n.power_at(n.utilization_at_rate(MegabytesPerSec(rate)));
         let mut prev = power_at_rate(0.0).value();
         for i in 1..=10 {
@@ -357,7 +162,7 @@ mod tests {
 
     #[test]
     fn fits_hash_table_respects_headroom() {
-        let n = wimpy(); // 8 GB
+        let n = laptop_b(); // 8 GB
         assert!(n.fits_hash_table(Megabytes::from_gigabytes(3.0), 0.125));
         assert!(!n.fits_hash_table(Megabytes::from_gigabytes(8.8), 0.125));
         // Zero headroom: exactly the memory size fits.
@@ -365,34 +170,9 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_invalid_input() {
-        assert!(NodeSpec::builder("", NodeClass::Beefy).build().is_err());
-        assert!(NodeSpec::builder("x", NodeClass::Beefy)
-            .cpu(0, 0)
-            .build()
-            .is_err());
-        assert!(NodeSpec::builder("x", NodeClass::Beefy)
-            .cpu(8, 4)
-            .build()
-            .is_err());
-        assert!(NodeSpec::builder("x", NodeClass::Beefy)
-            .memory(Megabytes(0.0))
-            .build()
-            .is_err());
-        assert!(NodeSpec::builder("x", NodeClass::Beefy)
-            .disk_bandwidth(MegabytesPerSec(-1.0))
-            .build()
-            .is_err());
-        assert!(NodeSpec::builder("x", NodeClass::Beefy)
-            .utilization_floor(1.5)
-            .build()
-            .is_err());
-    }
-
-    #[test]
     fn display_is_readable() {
-        let s = beefy().to_string();
-        assert!(s.contains("beefy-test"));
+        let s = cluster_v_node().to_string();
+        assert!(s.contains("cluster-v"));
         assert!(s.contains("Beefy"));
         assert!(s.contains("48 GB"));
     }

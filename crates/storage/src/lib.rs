@@ -10,14 +10,12 @@
 //! storage manager. This crate reproduces that substrate:
 //!
 //! * typed [`column::Column`]s and schema-carrying [`table::Table`]s,
-//! * a [`block`] iterator that hands out fixed-size row ranges so operators
-//!   never materialise whole tables,
 //! * [`predicate`]s (comparison, conjunction, disjunction) for selection,
 //! * [`partition`]ing: hash (and round-robin) partitioning of tables across
 //!   cluster nodes, exactly like Vertica's hash segmentation in Section 3.1,
-//! * a [`scan()`] operator combining block iteration, predicate evaluation and
-//!   column projection, and reporting the scanned/qualifying volumes that the
-//!   energy model needs.
+//! * a [`scan()`] operator that selects block-at-a-time over fixed-size row
+//!   ranges, gathers the projected columns, and reports the
+//!   scanned/qualifying volumes that the energy model needs.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -25,7 +23,6 @@
 // root `clippy.toml` and `[workspace.lints]`.
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-pub mod block;
 pub mod column;
 pub mod error;
 pub mod partition;
@@ -33,7 +30,6 @@ pub mod predicate;
 pub mod scan;
 pub mod table;
 
-pub use block::{Block, BlockIter, DEFAULT_BLOCK_ROWS};
 pub use column::{Column, ColumnType, Value};
 pub use error::StorageError;
 pub use partition::{

@@ -238,7 +238,6 @@ impl Predicate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockIter;
     use crate::column::ColumnType;
     use crate::partition::hash_i64;
     use crate::table::Schema;
@@ -344,10 +343,9 @@ mod tests {
                     .collect();
                 for block_rows in [1, 7, 4096] {
                     let mut selected = Vec::new();
-                    for block in BlockIter::with_block_rows(&table, block_rows) {
-                        predicate
-                            .select_into(&table, block.row_indices(), &mut selected)
-                            .unwrap();
+                    for start in (0..rows).step_by(block_rows) {
+                        let block = start..rows.min(start + block_rows);
+                        predicate.select_into(&table, block, &mut selected).unwrap();
                     }
                     assert!(
                         selected.windows(2).all(|pair| pair[0] < pair[1]),

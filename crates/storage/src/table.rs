@@ -302,34 +302,6 @@ impl Table {
         }
     }
 
-    /// The row multiset as a sorted list of value tuples over the named
-    /// columns — the order-insensitive signature used to assert that two
-    /// executions produced the same rows regardless of worker count, morsel
-    /// size, or partitioning. Rows sort lexicographically by
-    /// [`Value::compare`].
-    pub fn sorted_row_signature(&self, columns: &[&str]) -> Result<Vec<Vec<Value>>, StorageError> {
-        let cols: Vec<&Column> = columns
-            .iter()
-            .map(|name| self.column_by_name(name))
-            .collect::<Result<_, _>>()?;
-        #[expect(clippy::expect_used, reason = "every index is below row_count")]
-        let mut rows: Vec<Vec<Value>> = (0..self.row_count())
-            .map(|i| {
-                cols.iter()
-                    .map(|c| c.get(i).expect("row index within row_count"))
-                    .collect()
-            })
-            .collect();
-        rows.sort_unstable_by(|a, b| {
-            a.iter()
-                .zip(b)
-                .map(|(x, y)| x.compare(y))
-                .find(|o| *o != std::cmp::Ordering::Equal)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        Ok(rows)
-    }
-
     /// Read a full row as a vector of values.
     #[expect(
         clippy::expect_used,
@@ -567,19 +539,6 @@ mod tests {
         assert_eq!(gathered.row(1), orders.row(0));
         assert_eq!(gathered.row(2), orders.row(2));
         assert_eq!(gathered.schema(), orders.schema());
-    }
-
-    #[test]
-    fn sorted_row_signature_is_order_insensitive() {
-        let orders = small_orders();
-        let backwards: Vec<u32> = (0..orders.row_count() as u32).rev().collect();
-        let reversed = orders.gather_rows("R", &backwards);
-        let cols = ["O_ORDERKEY", "O_CUSTKEY"];
-        assert_eq!(
-            orders.sorted_row_signature(&cols).unwrap(),
-            reversed.sorted_row_signature(&cols).unwrap()
-        );
-        assert!(orders.sorted_row_signature(&["O_NOPE"]).is_err());
     }
 
     #[test]

@@ -30,6 +30,8 @@ pub struct ZipfKeys {
     /// 000-term harmonic series at *every* bisection step, making each draw
     /// O(n log n).
     cumulative_head: Vec<f64>,
+    /// `H(min(n, EXACT_LIMIT), theta)`: the last entry of `cumulative_head`.
+    head_mass: f64,
     rng: SmallRng,
 }
 
@@ -40,14 +42,7 @@ impl ZipfKeys {
     pub fn new(n: u64, theta: f64, seed: u64) -> Self {
         let n = n.max(1);
         let theta = theta.clamp(0.0, 5.0);
-        let cumulative_head = head_table(n, theta);
-        #[expect(
-            clippy::expect_used,
-            reason = "n is at least 1, so the head table has a rank"
-        )]
-        let head_mass = *cumulative_head
-            .last()
-            .expect("domains have at least one rank");
+        let (cumulative_head, head_mass) = head_table(n, theta);
         let harmonic = if n <= EXACT_LIMIT {
             head_mass
         } else {
@@ -58,6 +53,7 @@ impl ZipfKeys {
             theta,
             harmonic,
             cumulative_head,
+            head_mass,
             rng: SmallRng::seed_from_u64(seed ^ 0x51CE_F00D),
         }
     }
@@ -89,15 +85,7 @@ impl ZipfKeys {
     pub fn next_key(&mut self) -> u64 {
         let u: f64 = self.rng.gen_range(0.0..1.0);
         let target = u * self.harmonic;
-        #[expect(
-            clippy::expect_used,
-            reason = "new() builds the head table with at least one rank"
-        )]
-        let head_mass = *self
-            .cumulative_head
-            .last()
-            .expect("head table has at least one rank");
-        if target <= head_mass {
+        if target <= self.head_mass {
             // Smallest rank whose cumulative mass reaches the target.
             let idx = self.cumulative_head.partition_point(|&c| c < target);
             return (idx as u64 + 1).min(self.n);
@@ -105,7 +93,7 @@ impl ZipfKeys {
         // Invert `head_mass + tail_mass(EXACT_LIMIT, k) = target` for k. The
         // tail integral is strictly increasing in k, so the smallest integer
         // rank covering the target is the ceiling of the continuous solution.
-        let excess = target - head_mass;
+        let excess = target - self.head_mass;
         let limit = EXACT_LIMIT as f64;
         let k = if (self.theta - 1.0).abs() < 1e-9 {
             limit * excess.exp()
@@ -163,8 +151,8 @@ impl ZipfKeys {
 const EXACT_LIMIT: u64 = 10_000;
 
 /// Cumulative mass table `H(k, theta)` for ranks `k = 1..=min(n,
-/// EXACT_LIMIT)`.
-fn head_table(n: u64, theta: f64) -> Vec<f64> {
+/// EXACT_LIMIT)`, and its last entry, the head's total mass.
+fn head_table(n: u64, theta: f64) -> (Vec<f64>, f64) {
     let head_len = n.min(EXACT_LIMIT) as usize;
     let mut table = Vec::with_capacity(head_len);
     let mut running = 0.0;
@@ -172,7 +160,7 @@ fn head_table(n: u64, theta: f64) -> Vec<f64> {
         running += (k as f64).powf(-theta);
         table.push(running);
     }
-    table
+    (table, running)
 }
 
 /// Integral approximation of the probability mass of ranks in `(from, to]`:
