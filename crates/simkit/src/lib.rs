@@ -17,7 +17,9 @@
 //!   configuration,
 //! * a discrete-event [`sim`] kernel (queryable clock, integer-keyed
 //!   binary-heap event queue with stable FIFO tie-breaking, deterministic
-//!   seeded RNG) that the serving simulator in `eedc-dbmsim` builds on.
+//!   seeded RNG) that the serving simulator in `eedc-dbmsim` builds on,
+//! * the workspace's one random-number generator, [`rng::SplitMix64`], behind
+//!   every seeded stream: the kernel's draws and the `eedc-tpch` generators.
 //!
 //! The substrate is deliberately free of any database logic; the storage engine,
 //! the P-store execution kernel, the behavioural DBMS simulators and the
@@ -34,6 +36,7 @@ pub mod error;
 pub mod metrics;
 pub mod node;
 pub mod power;
+pub mod rng;
 pub mod sim;
 pub mod units;
 

@@ -49,8 +49,7 @@
 //! ```
 
 use crate::error::SimError;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::SplitMix64;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -128,8 +127,7 @@ pub struct Simulation<E> {
     queue: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
     processed: u64,
-    seed: u64,
-    rng: SmallRng,
+    rng: SplitMix64,
 }
 
 impl<E> Simulation<E> {
@@ -141,19 +139,13 @@ impl<E> Simulation<E> {
             queue: BinaryHeap::new(),
             next_seq: 0,
             processed: 0,
-            seed,
-            rng: SmallRng::seed_from_u64(seed),
+            rng: SplitMix64::new(seed),
         }
     }
 
     /// Current simulated time.
     pub fn time(&self) -> f64 {
         self.clock
-    }
-
-    /// The seed this simulation's RNG was constructed with.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Number of events popped so far.
@@ -221,7 +213,7 @@ impl<E> Simulation<E> {
 
     /// One uniform draw in `[0, 1)` from the seeded RNG.
     pub fn sample_unit(&mut self) -> f64 {
-        self.rng.gen_range(0.0..1.0)
+        self.rng.unit()
     }
 
     /// One exponential draw with the given mean (inverse-CDF method) —
@@ -234,12 +226,6 @@ impl<E> Simulation<E> {
         }
         // sample_unit is in [0, 1), so 1 - u is in (0, 1] and ln stays finite.
         Ok(-(1.0 - self.sample_unit()).ln() * mean)
-    }
-
-    /// Direct access to the seeded RNG for distributions the helpers do not
-    /// cover.
-    pub fn rng(&mut self) -> &mut SmallRng {
-        &mut self.rng
     }
 }
 
@@ -485,16 +471,16 @@ mod tests {
 
     #[test]
     fn order_key_order_is_total_cmp_order() {
-        let mut sim: Simulation<u8> = Simulation::new(23);
+        let mut rng = SplitMix64::new(23);
         // Raw bit patterns cover NaNs and subnormals; scaled draws give
         // near neighbours and exact duplicates.
         let values: Vec<f64> = (0..512)
             .map(|i| {
-                let bits = rand::RngCore::next_u64(sim.rng());
+                let bits = rng.next_u64();
                 if i % 2 == 0 {
                     f64::from_bits(bits)
                 } else {
-                    ((sim.sample_unit() - 0.5) * 16.0).round() / 4.0
+                    ((rng.unit() - 0.5) * 16.0).round() / 4.0
                 }
             })
             .collect();

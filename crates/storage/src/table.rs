@@ -167,10 +167,6 @@ impl Table {
     /// Materialise the projected LINEITEM table from generated rows. The
     /// columns are built directly from the typed row fields — no per-row
     /// schema validation on this hot path.
-    #[expect(
-        clippy::expect_used,
-        reason = "the four columns are built to the lineitem projection's schema"
-    )]
     pub fn from_lineitem(rows: impl IntoIterator<Item = LineitemRow>) -> Self {
         let iter = rows.into_iter();
         let capacity = reserved_rows(&iter);
@@ -184,24 +180,19 @@ impl Table {
             discount.push(row.discount);
             shipdate.push(row.shipdate);
         }
-        Table::from_columns(
-            "LINEITEM",
-            Schema::lineitem_projection(),
-            vec![
+        Table {
+            name: "LINEITEM".into(),
+            schema: Schema::lineitem_projection(),
+            columns: vec![
                 Column::Int64(orderkey),
                 Column::Int64(extendedprice),
                 Column::Int32(discount),
                 Column::Int32(shipdate),
             ],
-        )
-        .expect("lineitem projection columns match their schema")
+        }
     }
 
     /// Materialise the projected ORDERS table from generated rows.
-    #[expect(
-        clippy::expect_used,
-        reason = "the four columns are built to the orders projection's schema"
-    )]
     pub fn from_orders(rows: impl IntoIterator<Item = OrdersRow>) -> Self {
         let iter = rows.into_iter();
         let capacity = reserved_rows(&iter);
@@ -215,17 +206,16 @@ impl Table {
             shippriority.push(row.shippriority);
             custkey.push(row.custkey);
         }
-        Table::from_columns(
-            "ORDERS",
-            Schema::orders_projection(),
-            vec![
+        Table {
+            name: "ORDERS".into(),
+            schema: Schema::orders_projection(),
+            columns: vec![
                 Column::Int64(orderkey),
                 Column::Int32(orderdate),
                 Column::Int32(shippriority),
                 Column::Int64(custkey),
             ],
-        )
-        .expect("orders projection columns match their schema")
+        }
     }
 
     /// The table's name.
@@ -303,20 +293,11 @@ impl Table {
     }
 
     /// Read a full row as a vector of values.
-    #[expect(
-        clippy::expect_used,
-        reason = "the index was checked against row_count on entry"
-    )]
     pub fn row(&self, index: usize) -> Option<Vec<Value>> {
         if index >= self.row_count() {
             return None;
         }
-        Some(
-            self.columns
-                .iter()
-                .map(|c| c.get(index).expect("row index checked against row_count"))
-                .collect(),
-        )
+        self.columns.iter().map(|c| c.get(index)).collect()
     }
 
     /// A new table containing only the named columns (in the given order) of
@@ -396,6 +377,19 @@ mod tests {
             let rows: Vec<_> = OrdersGenerator::new(scale, seed).collect();
             let orders = Table::from_orders(OrdersGenerator::new(scale, seed));
             assert_eq!(orders, Table::from_orders(rows));
+        }
+    }
+
+    #[test]
+    fn generated_tables_match_their_projection_schemas() {
+        let lineitem = Table::from_lineitem(LineitemGenerator::new(ScaleFactor(0.001), 1));
+        let orders = small_orders();
+        for table in [lineitem, orders] {
+            let columns: Vec<Column> = (0..table.schema().len())
+                .map(|i| table.column(i).unwrap().clone())
+                .collect();
+            let rebuilt = Table::from_columns(table.name(), table.schema().clone(), columns);
+            assert_eq!(rebuilt.as_ref(), Ok(&table), "{}", table.name());
         }
     }
 

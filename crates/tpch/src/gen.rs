@@ -17,8 +17,7 @@
 
 use crate::scale::ScaleFactor;
 use crate::schema::TpchTable;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use eedc_simkit::rng::SplitMix64;
 
 /// Number of distinct ship/order dates in the generated date domain
 /// (1992-01-01 .. 1998-08-02, as in the TPC-H specification).
@@ -57,7 +56,7 @@ pub struct OrdersGenerator {
     next_key: i64,
     last_key: i64,
     customers: i64,
-    rng: SmallRng,
+    rng: SplitMix64,
 }
 
 impl OrdersGenerator {
@@ -70,7 +69,7 @@ impl OrdersGenerator {
             next_key: 1,
             last_key: orders,
             customers,
-            rng: SmallRng::seed_from_u64(seed ^ 0x00D5E55),
+            rng: SplitMix64::new(seed ^ 0x00D5E55),
         }
     }
 
@@ -91,9 +90,9 @@ impl Iterator for OrdersGenerator {
         self.next_key += 1;
         Some(OrdersRow {
             orderkey,
-            orderdate: self.rng.gen_range(0..DATE_DOMAIN_DAYS),
-            shippriority: self.rng.gen_range(0..5),
-            custkey: self.rng.gen_range(1..=self.customers),
+            orderdate: self.rng.below(DATE_DOMAIN_DAYS as u64) as i32,
+            shippriority: self.rng.below(5) as i32,
+            custkey: 1 + self.rng.below(self.customers as u64) as i64,
         })
     }
 
@@ -115,7 +114,7 @@ pub struct LineitemGenerator {
     current_order: i64,
     last_order: i64,
     lines_left_in_order: u32,
-    rng: SmallRng,
+    rng: SplitMix64,
 }
 
 impl LineitemGenerator {
@@ -123,8 +122,12 @@ impl LineitemGenerator {
     /// reproducibility.
     pub fn new(scale: ScaleFactor, seed: u64) -> Self {
         let orders = scale.cardinality(TpchTable::Orders) as i64;
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x11E17E);
-        let first_lines = if orders > 0 { rng.gen_range(1..=7) } else { 0 };
+        let mut rng = SplitMix64::new(seed ^ 0x11E17E);
+        let first_lines = if orders > 0 {
+            1 + rng.below(7) as u32
+        } else {
+            0
+        };
         Self {
             current_order: 1,
             last_order: orders,
@@ -143,7 +146,7 @@ impl Iterator for LineitemGenerator {
             if self.current_order > self.last_order {
                 return None;
             }
-            self.lines_left_in_order = self.rng.gen_range(1..=7);
+            self.lines_left_in_order = 1 + self.rng.below(7) as u32;
         }
         if self.current_order > self.last_order {
             return None;
@@ -151,9 +154,9 @@ impl Iterator for LineitemGenerator {
         self.lines_left_in_order -= 1;
         Some(LineitemRow {
             orderkey: self.current_order,
-            extendedprice: self.rng.gen_range(10_000..=1_000_000),
-            discount: self.rng.gen_range(0..=1000),
-            shipdate: self.rng.gen_range(0..DATE_DOMAIN_DAYS),
+            extendedprice: 10_000 + self.rng.below(990_001) as i64,
+            discount: self.rng.below(1001) as i32,
+            shipdate: self.rng.below(DATE_DOMAIN_DAYS as u64) as i32,
         })
     }
 

@@ -8,8 +8,7 @@
 //! P-store experiments and the skew-ablation benchmark quantify the node
 //! imbalance and its energy cost.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use eedc_simkit::rng::SplitMix64;
 
 /// A Zipf-distributed generator over the key domain `1..=n`.
 ///
@@ -32,7 +31,7 @@ pub struct ZipfKeys {
     cumulative_head: Vec<f64>,
     /// `H(min(n, EXACT_LIMIT), theta)`: the last entry of `cumulative_head`.
     head_mass: f64,
-    rng: SmallRng,
+    rng: SplitMix64,
 }
 
 impl ZipfKeys {
@@ -54,7 +53,7 @@ impl ZipfKeys {
             harmonic,
             cumulative_head,
             head_mass,
-            rng: SmallRng::seed_from_u64(seed ^ 0x51CE_F00D),
+            rng: SplitMix64::new(seed ^ 0x51CE_F00D),
         }
     }
 
@@ -83,7 +82,7 @@ impl ZipfKeys {
     /// continuous tail integral in closed form. Either way a draw costs
     /// O(log EXACT_LIMIT), independent of the domain size.
     pub fn next_key(&mut self) -> u64 {
-        let u: f64 = self.rng.gen_range(0.0..1.0);
+        let u = self.rng.unit();
         let target = u * self.harmonic;
         if target <= self.head_mass {
             // Smallest rank whose cumulative mass reaches the target.

@@ -9,7 +9,9 @@
 # counted line that starts with `pub struct`, `pub enum`, `pub trait` or
 # `pub type`. A waiver is a counted line that starts with `#[expect(`: a
 # reasoned lint suppression in library code. Integration tests, examples and
-# `benchmark/` are not counted.
+# `benchmark/` are not counted. A revision that still vendors a dependency
+# under `vendor/*/src` has those files counted too, one `vendor/<name>` row
+# each, so a before/after pair shows a vendored crate's deletion.
 #
 # Prints one row per crate and a total. No threshold: it reports, the reader
 # compares.
@@ -22,13 +24,19 @@ cd "$(dirname "$0")/.."
 if [ $# -gt 0 ]; then
   work="$(mktemp -d)"
   trap 'rm -rf "$work"' EXIT
-  git archive "$(git rev-parse --verify "$1^{commit}")" crates | tar -x -C "$work"
+  rev="$(git rev-parse --verify "$1^{commit}")"
+  git archive "$rev" $(git ls-tree --name-only "$rev" crates vendor) | tar -x -C "$work"
   cd "$work"
 fi
 
-printf '%-10s %8s %12s %8s\n' crate lines "pub types" waivers
-find crates -path 'crates/*/src/*' -name '*.rs' -print0 | sort -z | xargs -0 awk '
-  FNR == 1 { in_test = 0; split(FILENAME, part, "/"); crate = part[2] }
+printf '%-12s %8s %12s %8s\n' crate lines "pub types" waivers
+roots=(crates)
+if [ -d vendor ]; then roots+=(vendor); fi
+find "${roots[@]}" -path '*/*/src/*' -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 {
+    in_test = 0; split(FILENAME, part, "/")
+    crate = part[1] == "vendor" ? "vendor/" part[2] : part[2]
+  }
   /^[[:space:]]*#!?\[cfg\(test\)\]/ { in_test = 1 }
   in_test || /^[[:space:]]*($|\/\/)/ { next }
   { lines[crate]++ }
@@ -36,9 +44,9 @@ find crates -path 'crates/*/src/*' -name '*.rs' -print0 | sort -z | xargs -0 awk
   /^[[:space:]]*#\[expect\(/ { waivers[crate]++ }
   END {
     for (crate in lines)
-      printf "%-10s %8d %12d %8d\n", crate, lines[crate], types[crate], waivers[crate]
+      printf "%-12s %8d %12d %8d\n", crate, lines[crate], types[crate], waivers[crate]
   }
 ' | sort | awk '
   { print; lines += $2; types += $3; waivers += $4 }
-  END { printf "%-10s %8d %12d %8d\n", "total", lines, types, waivers }
+  END { printf "%-12s %8d %12d %8d\n", "total", lines, types, waivers }
 '

@@ -76,8 +76,10 @@ seed "$it" '^type ' \
   'fn seeded_it_sneak(p: *const u8) -> u8 { unsafe { *p } }' \
   '#[allow(dead_code)] fn seeded_it_allow() {}'
 
-# Every diagnostic as "<lint> <file>:<line>", primary spans only.
-(cd "$work" && cargo clippy --locked --quiet -p eedc-dbmsim --all-targets \
+# Every diagnostic as "<lint> <file>:<line>", primary spans only. The seeded
+# `unsafe` fails the lib-test target; `--keep-going` still checks every other
+# target, which cargo would otherwise skip depending on job order.
+(cd "$work" && cargo clippy --locked --quiet --keep-going -p eedc-dbmsim --all-targets \
   --message-format=json 2>/dev/null || true) |
   jq -r 'select(.reason == "compiler-message") | .message | select(.code != null)
          | .code.code as $lint | .spans[] | select(.is_primary)
