@@ -194,7 +194,7 @@ pub fn table2_sweep(options: &MicrobenchOptions) -> Result<Vec<MicrobenchResult>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eedc_simkit::catalog::{self, names};
+    use eedc_simkit::catalog;
 
     #[test]
     fn figure6_shape_is_reproduced() {
@@ -210,8 +210,8 @@ mod tests {
             .iter()
             .min_by(|a, b| a.energy.value().total_cmp(&b.energy.value()))
             .unwrap();
-        assert_eq!(fastest.node, names::WORKSTATION_A);
-        assert_eq!(lowest_energy.node, names::LAPTOP_B);
+        assert_eq!(fastest.node, catalog::workstation_a().name);
+        assert_eq!(lowest_energy.node, catalog::laptop_b().name);
         // The fastest machine is not the most efficient one.
         assert_ne!(fastest.node, lowest_energy.node);
     }

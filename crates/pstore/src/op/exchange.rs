@@ -135,7 +135,7 @@ pub fn broadcast_exchange(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eedc_storage::{hash_of_value, hash_partition, PartitionSpec};
+    use eedc_storage::{hash_i64, hash_partition};
     use eedc_tpch::gen::OrdersGenerator;
     use eedc_tpch::scale::ScaleFactor;
 
@@ -193,10 +193,8 @@ mod tests {
         // by node `d` must hash to destination `d`.
         for (node, node_table) in exchanged.received.iter().enumerate() {
             let keys = node_table.column_by_name("O_ORDERKEY").unwrap();
-            for i in 0..node_table.row_count() {
-                let key = keys.get(i).unwrap();
-                let expected = (hash_of_value(&key) % 4) as usize;
-                assert_eq!(expected, node);
+            for &key in keys.as_i64_slice().unwrap() {
+                assert_eq!((hash_i64(key) % 4) as usize, node);
             }
         }
     }
@@ -281,7 +279,6 @@ mod tests {
         let wrong = hash_partition(&orders, "O_CUSTKEY", 3).unwrap();
         let exchanged = shuffle_exchange(&wrong.fragments, "O_ORDERKEY", &[0, 1, 2], 0).unwrap();
         let direct = hash_partition(&orders, "O_ORDERKEY", 3).unwrap();
-        assert_eq!(direct.spec, PartitionSpec::hash("O_ORDERKEY"));
         // Row counts per node won't be identical (different modulus bases),
         // but totals must agree and every row must be present exactly once.
         assert_eq!(received_rows(&exchanged), direct.total_rows());

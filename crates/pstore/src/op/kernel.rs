@@ -6,14 +6,12 @@
 //! * [`JoinKernelConfig`] — the two tunables of the join kernel (morsel size
 //!   and radix bits) with validated, benchmarked defaults,
 //! * [`KeySlice`] — an integer key column borrowed as a typed slice, so the
-//!   hot loops hash raw `i64`/`i32` values instead of boxed [`Value`]s,
+//!   hot loops hash raw `i64`/`i32` values with no per-row type dispatch,
 //! * [`MorselCursor`] — the shared atomic cursor workers steal fixed-size
 //!   row ranges (*morsels*) from until the probe side is drained,
 //! * [`RadixTable`] — an open-addressing hash table from each distinct key
 //!   to its build-side multiplicity: one flat allocation per partition, no
 //!   per-key `Vec`s.
-//!
-//! [`Value`]: eedc_storage::Value
 
 use crate::error::PStoreError;
 use eedc_storage::Column;
@@ -94,25 +92,22 @@ impl JoinKernelConfig {
 
 /// An integer key column borrowed as a typed slice. Resolving the column to a
 /// slice once up front is what lets the build and probe loops hash raw
-/// integers; a non-integer key column is rejected here, before any work runs.
+/// integers.
 #[derive(Debug, Clone, Copy)]
 pub enum KeySlice<'a> {
     /// A 64-bit integer key column.
     I64(&'a [i64]),
-    /// A 32-bit integer key column (widened to `i64` per access, matching the
-    /// `Value`-level conversion so mixed-width joins keep working).
+    /// A 32-bit integer key column (widened to `i64` per access, as partition
+    /// placement widens it, so mixed-width joins keep working).
     I32(&'a [i32]),
 }
 
 impl<'a> KeySlice<'a> {
-    /// Borrow `column` as a key slice, rejecting non-integer columns.
-    pub fn try_from_column(column: &'a Column) -> Result<Self, PStoreError> {
-        if let Some(values) = column.as_i64_slice() {
-            Ok(KeySlice::I64(values))
-        } else if let Some(values) = column.as_i32_slice() {
-            Ok(KeySlice::I32(values))
-        } else {
-            Err(PStoreError::planning("join keys must be integer columns"))
+    /// Borrow `column` as a key slice.
+    pub fn from_column(column: &'a Column) -> Self {
+        match column {
+            Column::Int64(values) => KeySlice::I64(values),
+            Column::Int32(values) => KeySlice::I32(values),
         }
     }
 
@@ -302,16 +297,16 @@ mod tests {
     }
 
     #[test]
-    fn key_slice_widens_i32_and_rejects_floats() {
-        let narrow = Column::Int32(vec![-3, 7]);
-        let keys = KeySlice::try_from_column(&narrow).unwrap();
-        assert_eq!(keys.len(), 2);
+    fn key_slice_widens_i32() {
+        let narrow = Column::Int32(vec![-3, 7, i32::MIN]);
+        let keys = KeySlice::from_column(&narrow);
+        assert_eq!(keys.len(), 3);
         assert!(!keys.is_empty());
         assert_eq!(keys.get(0), -3_i64);
+        assert_eq!(keys.get(2), i64::from(i32::MIN));
         let wide = Column::Int64(vec![i64::MIN]);
-        let keys = KeySlice::try_from_column(&wide).unwrap();
+        let keys = KeySlice::from_column(&wide);
         assert_eq!(keys.get(0), i64::MIN);
-        assert!(KeySlice::try_from_column(&Column::Float64(vec![1.0])).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use eedc_pstore::op::hash_join_with;
 use eedc_pstore::op::kernel::JoinKernelConfig;
-use eedc_storage::{Column, ColumnType, Schema, Table, Value};
+use eedc_storage::{Column, Schema, Table};
 use eedc_tpch::gen::{LineitemGenerator, OrdersGenerator};
 use eedc_tpch::ScaleFactor;
 use std::collections::BTreeMap;
@@ -22,11 +22,9 @@ const RADIX_BITS: [u8; 3] = [0, 4, 8];
 
 /// The keys of an integer column, widened to `i64`.
 fn keys(table: &Table, key: &str) -> Vec<i64> {
-    let column = table.column_by_name(key).unwrap();
-    match (column.as_i64_slice(), column.as_i32_slice()) {
-        (Some(keys), _) => keys.to_vec(),
-        (_, Some(keys)) => keys.iter().map(|&key| i64::from(key)).collect(),
-        _ => panic!("{key} is not an integer column"),
+    match table.column_by_name(key).unwrap() {
+        Column::Int64(keys) => keys.clone(),
+        Column::Int32(keys) => keys.iter().map(|&key| i64::from(key)).collect(),
     }
 }
 
@@ -195,8 +193,11 @@ fn a_join_without_matches_counts_zero_rows() {
     let lineitem = Table::from_lineitem(LineitemGenerator::new(SCALE, 11));
     // Order keys are positive; negate the probe keys so the ranges are
     // disjoint and every probe misses.
-    let mut columns: Vec<Column> = (0..lineitem.schema().len())
-        .map(|c| lineitem.column(c).unwrap().clone())
+    let mut columns: Vec<Column> = lineitem
+        .schema()
+        .columns()
+        .iter()
+        .map(|(name, _)| lineitem.column_by_name(name).unwrap().clone())
         .collect();
     let keys = columns[0].as_i64_slice().unwrap();
     columns[0] = Column::Int64(keys.iter().map(|key| -key - 1).collect());
@@ -227,12 +228,8 @@ fn skewed_probe_still_spreads_morsels_across_all_workers() {
     // all matching work lands in one radix partition. Morsel stealing (plus
     // the first-claim guarantee) must still hand every worker at least one
     // morsel instead of serialising behind the hot partition.
-    let mut build = Table::empty("B", Schema::new([("B_KEY", ColumnType::Int64)]));
-    build.append_row(&[Value::Int64(42)]).unwrap();
-    let mut probe = Table::empty("P", Schema::new([("P_KEY", ColumnType::Int64)]));
-    for _ in 0..10_000 {
-        probe.append_row(&[Value::Int64(42)]).unwrap();
-    }
+    let build = key_table("B", Column::Int64(vec![42]));
+    let probe = key_table("P", Column::Int64(vec![42; 10_000]));
 
     let workers = 8;
     let config = JoinKernelConfig {

@@ -8,11 +8,17 @@
 //! * **Table 2** — the five single-node systems used in the Section 5.1
 //!   micro-benchmark (Workstation A/B, the Atom desktop, Laptop A/B) with the
 //!   published idle powers,
-//! * **Table 3 / Section 5.2** — the "Beefy" HP SE326M1R2 prototype node
-//!   (dual L5630 Xeon, 32 GB, `79.006 · (100c)^0.2451`, `C_B = 4034`) and the
-//!   "Wimpy" Laptop B node (`10.994 · (100c)^0.2875`, `C_W = 1129`,
-//!   `G_W = 0.13`), plus the modeled Cluster-V Beefy node (`C_B = 5037`,
-//!   `G_B = 0.25`) used for the Section 5.4 design-space sweeps.
+//! * **Table 3 / Section 5.2** — the "Wimpy" Laptop B node
+//!   (`10.994 · (100c)^0.2875`, `C_W = 1129`, `G_W = 0.13`), plus the modeled
+//!   Cluster-V Beefy node (`C_B = 5037`, `G_B = 0.25`) used for the
+//!   Section 5.4 design-space sweeps.
+//!
+//! The Section 5.2 "Beefy" prototype node is recorded here but not built, as
+//! no experiment runs on it: an HP ProLiant SE326M1R2 with dual low-power
+//! quad-core L5630 Xeons, 32 GB of memory and a Crucial C300 SSD,
+//! `C_B = 4034` and `f_B(c) = 79.006 · (100c)^0.2451` (≈ 244 W at full load;
+//! the paper reports ~154 W on average during the partially network-bound
+//! prototype runs).
 //!
 //! The Table 2 machines additionally carry a calibrated hash-join processing
 //! rate so that the Figure 6 single-node energy experiment can be regenerated;
@@ -24,32 +30,13 @@ use crate::node::{NodeClass, NodeSpec};
 use crate::power::PowerModel;
 use crate::units::{Megabytes, MegabytesPerSec, Watts};
 
-/// Well-known node names in the catalog.
-pub mod names {
-    /// Table 1 Cluster-V node (dual X5550, 48 GB).
-    pub const CLUSTER_V: &str = "cluster-v";
-    /// Section 5.2 Beefy prototype node (dual L5630, 32 GB).
-    pub const BEEFY_L5630: &str = "beefy-l5630";
-    /// Table 2 Workstation A (i7 920, 12 GB, 93 W idle).
-    pub const WORKSTATION_A: &str = "workstation-a";
-    /// Table 2 Workstation B (Xeon, 24 GB, 69 W idle).
-    pub const WORKSTATION_B: &str = "workstation-b";
-    /// Table 2 Atom desktop (2 cores / 4 threads, 4 GB, 28 W idle).
-    pub const DESKTOP_ATOM: &str = "desktop-atom";
-    /// Table 2 Laptop A (Core 2 Duo, 4 GB, 12 W idle).
-    pub const LAPTOP_A: &str = "laptop-a";
-    /// Table 2 / Section 5.2 Laptop B — the paper's "Wimpy" node
-    /// (i7 620m, 8 GB, 11 W idle).
-    pub const LAPTOP_B: &str = "laptop-b";
-}
-
 /// The Cluster-V node of Table 1: the machine behind every Vertica experiment
 /// and the Beefy node of the Section 5.4 model sweeps (`C_B = 5037`,
 /// `G_B = 0.25`, `f_B(c) = 130.03 · (100c)^0.2369`).
 pub fn cluster_v_node() -> NodeSpec {
     let power_model = PowerModel::power_law(130.03, 0.2369);
     NodeSpec {
-        name: names::CLUSTER_V.into(),
+        name: "cluster-v".into(),
         class: NodeClass::Beefy,
         cores: 8,
         threads: 16,
@@ -65,32 +52,10 @@ pub fn cluster_v_node() -> NodeSpec {
     }
 }
 
-/// The Beefy prototype node of Section 5.2: HP ProLiant SE326M1R2 with dual
-/// low-power quad-core L5630 Xeons, 32 GB of memory and a Crucial C300 SSD
-/// (`C_B = 4034`, `f_B(c) = 79.006 · (100c)^0.2451`, ~154 W average during the
-/// prototype runs).
-pub fn beefy_l5630_node() -> NodeSpec {
-    let power_model = PowerModel::power_law(79.006, 0.2451);
-    NodeSpec {
-        name: names::BEEFY_L5630.into(),
-        class: NodeClass::Beefy,
-        cores: 8,
-        threads: 16,
-        memory: Megabytes::from_gigabytes(32.0),
-        disk_bandwidth: MegabytesPerSec(270.0),
-        network_bandwidth: MegabytesPerSec(95.0),
-        cpu_bandwidth: MegabytesPerSec(4034.0),
-        hashjoin_bandwidth: MegabytesPerSec(160.0),
-        utilization_floor: 0.25,
-        idle_power: power_model.near_idle_power(),
-        power_model,
-    }
-}
-
 /// Table 2 Workstation A: i7 920 (4 cores / 8 threads), 12 GB RAM, 93 W idle.
 pub fn workstation_a() -> NodeSpec {
     NodeSpec {
-        name: names::WORKSTATION_A.into(),
+        name: "workstation-a".into(),
         class: NodeClass::Beefy,
         cores: 4,
         threads: 8,
@@ -110,7 +75,7 @@ pub fn workstation_a() -> NodeSpec {
 /// Table 2 Workstation B: quad-core Xeon (no SMT), 24 GB RAM, 69 W idle.
 pub fn workstation_b() -> NodeSpec {
     NodeSpec {
-        name: names::WORKSTATION_B.into(),
+        name: "workstation-b".into(),
         class: NodeClass::Beefy,
         cores: 4,
         threads: 4,
@@ -129,7 +94,7 @@ pub fn workstation_b() -> NodeSpec {
 /// Table 2 Atom desktop: dual-core / 4-thread Atom, 4 GB RAM, 28 W idle.
 pub fn desktop_atom() -> NodeSpec {
     NodeSpec {
-        name: names::DESKTOP_ATOM.into(),
+        name: "desktop-atom".into(),
         class: NodeClass::Wimpy,
         cores: 2,
         threads: 4,
@@ -150,7 +115,7 @@ pub fn desktop_atom() -> NodeSpec {
 /// (screen off).
 pub fn laptop_a() -> NodeSpec {
     NodeSpec {
-        name: names::LAPTOP_A.into(),
+        name: "laptop-a".into(),
         class: NodeClass::Wimpy,
         cores: 2,
         threads: 2,
@@ -172,7 +137,7 @@ pub fn laptop_a() -> NodeSpec {
 /// during the prototype runs.
 pub fn laptop_b() -> NodeSpec {
     NodeSpec {
-        name: names::LAPTOP_B.into(),
+        name: "laptop-b".into(),
         class: NodeClass::Wimpy,
         cores: 2,
         threads: 4,
@@ -205,8 +170,7 @@ mod tests {
 
     #[test]
     fn every_catalog_machine_is_physically_valid() {
-        let paper = [cluster_v_node(), beefy_l5630_node()];
-        for spec in paper.into_iter().chain(table2_systems()) {
+        for spec in std::iter::once(cluster_v_node()).chain(table2_systems()) {
             let name = &spec.name;
             assert!(!name.is_empty());
             assert!(spec.cores > 0 && spec.threads >= spec.cores, "{name}");
@@ -220,11 +184,10 @@ mod tests {
             }
             assert!((0.0..=1.0).contains(&spec.utilization_floor), "{name}");
         }
-        // The paper gives only a regression model for the two servers, so
-        // their idle power is that model's near-idle evaluation.
-        for spec in [cluster_v_node(), beefy_l5630_node()] {
-            assert_eq!(spec.idle_power, spec.power_model.near_idle_power());
-        }
+        // The paper gives only a regression model for the server, so its
+        // idle power is that model's near-idle evaluation.
+        let server = cluster_v_node();
+        assert_eq!(server.idle_power, server.power_model.near_idle_power());
     }
 
     #[test]
@@ -233,11 +196,11 @@ mod tests {
         assert_eq!(
             order,
             [
-                names::WORKSTATION_A,
-                names::WORKSTATION_B,
-                names::DESKTOP_ATOM,
-                names::LAPTOP_A,
-                names::LAPTOP_B,
+                workstation_a().name,
+                workstation_b().name,
+                desktop_atom().name,
+                laptop_a().name,
+                laptop_b().name,
             ]
         );
     }
@@ -264,17 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn beefy_l5630_matches_section_5() {
-        let n = beefy_l5630_node();
-        assert_eq!(n.memory, Megabytes::from_gigabytes(32.0));
-        assert_eq!(n.cpu_bandwidth, MegabytesPerSec(4034.0));
-        // 79.006 · (100c)^0.2451 at full load ≈ 244 W; the paper reports an
-        // average of 154 W during the (partially network-bound) runs.
-        let peak = n.peak_power().value();
-        assert!(peak > 200.0 && peak < 280.0, "peak {peak}");
-    }
-
-    #[test]
     fn table_2_idle_powers_match_the_paper() {
         assert_eq!(workstation_a().idle_power, Watts(93.0));
         assert_eq!(workstation_b().idle_power, Watts(69.0));
@@ -285,8 +237,7 @@ mod tests {
 
     #[test]
     fn wimpy_nodes_have_small_memory_and_low_power() {
-        let paper = [cluster_v_node(), beefy_l5630_node()];
-        for spec in paper.into_iter().chain(table2_systems()) {
+        for spec in std::iter::once(cluster_v_node()).chain(table2_systems()) {
             if spec.is_wimpy() {
                 assert!(spec.memory.as_gigabytes() <= 8.0, "{}", spec.name);
                 assert!(spec.peak_power().value() < 60.0, "{}", spec.name);

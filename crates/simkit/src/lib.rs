@@ -9,8 +9,8 @@
 //! * node [`power`] models (the CPU-utilization → wall-power regression models
 //!   published in the paper, coefficients as printed),
 //! * per-node hardware descriptions ([`node::NodeSpec`]) and a [`catalog`] of the
-//!   exact machines used in the paper (Cluster-V servers, the Beefy L5630 nodes,
-//!   the Wimpy "Laptop B", the Atom desktop, and the two workstations),
+//!   exact machines used in the paper (the Cluster-V server, the Wimpy
+//!   "Laptop B", Laptop A, the Atom desktop, and the two workstations),
 //! * the energy-efficiency [`metrics`] used throughout the paper: response time,
 //!   performance (1 / response time), energy, the Energy-Delay-Product (EDP) and
 //!   normalized energy-vs-performance points relative to a reference

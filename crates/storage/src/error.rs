@@ -12,7 +12,7 @@ pub enum StorageError {
         /// The table whose schema was consulted.
         table: String,
     },
-    /// A value or row did not match the schema (wrong arity or type).
+    /// Columns did not match a schema (wrong count, type or length).
     SchemaMismatch {
         /// Human-readable description.
         reason: String,

@@ -9,8 +9,10 @@
 //! four-column, 20-byte projected tuples in memory to simulate a columnar
 //! storage manager. This crate reproduces that substrate:
 //!
-//! * typed [`column::Column`]s and schema-carrying [`table::Table`]s,
-//! * [`predicate`]s (comparison, conjunction, disjunction) for selection,
+//! * typed integer [`column::Column`]s (`Int64`, `Int32`) and
+//!   schema-carrying [`table::Table`]s,
+//! * the paper's two selection [`predicate`]s, `O_CUSTKEY ≤ c` on ORDERS
+//!   and `L_SHIPDATE < d` on LINEITEM,
 //! * [`partition`]ing: hash (and round-robin) partitioning of tables across
 //!   cluster nodes, exactly like Vertica's hash segmentation in Section 3.1,
 //! * a [`scan()`] operator that selects block-at-a-time over fixed-size row
@@ -30,12 +32,9 @@ pub mod predicate;
 pub mod scan;
 pub mod table;
 
-pub use column::{Column, ColumnType, Value};
+pub use column::{Column, ColumnType};
 pub use error::StorageError;
-pub use partition::{
-    hash_i64, hash_of_value, hash_partition, hash_scatter, round_robin_partition, PartitionSpec,
-    Partitioned,
-};
-pub use predicate::{CmpOp, Predicate};
+pub use partition::{hash_i64, hash_partition, hash_scatter, round_robin_partition, Partitioned};
+pub use predicate::Predicate;
 pub use scan::{scan, ScanResult};
 pub use table::{Schema, Table};

@@ -7,47 +7,14 @@
 //! broadcast — the central distinction of the whole study. (Replicating a
 //! small build table is what P-store's broadcast exchange does at run time.)
 
-use crate::column::{Column, Value};
+use crate::column::Column;
 use crate::error::StorageError;
 use crate::table::Table;
 
-/// How a table is laid out across the nodes of a cluster.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PartitionSpec {
-    /// Hash partition on a column: row goes to `hash(value) % nodes`.
-    Hash {
-        /// The partitioning column.
-        column: String,
-    },
-    /// Round-robin placement (used for tables scanned without joins).
-    RoundRobin,
-}
-
-impl PartitionSpec {
-    /// Hash partitioning on the given column.
-    pub fn hash(column: impl Into<String>) -> Self {
-        PartitionSpec::Hash {
-            column: column.into(),
-        }
-    }
-}
-
-/// A deterministic 64-bit mix (splitmix64 finaliser) so partition placement is
-/// stable across runs and platforms.
-pub fn hash_of_value(value: &Value) -> u64 {
-    let raw = match *value {
-        Value::Int64(v) => v as u64,
-        Value::Int32(v) => v as i64 as u64,
-        Value::Float64(v) => v.to_bits(),
-    };
-    hash_i64(raw as i64)
-}
-
-/// The same splitmix64 mix over a raw integer key — the hash the execution
-/// kernel applies per probe row, skipping the [`Value`] round-trip.
-/// `hash_i64(k)` equals `hash_of_value(&Value::Int64(k))` (and the `Int32`
-/// encoding of the same integer), so kernel-side hashing and partition
-/// placement can never disagree.
+/// A deterministic 64-bit mix (splitmix64 finaliser) so partition placement
+/// is stable across runs and platforms. Partition placement and the
+/// execution kernel's per-probe-row hash are both this function, with
+/// `Int32` keys widened to `i64`, so they can never disagree.
 #[inline]
 pub fn hash_i64(key: i64) -> u64 {
     let mut z = (key as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -59,13 +26,22 @@ pub fn hash_i64(key: i64) -> u64 {
 /// A table split into per-node fragments.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Partitioned {
-    /// The layout that produced the fragments.
-    pub spec: PartitionSpec,
     /// One fragment per node, in node order.
     pub fragments: Vec<Table>,
 }
 
 impl Partitioned {
+    /// Fragment `i` of `table` holds its rows `indices[i]`, in order.
+    fn gather(table: &Table, indices: impl IntoIterator<Item = Vec<u32>>) -> Self {
+        let fragments = indices
+            .into_iter()
+            .enumerate()
+            .map(|(i, rows)| table.gather_rows(format!("{}_part{i}", table.name()), &rows));
+        Partitioned {
+            fragments: fragments.collect(),
+        }
+    }
+
     /// Total rows across fragments.
     pub fn total_rows(&self) -> usize {
         self.fragments.iter().map(Table::row_count).sum()
@@ -80,34 +56,14 @@ impl Partitioned {
     pub fn is_empty(&self) -> bool {
         self.fragments.is_empty()
     }
-
-    /// The ratio of the largest fragment's row count to the mean fragment row
-    /// count — 1.0 is perfect balance; data skew drives it above 1.
-    pub fn imbalance(&self) -> f64 {
-        if self.fragments.is_empty() {
-            return 1.0;
-        }
-        let total = self.total_rows() as f64;
-        if total == 0.0 {
-            return 1.0;
-        }
-        let mean = total / self.fragments.len() as f64;
-        let max = self
-            .fragments
-            .iter()
-            .map(Table::row_count)
-            .max()
-            .unwrap_or(0) as f64;
-        max / mean
-    }
 }
 
 /// The scatter pass of hash placement: the row indices of `key`, ascending,
-/// per destination `hash % buckets`. The column's type is matched once and
-/// the typed slice hashed with [`hash_i64`] (`Int32` widened, `Float64` by
-/// bit pattern), which places every row exactly where a per-row
-/// [`hash_of_value`] would. [`hash_partition`] and P-store's shuffle exchange
-/// both place rows through this one function.
+/// per destination `hash_i64(key) % buckets` (`Int32` keys widened). The
+/// column's type is matched once and the typed slice hashed in one loop;
+/// every bucket reserves its even share of the rows up front.
+/// [`hash_partition`] and P-store's shuffle exchange both place rows through
+/// this one function.
 pub fn hash_scatter(key: &Column, buckets: usize) -> Result<Vec<Vec<u32>>, StorageError> {
     fn scatter<T: Copy>(values: &[T], indices: &mut [Vec<u32>], raw: impl Fn(T) -> i64) {
         let buckets = indices.len() as u64;
@@ -120,11 +76,11 @@ pub fn hash_scatter(key: &Column, buckets: usize) -> Result<Vec<Vec<u32>>, Stora
             "cannot scatter rows across zero buckets",
         ));
     }
-    let mut indices = vec![Vec::with_capacity(key.len() / buckets + 1); buckets];
+    let share = key.len() / buckets + 1;
+    let mut indices: Vec<Vec<u32>> = (0..buckets).map(|_| Vec::with_capacity(share)).collect();
     match key {
         Column::Int64(values) => scatter(values, &mut indices, |v| v),
         Column::Int32(values) => scatter(values, &mut indices, i64::from),
-        Column::Float64(values) => scatter(values, &mut indices, |v| v.to_bits() as i64),
     }
     Ok(indices)
 }
@@ -138,35 +94,18 @@ pub fn hash_partition(
     nodes: usize,
 ) -> Result<Partitioned, StorageError> {
     let indices = hash_scatter(table.column_by_name(column)?, nodes)?;
-    let fragments = indices
-        .iter()
-        .enumerate()
-        .map(|(i, rows)| table.gather_rows(format!("{}_part{}", table.name(), i), rows))
-        .collect();
-    Ok(Partitioned {
-        spec: PartitionSpec::hash(column),
-        fragments,
-    })
+    Ok(Partitioned::gather(table, indices))
 }
 
-/// Round-robin partition `table` into `nodes` fragments.
+/// Round-robin partition `table` into `nodes` fragments: fragment `i` holds
+/// rows `i`, `i + nodes`, `i + 2 · nodes`, ….
 pub fn round_robin_partition(table: &Table, nodes: usize) -> Result<Partitioned, StorageError> {
     if nodes == 0 {
         return Err(StorageError::invalid("cannot partition across zero nodes"));
     }
-    let mut indices: Vec<Vec<u32>> = vec![Vec::with_capacity(table.row_count() / nodes + 1); nodes];
-    for row in 0..table.row_count() {
-        indices[row % nodes].push(row as u32);
-    }
-    let fragments = indices
-        .iter()
-        .enumerate()
-        .map(|(i, rows)| table.gather_rows(format!("{}_part{}", table.name(), i), rows))
-        .collect();
-    Ok(Partitioned {
-        spec: PartitionSpec::RoundRobin,
-        fragments,
-    })
+    let rows = table.row_count();
+    let indices = (0..nodes).map(|i| (i..rows).step_by(nodes).map(|row| row as u32).collect());
+    Ok(Partitioned::gather(table, indices))
 }
 
 #[cfg(test)]
@@ -182,19 +121,29 @@ mod tests {
         Table::from_orders(OrdersGenerator::new(SCALE, 1))
     }
 
+    /// The largest fragment's row count over the mean: 1.0 is perfect
+    /// balance.
+    fn imbalance(partitioned: &Partitioned) -> f64 {
+        let sizes = partitioned.fragments.iter().map(Table::row_count);
+        let mean = partitioned.total_rows() as f64 / partitioned.len() as f64;
+        sizes.max().unwrap() as f64 / mean
+    }
+
     #[test]
     fn hash_partition_is_complete_and_disjoint() {
         let table = orders();
         let partitioned = hash_partition(&table, "O_ORDERKEY", 8).unwrap();
         assert_eq!(partitioned.len(), 8);
+        assert!(!partitioned.is_empty());
+        assert!(Partitioned { fragments: vec![] }.is_empty());
         assert_eq!(partitioned.total_rows(), table.row_count());
         // Keys are unique, so the union of fragment keys must equal the table
         // keys without duplication.
         let mut seen = BTreeSet::new();
         for fragment in &partitioned.fragments {
             let keys = fragment.column_by_name("O_ORDERKEY").unwrap();
-            for i in 0..fragment.row_count() {
-                assert!(seen.insert(keys.get(i).unwrap().as_i64().unwrap()));
+            for &key in keys.as_i64_slice().unwrap() {
+                assert!(seen.insert(key));
             }
         }
         assert_eq!(seen.len(), table.row_count());
@@ -203,7 +152,8 @@ mod tests {
     #[test]
     fn hash_partition_is_reasonably_balanced() {
         let partitioned = hash_partition(&orders(), "O_ORDERKEY", 8).unwrap();
-        assert!(partitioned.imbalance() < 1.2, "{}", partitioned.imbalance());
+        let imbalance = imbalance(&partitioned);
+        assert!(imbalance < 1.2, "{imbalance}");
     }
 
     #[test]
@@ -217,71 +167,88 @@ mod tests {
 
     #[test]
     fn same_key_lands_on_same_node_across_tables() {
-        // Co-partitioning guarantee: the same join-key value always maps to
-        // the same node, which is what makes pre-partitioned joins free of
-        // network traffic.
-        for key in [1_i64, 17, 123, 999] {
-            let v = Value::Int64(key);
-            assert_eq!(hash_of_value(&v) % 8, hash_of_value(&v) % 8);
-        }
-        // Int32 and Int64 encodings of the same integer hash identically, so
-        // co-partitioning still works when key columns differ only in width.
-        assert_eq!(
-            hash_of_value(&Value::Int64(5)),
-            hash_of_value(&Value::Int32(5))
-        );
-        // The raw-key hash used by the execution kernel agrees with the
-        // Value-level hash used for placement, including negative keys.
-        for key in [0_i64, 5, -5, i64::MAX, i64::MIN, 123_456_789] {
-            assert_eq!(hash_i64(key), hash_of_value(&Value::Int64(key)));
+        // Co-partitioning guarantee: an `Int32` key column places every row
+        // where the `Int64` column of the same integers does, so key columns
+        // that differ only in width are still co-partitioned — negative keys
+        // and the `i32` extremes included.
+        let narrow = [0, 5, -5, 17, 123, 999, i32::MAX, i32::MIN];
+        let wide = narrow.map(i64::from);
+        for nodes in [1, 3, 8] {
+            assert_eq!(
+                hash_scatter(&Column::Int32(narrow.to_vec()), nodes).unwrap(),
+                hash_scatter(&Column::Int64(wide.to_vec()), nodes).unwrap(),
+                "{nodes} nodes"
+            );
         }
     }
 
     #[test]
     fn typed_scatter_places_rows_where_the_value_hash_does() {
-        // The reference: one boxed `Value` and one `hash_of_value` per row.
-        let mut table = orders();
-        table.set_name("T");
-        let reference = |column: &str, nodes: usize| -> Vec<Table> {
+        // The reference: one widened key and one `hash_i64` per row.
+        let table = orders();
+        let reference = |column: &str, nodes: usize| -> Vec<Vec<u32>> {
             let key = table.column_by_name(column).unwrap();
+            let keys: Vec<i64> = match key {
+                Column::Int64(values) => values.clone(),
+                Column::Int32(values) => values.iter().map(|&v| i64::from(v)).collect(),
+            };
             let mut indices = vec![Vec::new(); nodes];
-            for row in 0..table.row_count() {
-                let node = hash_of_value(&key.get(row).unwrap()) % nodes as u64;
-                indices[node as usize].push(row as u32);
+            for (row, &key) in keys.iter().enumerate() {
+                indices[(hash_i64(key) % nodes as u64) as usize].push(row as u32);
             }
-            let fragments = indices.iter().enumerate();
-            fragments
-                .map(|(i, rows)| table.gather_rows(format!("T_part{i}"), rows))
-                .collect()
+            indices
         };
         for column in ["O_ORDERKEY", "O_CUSTKEY", "O_ORDERDATE"] {
             for nodes in [1, 3, 8] {
-                let partitioned = hash_partition(&table, column, nodes).unwrap();
+                let key = table.column_by_name(column).unwrap();
+                let expected = reference(column, nodes);
                 assert_eq!(
-                    partitioned.fragments,
-                    reference(column, nodes),
+                    hash_scatter(key, nodes).unwrap(),
+                    expected,
                     "{column} across {nodes} nodes"
                 );
+                let partitioned = hash_partition(&table, column, nodes).unwrap();
+                for (fragment, rows) in partitioned.fragments.iter().zip(&expected) {
+                    assert_eq!(fragment, &table.gather_rows(fragment.name(), rows));
+                }
             }
         }
-        // Floats hash by bit pattern, as `hash_of_value` does.
-        let floats = Column::Float64(vec![0.0, -0.0, 1.5, f64::NAN, -7.25]);
-        let scattered = hash_scatter(&floats, 3).unwrap();
-        for (bucket, rows) in scattered.iter().enumerate() {
-            for &row in rows {
-                let value = floats.get(row as usize).unwrap();
-                assert_eq!(hash_of_value(&value) % 3, bucket as u64);
+        assert!(hash_scatter(&Column::Int64(vec![1]), 0).is_err());
+    }
+
+    #[test]
+    fn scatter_reserves_every_buckets_share() {
+        // Each bucket reserves its even share before the first push, not
+        // only the last one: with every row on one key, the buckets no row
+        // reaches still hold their share.
+        for key in [
+            Column::Int64((0..1000).collect()),
+            Column::Int64(vec![42; 1000]),
+        ] {
+            for buckets in [1, 4, 7] {
+                let scattered = hash_scatter(&key, buckets).unwrap();
+                for (bucket, rows) in scattered.iter().enumerate() {
+                    let share = key.len() / buckets;
+                    assert!(rows.capacity() >= share, "bucket {bucket} of {buckets}");
+                }
             }
         }
-        assert_eq!(scattered.iter().map(Vec::len).sum::<usize>(), floats.len());
-        assert!(hash_scatter(&floats, 0).is_err());
     }
 
     #[test]
     fn round_robin_is_balanced() {
-        let partitioned = round_robin_partition(&orders(), 7).unwrap();
-        assert_eq!(partitioned.total_rows(), orders().row_count());
-        assert!(partitioned.imbalance() < 1.01);
+        let table = orders();
+        let partitioned = round_robin_partition(&table, 7).unwrap();
+        assert_eq!(partitioned.total_rows(), table.row_count());
+        assert!(imbalance(&partitioned) < 1.01);
+        // Fragment `i` holds every 7th row from row `i`, in order.
+        let keys = table.column_by_name("O_ORDERKEY").unwrap();
+        let keys = keys.as_i64_slice().unwrap();
+        for (i, fragment) in partitioned.fragments.iter().enumerate() {
+            let column = fragment.column_by_name("O_ORDERKEY").unwrap();
+            let expected: Vec<i64> = keys.iter().skip(i).step_by(7).copied().collect();
+            assert_eq!(column.as_i64_slice(), Some(&expected[..]), "fragment {i}");
+        }
     }
 
     #[test]
@@ -294,15 +261,5 @@ mod tests {
     #[test]
     fn unknown_partition_column_is_an_error() {
         assert!(hash_partition(&orders(), "O_NOPE", 4).is_err());
-    }
-
-    #[test]
-    fn empty_partitioned_imbalance_is_one() {
-        let empty = Partitioned {
-            spec: PartitionSpec::RoundRobin,
-            fragments: Vec::new(),
-        };
-        assert_eq!(empty.imbalance(), 1.0);
-        assert!(empty.is_empty());
     }
 }

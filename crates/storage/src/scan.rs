@@ -11,11 +11,6 @@ use crate::predicate::Predicate;
 use crate::table::Table;
 use eedc_simkit::units::Megabytes;
 
-/// Rows per selection block. P-store is "built on top of a block-iterator
-/// tuple-scan module" (Section 4.2): 4096 rows of 20-byte projected tuples is
-/// ~80 KB, comfortably inside the L2 cache of every node in the catalog.
-const BLOCK_ROWS: usize = 4096;
-
 /// Statistics and output of one scan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScanResult {
@@ -52,25 +47,15 @@ pub fn scan(
     let projected_schema = projection
         .map(|names| table.schema().project(names))
         .transpose()?;
-    // Validate predicate columns eagerly so errors are not order-dependent.
-    for column in predicate.referenced_columns() {
-        if table.schema().index_of(column).is_none() {
-            return Err(StorageError::UnknownColumn {
-                column: column.into(),
-                table: table.name().to_string(),
-            });
-        }
-    }
 
-    // Select, then gather: the predicate appends each block's qualifying row
-    // indices column-at-a-time, and the output is materialised with one
-    // gather per output column — straight from `table`, so a projected scan
-    // allocates what it returns and nothing else.
+    // Select, then gather: the predicate resolves its column once and
+    // appends the qualifying row indices block by block, and the output is
+    // materialised with one gather per output column — straight from
+    // `table`, so a projected scan allocates what it returns and nothing
+    // else.
     let rows = table.row_count();
     let mut passing: Vec<u32> = Vec::new();
-    for start in (0..rows).step_by(BLOCK_ROWS) {
-        predicate.select_into(table, start..rows.min(start + BLOCK_ROWS), &mut passing)?;
-    }
+    predicate.select_into(table, 0..rows, &mut passing)?;
     let rows_passed = passing.len();
     let name = format!("{}_scan", table.name());
     let output = match projected_schema {
@@ -97,8 +82,6 @@ pub fn scan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::Value;
-    use crate::predicate::CmpOp;
     use eedc_tpch::gen::{date_cutoff_for_selectivity, LineitemGenerator, OrdersGenerator};
     use eedc_tpch::scale::ScaleFactor;
 
@@ -106,8 +89,10 @@ mod tests {
 
     #[test]
     fn scan_with_true_predicate_returns_everything() {
+        // No customer key exceeds `i64::MAX`: every row passes.
         let orders = Table::from_orders(OrdersGenerator::new(SCALE, 1));
-        let result = scan(&orders, &Predicate::True, None).unwrap();
+        let every_row = Predicate::orders_custkey_at_most(i64::MAX);
+        let result = scan(&orders, &every_row, None).unwrap();
         assert_eq!(result.rows_scanned, orders.row_count());
         assert_eq!(result.rows_passed, orders.row_count());
         assert_eq!(result.output.row_count(), orders.row_count());
@@ -126,12 +111,9 @@ mod tests {
         assert!((result.selectivity() - 0.05).abs() < 0.02);
         // Every surviving row satisfies the predicate.
         let shipdates = result.output.column_by_name("L_SHIPDATE").unwrap();
-        for i in 0..result.output.row_count() {
-            match shipdates.get(i).unwrap() {
-                Value::Int32(d) => assert!(d < cutoff),
-                other => panic!("unexpected value {other:?}"),
-            }
-        }
+        let shipdates = shipdates.as_i32_slice().unwrap();
+        assert_eq!(shipdates.len(), result.rows_passed);
+        assert!(shipdates.iter().all(|&d| d < cutoff));
     }
 
     #[test]
@@ -139,7 +121,7 @@ mod tests {
         let orders = Table::from_orders(OrdersGenerator::new(SCALE, 3));
         let result = scan(
             &orders,
-            &Predicate::compare("O_SHIPPRIORITY", CmpOp::Eq, Value::Int32(0)),
+            &Predicate::orders_custkey_at_most(i64::MAX),
             Some(&["O_ORDERKEY"]),
         )
         .unwrap();
@@ -151,15 +133,21 @@ mod tests {
     #[test]
     fn projected_scan_equals_projecting_the_full_scan() {
         // Gathering the named columns straight from the input must give the
-        // rows, column order, schema and name that projecting first gave.
+        // rows, column order and schema that projecting first gave.
         let orders = Table::from_orders(OrdersGenerator::new(SCALE, 6));
         let predicate = Predicate::orders_custkey_at_most(50);
         let names = ["O_CUSTKEY", "O_ORDERKEY"];
         let projected = scan(&orders, &predicate, Some(&names)).unwrap();
         let full = scan(&orders, &predicate, None).unwrap();
-        let mut expected = full.output.project(&names).unwrap();
-        expected.set_name("ORDERS_scan");
-        assert_eq!(projected.output, expected);
+        let expected = full.output.project(&names).unwrap();
+        assert_eq!(projected.output.name(), "ORDERS_scan");
+        assert_eq!(projected.output.schema(), expected.schema());
+        for name in names {
+            assert_eq!(
+                projected.output.column_by_name(name),
+                expected.column_by_name(name)
+            );
+        }
         assert_eq!(projected.rows_passed, full.rows_passed);
         assert_eq!(projected.bytes_passed, expected.byte_size());
         assert_eq!(projected.bytes_scanned, orders.byte_size());
@@ -168,9 +156,14 @@ mod tests {
     #[test]
     fn unknown_columns_are_errors() {
         let orders = Table::from_orders(OrdersGenerator::new(SCALE, 5));
-        assert!(scan(&orders, &Predicate::True, Some(&["O_NOPE"])).is_err());
-        let bad_predicate = Predicate::compare("O_NOPE", CmpOp::Eq, Value::Int64(1));
-        assert!(scan(&orders, &bad_predicate, None).is_err());
+        let every_row = Predicate::orders_custkey_at_most(i64::MAX);
+        assert!(scan(&orders, &every_row, Some(&["O_NOPE"])).is_err());
+        // The LINEITEM predicate names a column ORDERS does not have, and
+        // that is an error even when there is no row to test.
+        let shipdate = Predicate::lineitem_shipdate_below(100);
+        assert!(scan(&orders, &shipdate, None).is_err());
+        let empty = Table::empty("E", crate::table::Schema::orders_projection());
+        assert!(scan(&empty, &shipdate, None).is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Schemas and in-memory columnar tables.
 
-use crate::column::{Column, ColumnType, Value};
+use crate::column::{Column, ColumnType};
 use crate::error::StorageError;
 use eedc_simkit::units::Megabytes;
 use eedc_tpch::gen::{LineitemRow, OrdersRow};
@@ -58,7 +58,7 @@ impl Schema {
     }
 
     /// Index of a column by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
+    fn index_of(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|(n, _)| n == name)
     }
 
@@ -98,16 +98,7 @@ pub struct Table {
 impl Table {
     /// An empty table with the given name and schema.
     pub fn empty(name: impl Into<String>, schema: Schema) -> Self {
-        let columns = schema
-            .columns()
-            .iter()
-            .map(|(_, ty)| Column::empty(*ty))
-            .collect();
-        Self {
-            name: name.into(),
-            schema,
-            columns,
-        }
+        Table::with_capacity(name, schema, 0)
     }
 
     /// An empty table with reserved row capacity.
@@ -223,11 +214,6 @@ impl Table {
         &self.name
     }
 
-    /// Rename the table (used when deriving partitions or join outputs).
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// The table's schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -248,11 +234,6 @@ impl Table {
         Megabytes::from_bytes(self.columns.iter().map(Column::byte_size).sum())
     }
 
-    /// The column at `index`.
-    pub fn column(&self, index: usize) -> Option<&Column> {
-        self.columns.get(index)
-    }
-
     /// The column with the given name.
     pub fn column_by_name(&self, name: &str) -> Result<&Column, StorageError> {
         let index = self
@@ -265,22 +246,6 @@ impl Table {
         Ok(&self.columns[index])
     }
 
-    /// Append one row given values in schema order.
-    pub fn append_row(&mut self, values: &[Value]) -> Result<(), StorageError> {
-        if values.len() != self.schema.len() {
-            return Err(StorageError::schema(format!(
-                "row has {} values but table {} has {} columns",
-                values.len(),
-                self.name,
-                self.schema.len()
-            )));
-        }
-        for (column, value) in self.columns.iter_mut().zip(values) {
-            column.push(*value)?;
-        }
-        Ok(())
-    }
-
     /// A new table holding row `i` of `self` for every index in `indices`,
     /// in order — per-column gather, no per-row dispatch. Indices must be in
     /// bounds (panics otherwise).
@@ -290,14 +255,6 @@ impl Table {
             schema: self.schema.clone(),
             columns: self.columns.iter().map(|c| c.gathered(indices)).collect(),
         }
-    }
-
-    /// Read a full row as a vector of values.
-    pub fn row(&self, index: usize) -> Option<Vec<Value>> {
-        if index >= self.row_count() {
-            return None;
-        }
-        self.columns.iter().map(|c| c.get(index)).collect()
     }
 
     /// A new table containing only the named columns (in the given order) of
@@ -385,8 +342,11 @@ mod tests {
         let lineitem = Table::from_lineitem(LineitemGenerator::new(ScaleFactor(0.001), 1));
         let orders = small_orders();
         for table in [lineitem, orders] {
-            let columns: Vec<Column> = (0..table.schema().len())
-                .map(|i| table.column(i).unwrap().clone())
+            let columns: Vec<Column> = table
+                .schema()
+                .columns()
+                .iter()
+                .map(|(name, _)| table.column_by_name(name).unwrap().clone())
                 .collect();
             let rebuilt = Table::from_columns(table.name(), table.schema().clone(), columns);
             assert_eq!(rebuilt.as_ref(), Ok(&table), "{}", table.name());
@@ -419,33 +379,6 @@ mod tests {
         let orders = small_orders();
         let bytes = 24 * orders.row_count() as u64;
         assert_eq!(orders.byte_size(), Megabytes::from_bytes(bytes));
-    }
-
-    #[test]
-    fn append_and_read_rows() {
-        let mut table = Table::empty(
-            "T",
-            Schema::new([("A", ColumnType::Int64), ("B", ColumnType::Int32)]),
-        );
-        table
-            .append_row(&[Value::Int64(1), Value::Int32(10)])
-            .unwrap();
-        table
-            .append_row(&[Value::Int64(2), Value::Int32(20)])
-            .unwrap();
-        assert_eq!(table.row_count(), 2);
-        assert_eq!(table.row(1), Some(vec![Value::Int64(2), Value::Int32(20)]));
-        assert_eq!(table.row(2), None);
-        assert!(
-            table.append_row(&[Value::Int64(3)]).is_err(),
-            "wrong arity must fail"
-        );
-        assert!(
-            table
-                .append_row(&[Value::Int32(3), Value::Int32(1)])
-                .is_err(),
-            "wrong type must fail"
-        );
     }
 
     #[test]
@@ -506,7 +439,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(table.row_count(), 2);
-        assert_eq!(table.row(1), Some(vec![Value::Int64(2), Value::Int32(20)]));
+        let b = table.column_by_name("B").unwrap();
+        assert_eq!(b.as_i32_slice(), Some(&[10, 20][..]));
         // Wrong column count, wrong type, ragged lengths.
         assert!(Table::from_columns("T", schema.clone(), vec![Column::Int64(vec![1])]).is_err());
         assert!(Table::from_columns(
@@ -529,10 +463,15 @@ mod tests {
         let gathered = orders.gather_rows("G", &[2, 0, 2]);
         assert_eq!(gathered.row_count(), 3);
         assert_eq!(gathered.name(), "G");
-        assert_eq!(gathered.row(0), orders.row(2));
-        assert_eq!(gathered.row(1), orders.row(0));
-        assert_eq!(gathered.row(2), orders.row(2));
         assert_eq!(gathered.schema(), orders.schema());
+        for (name, _) in orders.schema().columns() {
+            let source = orders.column_by_name(name).unwrap();
+            match (source, gathered.column_by_name(name).unwrap()) {
+                (Column::Int64(s), Column::Int64(g)) => assert_eq!(g, &[s[2], s[0], s[2]]),
+                (Column::Int32(s), Column::Int32(g)) => assert_eq!(g, &[s[2], s[0], s[2]]),
+                _ => panic!("{name} changed type"),
+            }
+        }
     }
 
     #[test]
@@ -540,14 +479,5 @@ mod tests {
         let orders = small_orders();
         assert!(orders.column_by_name("O_CUSTKEY").is_ok());
         assert!(orders.column_by_name("O_NOPE").is_err());
-        assert!(orders.column(0).is_some());
-        assert!(orders.column(9).is_none());
-    }
-
-    #[test]
-    fn set_name_renames() {
-        let mut orders = small_orders();
-        orders.set_name("ORDERS_PART_3");
-        assert_eq!(orders.name(), "ORDERS_PART_3");
     }
 }

@@ -12,8 +12,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --locked --no-deps --workspace
 
 echo "== test: build + test + doctests + examples =="
 cargo build --locked --release --workspace --all-targets
-cargo test --locked -q --workspace
-cargo test --locked --doc --workspace
+cargo test --locked -q --workspace  # doctests included
 for file in crates/eedc/examples/*.rs; do
   example="$(basename "$file" .rs)"
   cargo run --locked --release -p eedc --example "$example"
