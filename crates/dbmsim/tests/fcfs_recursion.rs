@@ -16,23 +16,29 @@
 //! * it starts at `max(arrival, free_at)` and ends the pool's service time
 //!   later.
 //!
+//! `JoinShortestQueue` follows the same recursion with a different choice:
+//! an arrival commits to the pool with the fewest queries in system
+//! (assigned queries whose end is after the arrival), ties going to the
+//! lowest pool id. If that pool has no free slot, the arrival is dropped
+//! when the shared waiting room is full, and otherwise waits, FIFO in that
+//! pool's own queue, for the pool's earliest-freeing slot.
+//!
 //! Arrivals replay an `ArrivalProcess::Trace`, so no random draw separates
 //! the engine from the recursion, and the recursion must reproduce
 //! `latencies` bit for bit, the drop count, every pool's completed queries
 //! and busy time, and the query energy, on every one of the seeded
-//! configurations, under both schedulers.
+//! configurations, under all three schedulers.
 //!
 //! The Poisson arrival draws the recursion skips are held to theory
 //! instead: one single-slot pool with deterministic service is an M/D/1
 //! queue, whose mean wait is the Pollaczek–Khinchine `ρ·S / (2(1 − ρ))`.
 
 use eedc_dbmsim::{
-    simulate_serving, ArrivalProcess, EnergyAwareScheduler, FcfsScheduler, Scheduler,
-    ServiceProfile, ServingConfig, ServingServer,
+    simulate_serving, ArrivalProcess, EnergyAwareScheduler, FcfsScheduler, JoinShortestQueue,
+    Scheduler, ServiceProfile, ServingConfig, ServingServer,
 };
 use eedc_simkit::rng::SplitMix64;
 use eedc_simkit::units::{Joules, Seconds, Watts};
-use std::collections::VecDeque;
 
 const WINDOW: f64 = 200.0;
 const CONFIGURATIONS: u64 = 1_000;
@@ -80,14 +86,17 @@ fn configuration(seed: u64) -> Configuration {
     }
 }
 
-/// The two free-slot rules the recursion follows.
+/// The three placement rules the recursion follows.
 #[derive(Debug, Clone, Copy)]
 enum Placement {
-    /// `FcfsScheduler`: the lowest pool id.
+    /// `FcfsScheduler`: a free slot on the lowest pool id.
     Fcfs,
-    /// `EnergyAwareScheduler`: the cheapest profile energy, then the lowest
-    /// pool id.
+    /// `EnergyAwareScheduler`: a free slot on the cheapest profile energy,
+    /// then the lowest pool id.
     EnergyAware,
+    /// `JoinShortestQueue`: the fewest queries in system, then the lowest
+    /// pool id, free slot or not.
+    JoinShortestQueue,
 }
 
 /// What the recursion decides: sorted latencies, drops, per-pool
@@ -109,7 +118,10 @@ fn recursion(config: &Configuration, placement: Placement) -> Outcome {
         .enumerate()
         .flat_map(|(pool, &(_, n))| std::iter::repeat_n((0.0, 0, pool), n))
         .collect();
-    let mut waiting_starts = VecDeque::new();
+    // Start instants of the queries that waited, and (end, pool) of every
+    // assigned query: pruned to those still waiting / in system.
+    let mut waiting_starts: Vec<f64> = Vec::new();
+    let mut in_system: Vec<(f64, usize)> = Vec::new();
     let mut latencies = Vec::new();
     let mut dropped = 0;
     let mut server_queries = vec![0; config.pools.len()];
@@ -121,39 +133,48 @@ fn recursion(config: &Configuration, placement: Placement) -> Outcome {
         Placement::EnergyAware => config.energies[a]
             .total_cmp(&config.energies[b])
             .then(a.cmp(&b)),
+        Placement::JoinShortestQueue => unreachable!("JSQ picks by depth"),
     };
     for (scheduled, &arrival) in (1..).zip(&config.arrivals) {
-        while waiting_starts
-            .front()
-            .is_some_and(|&start| start <= arrival)
-        {
-            waiting_starts.pop_front();
-        }
-        let free = (0..slots.len())
-            .filter(|&s| slots[s].0 <= arrival)
-            .min_by(|&a, &b| cost(slots[a].2, slots[b].2));
-        let slot = match free {
-            Some(slot) => slot,
-            None if waiting_starts.len() >= config.queue_capacity => {
-                dropped += 1;
-                continue;
-            }
-            None => (0..slots.len())
+        waiting_starts.retain(|&start| start > arrival);
+        in_system.retain(|&(end, _)| end > arrival);
+        // The earliest-freeing slot among `candidates`, ties going to the
+        // earliest-scheduled completion.
+        let earliest = |candidates: &mut dyn Iterator<Item = usize>| {
+            candidates
                 .min_by(|&a, &b| {
                     slots[a]
                         .0
                         .total_cmp(&slots[b].0)
                         .then(slots[a].1.cmp(&slots[b].1))
                 })
-                .expect("every pool has a slot"),
+                .expect("every pool has a slot")
         };
+        let slot = match placement {
+            Placement::JoinShortestQueue => {
+                let depth = |pool| in_system.iter().filter(|&&(_, p)| p == pool).count();
+                let shortest = (0..config.pools.len())
+                    .min_by_key(|&pool| (depth(pool), pool))
+                    .expect("at least one pool");
+                earliest(&mut (0..slots.len()).filter(|&s| slots[s].2 == shortest))
+            }
+            _ => (0..slots.len())
+                .filter(|&s| slots[s].0 <= arrival)
+                .min_by(|&a, &b| cost(slots[a].2, slots[b].2))
+                .unwrap_or_else(|| earliest(&mut (0..slots.len()))),
+        };
+        if slots[slot].0 > arrival && waiting_starts.len() >= config.queue_capacity {
+            dropped += 1;
+            continue;
+        }
         let pool = slots[slot].2;
         let start = arrival.max(slots[slot].0);
         if start > arrival {
-            waiting_starts.push_back(start);
+            waiting_starts.push(start);
         }
         let end = start + config.pools[pool].0;
         slots[slot] = (end, scheduled, pool);
+        in_system.push((end, pool));
         latencies.push(end - arrival);
         server_queries[pool] += 1;
         // Busy time and energy are billed when the query starts.
@@ -240,6 +261,24 @@ fn energy_aware_placement_matches_the_recursion_bit_for_bit() {
     }
     // The energy rule decides placements FCFS would make differently.
     assert!(not_lowest_id > 300, "{not_lowest_id} configurations differ");
+}
+
+#[test]
+fn jsq_placement_matches_the_recursion_bit_for_bit() {
+    let (mut drops, mut not_fcfs) = (0, 0);
+    for seed in 0..CONFIGURATIONS {
+        let config = configuration(seed);
+        let expected = recursion(&config, Placement::JoinShortestQueue);
+        let observed = engine(&config, seed, &mut JoinShortestQueue);
+        assert_eq!(observed, expected, "seed {seed}");
+        drops += usize::from(expected.dropped > 0);
+        let fcfs = recursion(&config, Placement::Fcfs);
+        not_fcfs += usize::from(fcfs.server_queries != expected.server_queries);
+    }
+    // Committing to a pool's own queue drops and places differently from
+    // waiting centrally for the first free slot.
+    assert!(drops > 500, "{drops} configurations dropped");
+    assert!(not_fcfs > 500, "{not_fcfs} configurations differ from FCFS");
 }
 
 #[test]
