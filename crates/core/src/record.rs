@@ -140,7 +140,9 @@ pub struct ServingStats {
     pub dropped: usize,
     /// Queued queries abandoned after exceeding the configured wait bound.
     pub timed_out: usize,
-    /// Fraction of arrivals lost to drops or timeouts.
+    /// Fraction of arrivals dropped or timed out. Queries that a failure
+    /// kills under `RecoveryPolicy::Drop` are lost too but not counted
+    /// here: they are `killed − readmitted` in [`FaultStats`].
     pub drop_rate: f64,
     /// Median latency.
     pub p50: Seconds,

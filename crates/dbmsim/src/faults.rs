@@ -347,9 +347,10 @@ impl FaultModel {
 }
 
 /// Lifecycle state of one pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum LifeState {
     /// Serving.
+    #[default]
     Online,
     /// Failed: unpowered while repairing, then powered warm-up until the
     /// restore event fires.
@@ -364,8 +365,8 @@ enum LifeState {
 /// the three spans the accounting needs: *unpowered* time (no idle power is
 /// metered), *fault downtime* (the availability metric: repair plus
 /// warm-up), and *parked* time (deliberate elastic downtime, excluded from
-/// the availability metric).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// the availability metric). The default is a pool online from time zero.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PoolLifecycle {
     state: LifeState,
     /// Start of the current state episode.
@@ -381,19 +382,6 @@ pub struct PoolLifecycle {
 }
 
 impl PoolLifecycle {
-    /// A pool online from time zero.
-    pub fn new() -> Self {
-        PoolLifecycle {
-            state: LifeState::Online,
-            since: 0.0,
-            repair_span: 0.0,
-            epoch: 0,
-            unpowered: 0.0,
-            fault_downtime: 0.0,
-            parked_time: 0.0,
-        }
-    }
-
     /// Whether the pool is serving.
     pub fn online(&self) -> bool {
         self.state == LifeState::Online
@@ -485,12 +473,6 @@ impl PoolLifecycle {
     /// Seconds the pool spent deliberately parked by the scale policy.
     pub fn parked_time(&self) -> f64 {
         self.parked_time
-    }
-}
-
-impl Default for PoolLifecycle {
-    fn default() -> Self {
-        PoolLifecycle::new()
     }
 }
 
@@ -611,7 +593,7 @@ mod tests {
 
     #[test]
     fn lifecycle_accrues_unpowered_fault_and_parked_spans() {
-        let mut life = PoolLifecycle::new();
+        let mut life = PoolLifecycle::default();
         assert!(life.online());
         // Fail at t=100 with a 50 s repair; warm-up until restore at t=170.
         life.fail(100.0, 50.0);
@@ -646,7 +628,7 @@ mod tests {
         // A restore that lands before the nominal repair span has elapsed
         // (e.g. a zero-warm-up model with a long repair clipped by the
         // engine) never counts more unpowered time than passed.
-        let mut life = PoolLifecycle::new();
+        let mut life = PoolLifecycle::default();
         life.fail(10.0, 100.0);
         life.restore(40.0);
         assert_eq!(life.fault_downtime(), 30.0);

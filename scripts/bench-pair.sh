@@ -207,7 +207,7 @@ echo "symbol sizes in bytes (nm -S), base -> head: a metric that moves while its
 echo "sources did not may be a function inlined into, or out of, its caller"
 for symbol in 'Simulation<E>::run' 'BinaryHeap<T,A>::push' 'BinaryHeap<T,A>::pop' \
   'ServingEngine as .*>::on_event' 'ServingEngine::admit' 'ServingEngine::start' \
-  'JoinShortestQueue as .*>::place' 'serving::simulate_serving' 'PhaseStats::close' \
+  'JoinShortestQueue as .*>::place' 'serving::(engine::)?simulate_serving' 'PhaseStats::close' \
   'hashjoin::hash_join_with' 'Table::from_lineitem'; do
   printf '%-36s %s -> %s\n' "$symbol" \
     "$(symbol_sizes "$work/base/benchmark/target/release/benchmark" "$symbol")" \

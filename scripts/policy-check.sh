@@ -39,7 +39,7 @@ work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 git archive "$(git rev-parse --verify "$rev^{commit}")" | tar -x -C "$work"
 
-lib=crates/dbmsim/src/serving.rs
+lib=crates/dbmsim/src/serving/mod.rs
 it=crates/dbmsim/tests/fault_properties.rs
 
 # seed <file> <regex> <line>...: insert the lines before the first line of
@@ -62,7 +62,7 @@ seed "$lib" '^#\[cfg\(test\)\]$' \
   '        unsafe { *(p as *const u8) }' \
   '    }' \
   '}'
-seed "$lib" '^use ' \
+seed "$lib" '^(pub )?use ' \
   'use std::collections::HashMap;' \
   'fn seeded_clock() -> std::time::Instant { std::time::Instant::now() }' \
   'fn seeded_worst(a: f64, b: f64) -> std::cmp::Ordering { a.partial_cmp(&b).unwrap() }' \
