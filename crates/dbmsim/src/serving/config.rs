@@ -178,8 +178,8 @@ pub struct RampSegment {
     pub qps: f64,
 }
 
-/// The open-loop arrival law — the seam that replaces the PR 7 hard-coded
-/// exponential gaps (the `dslab-faas` trace shape).
+/// The open-loop arrival law: constant-rate Poisson gaps, a replayed trace,
+/// or a piecewise-rate ramp (the `dslab-faas` trace shape).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalProcess {
     /// Memoryless arrivals at a constant mean rate.
