@@ -264,10 +264,7 @@ impl DesignAdvisor {
     /// normalization reference) instead of a full `(b, w)` grid — the shape
     /// serving sweeps use, where a handful of named designs compete under
     /// an SLA.
-    pub fn evaluate_designs(
-        &self,
-        designs: &[ClusterSpec],
-    ) -> Result<DesignSpaceReport, CoreError> {
+    fn evaluate_designs(&self, designs: &[ClusterSpec]) -> Result<DesignSpaceReport, CoreError> {
         let plan = self
             .plans
             .first()

@@ -160,18 +160,6 @@ pub struct ExperimentReport {
 }
 
 impl ExperimentReport {
-    /// All series produced by the named estimator.
-    pub fn by_estimator<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a RunSeries> {
-        self.series.iter().filter(move |s| s.estimator == name)
-    }
-
-    /// The single series for an (estimator, workload) pair, if present.
-    pub fn series_for(&self, estimator: &str, workload: &str) -> Option<&RunSeries> {
-        self.series
-            .iter()
-            .find(|s| s.estimator == estimator && s.workload == workload)
-    }
-
     /// Every record across all series.
     pub fn records(&self) -> impl Iterator<Item = &RunRecord> {
         self.series.iter().flat_map(|s| s.records.iter())

@@ -90,12 +90,19 @@ fn estimators_and_plans_cross_product_into_series() {
         .unwrap();
     // 2 estimators x 2 concurrency levels.
     assert_eq!(report.series.len(), 4);
-    assert_eq!(report.by_estimator("analytical").count(), 2);
-    assert_eq!(report.by_estimator("behavioural").count(), 2);
+    let by_estimator = |name: &str| {
+        report
+            .series
+            .iter()
+            .filter(|s| s.estimator == name)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(by_estimator("analytical").len(), 2);
+    assert_eq!(by_estimator("behavioural").len(), 2);
     assert_eq!(report.records().count(), 8);
     // Higher concurrency is slower under both lenses.
     for estimator in ["analytical", "behavioural"] {
-        let series: Vec<_> = report.by_estimator(estimator).collect();
+        let series = by_estimator(estimator);
         let t1 = series[0].records[0].response_time;
         let t2 = series[1].records[0].response_time;
         assert!(t2 > t1, "{estimator}: x2 batch not slower");
@@ -820,8 +827,7 @@ fn serving_lens_reports_fault_stats_and_inert_models_stay_byte_compatible() {
         .response_time
         .value();
     let window = Seconds(20.0 * solo);
-    let model =
-        FaultModel::scripted(Vec::new()).outage(0, Seconds(0.5 * solo), Seconds(2.0 * solo));
+    let model = FaultModel::new(0.0).outage(0, Seconds(0.5 * solo), Seconds(2.0 * solo));
     let churned = ServingWorkload::new(&sweep(), 1.0, window, 31)
         .trace_arrivals([Seconds(0.0)])
         .with_faults(model);

@@ -40,6 +40,14 @@
 //! into [`RunRecord`](crate::RunRecord) series — see
 //! [`ExperimentReport::read_json`](crate::ExperimentReport::read_json).
 //!
+//! **Who reads.** No library path reads a report back, but the reader is
+//! live code. The repository's `benchmark/` package parses its own result
+//! files and `BENCHMARK.json` with [`JsonValue::parse`] and walks them with
+//! the tree API; its `report_roundtrip` workload times the parse and the
+//! [`ExperimentReport::from_json`](crate::ExperimentReport::from_json)
+//! decode of a four-lens report; and core's round-trip tests hold
+//! `parse(to_json(v)) == v` and `read_json(write_json(r)) == r`.
+//!
 //! Panic policy: every *reader* path returns `Err` on malformed input —
 //! missing fields, wrong shapes, bad escapes, non-finite numbers — never
 //! panics; the only panics in this module are the two writer-side builder
@@ -453,7 +461,7 @@ impl JsonValue {
     }
 
     /// The boolean value, if `self` is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
+    fn as_bool(&self) -> Option<bool> {
         match self {
             JsonValue::Bool(b) => Some(*b),
             _ => None,
@@ -461,7 +469,7 @@ impl JsonValue {
     }
 
     /// The elements, if `self` is an array.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
+    fn as_array(&self) -> Option<&[JsonValue]> {
         match self {
             JsonValue::Array(items) => Some(items),
             _ => None,

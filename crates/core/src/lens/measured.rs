@@ -94,19 +94,6 @@ impl Measured {
         }
     }
 
-    /// Number of distinct `(design, options)` clusters currently cached.
-    pub fn cached_clusters(&self) -> usize {
-        self.cache.borrow().len()
-    }
-
-    /// Number of reference cardinalities memoised across the cached
-    /// clusters — which is also how many times the scalar reference join
-    /// has run.
-    pub fn cached_references(&self) -> usize {
-        let cache = self.cache.borrow();
-        cache.iter().map(|c| c.references.borrow().len()).sum()
-    }
-
     /// The cluster for `(design, options)`, loading and caching it on first
     /// use.
     fn cluster(
@@ -171,6 +158,21 @@ mod tests {
     use crate::model::SweepJoin;
     use eedc_pstore::JoinStrategy;
     use eedc_simkit::catalog::cluster_v_node;
+
+    impl Measured {
+        /// Number of distinct `(design, options)` clusters currently cached.
+        pub(crate) fn cached_clusters(&self) -> usize {
+            self.cache.borrow().len()
+        }
+
+        /// Number of reference cardinalities memoised across the cached
+        /// clusters — which is also how many times the scalar reference
+        /// join has run.
+        fn cached_references(&self) -> usize {
+            let cache = self.cache.borrow();
+            cache.iter().map(|c| c.references.borrow().len()).sum()
+        }
+    }
 
     fn options() -> RunOptions {
         RunOptions {

@@ -67,12 +67,9 @@ pub use workload::{
     WorkloadPlan,
 };
 // The serving arrival law and the fault/lifecycle model ride inside
-// `ServingParams`; re-export them so callers can build trace/ramp/churn
+// `ServingParams`; re-export them so callers can build trace and churn
 // workloads without naming `eedc_dbmsim`.
-pub use eedc_dbmsim::{
-    ArrivalProcess, FaultModel, FaultOutage, RampSegment, RecoveryPolicy, ScalePolicy,
-    TransitionCost,
-};
+pub use eedc_dbmsim::{ArrivalProcess, FaultModel, RecoveryPolicy, ScalePolicy, TransitionCost};
 
 pub mod params {
     //! Published parameters of the Section 5.4 model sweeps.

@@ -309,8 +309,8 @@ enum Movement {
     /// node never crosses the network (mirrors `eedc_netsim::shuffle_flows`).
     Shuffle,
     /// Broadcast: every node sends its full qualifying bytes to every
-    /// destination other than itself (mirrors
-    /// `eedc_netsim::broadcast_flows`).
+    /// destination other than itself (mirrors the flows of
+    /// `eedc_pstore::op::broadcast_exchange`).
     Broadcast,
     /// Nothing crosses the network. Each node consumes its own qualifying
     /// bytes — or, `weighted`, node `j` of a co-partitioned layout holds
@@ -456,8 +456,8 @@ mod tests {
     }
 
     /// Closed-form per-node volumes of a broadcast: every node sends its full
-    /// qualifying bytes to every destination other than itself (mirrors
-    /// `eedc_netsim::broadcast_flows`).
+    /// qualifying bytes to every destination other than itself (mirrors the
+    /// flows of `eedc_pstore::op::broadcast_exchange`).
     fn broadcast_volumes(qualifying: &[Megabytes], destinations: &[usize]) -> MovementVolumes {
         let n = qualifying.len();
         let d = destinations.len() as f64;

@@ -19,7 +19,7 @@
 //!   SF-1000 scale-down studies of Figures 1–2.
 
 use crate::model::SweepJoin;
-use eedc_dbmsim::{ArrivalProcess, FaultModel, RampSegment, ServingConfig};
+use eedc_dbmsim::{ArrivalProcess, FaultModel, ServingConfig};
 use eedc_pstore::{JoinQuerySpec, JoinSkew, JoinStrategy, RunOptions};
 use eedc_simkit::units::Seconds;
 use eedc_tpch::{QueryId, QueryProfile, ScaleFactor, TpchTable};
@@ -395,18 +395,6 @@ impl ServingWorkload {
         self
     }
 
-    /// Drive arrivals with a piecewise-constant-rate diurnal ramp given as
-    /// `(segment duration, qps)` pairs (replaces any QPS sweep).
-    pub fn diurnal_ramp(mut self, segments: impl IntoIterator<Item = (Seconds, f64)>) -> Self {
-        self.params.config.arrival = ArrivalProcess::Ramp(
-            segments
-                .into_iter()
-                .map(|(duration, qps)| RampSegment { duration, qps })
-                .collect(),
-        );
-        self
-    }
-
     /// Let each node pool serve `limit` queries at once on dedicated slots;
     /// the `Serving` lens re-prices its per-query profiles at this
     /// concurrency through the inner estimator.
@@ -490,6 +478,7 @@ impl Workload for ServingWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eedc_dbmsim::RampSegment;
     use eedc_simkit::units::Megabytes;
 
     fn base() -> SweepJoin {
@@ -613,10 +602,14 @@ mod tests {
         assert_eq!(params.pool_concurrency, 4);
         assert!(plans[0].label.ends_with("@trace"), "{}", plans[0].label);
 
-        // A diurnal ramp builds segments from (duration, qps) pairs.
-        let ramped = ServingWorkload::new(&sweep, 0.5, Seconds(300.0), 7)
-            .diurnal_ramp([(Seconds(100.0), 0.1), (Seconds(200.0), 2.0)])
-            .processor_sharing();
+        // A diurnal ramp fixes the load the same way.
+        let mut ramped = ServingWorkload::new(&sweep, 0.5, Seconds(300.0), 7).processor_sharing();
+        let segment = |duration, qps| RampSegment {
+            duration: Seconds(duration),
+            qps,
+        };
+        ramped.params.config.arrival =
+            ArrivalProcess::Ramp(vec![segment(100.0, 0.1), segment(200.0, 2.0)]);
         let plans = ramped.plans();
         assert_eq!(plans.len(), 1);
         let params = plans[0].serving.as_ref().unwrap();

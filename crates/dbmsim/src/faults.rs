@@ -247,14 +247,6 @@ impl FaultModel {
         }
     }
 
-    /// A purely scripted model: no hazard process, outages from `trace`.
-    pub fn scripted(trace: Vec<FaultOutage>) -> Self {
-        FaultModel {
-            trace,
-            ..FaultModel::new(0.0)
-        }
-    }
-
     /// Add one scripted outage.
     pub fn outage(mut self, pool: usize, at: Seconds, duration: Seconds) -> Self {
         self.trace.push(FaultOutage { pool, at, duration });

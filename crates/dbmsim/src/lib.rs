@@ -89,7 +89,4 @@ pub use serving::{
     PoolView, PowerOfTwoChoices, RampSegment, RandomScheduler, Scheduler, ServiceDistribution,
     ServiceMode, ServiceProfile, ServingConfig, ServingResult, ServingServer,
 };
-pub use trace::{
-    busy_share_from_utilization, utilization_from_busy_share, BusyShares, TracePhase,
-    UtilizationTrace,
-};
+pub use trace::{utilization_from_busy_share, BusyShares, TracePhase, UtilizationTrace};

@@ -87,7 +87,7 @@ impl BehaviouralModel {
 
     /// Fraction of the predicted execution at `nodes` nodes spent on
     /// node-local (CPU-busy) work; the remainder is network-bound stall.
-    pub fn local_share(&self, nodes: usize) -> f64 {
+    fn local_share(&self, nodes: usize) -> f64 {
         let rel = self.relative_response_time(nodes);
         if rel <= f64::EPSILON {
             return 1.0;

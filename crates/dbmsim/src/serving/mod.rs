@@ -677,7 +677,7 @@ mod tests {
     #[test]
     fn scripted_outage_kills_and_replays() {
         let servers = vec![server("s", &[Some((10.0, 100.0))], 50.0)];
-        let model = FaultModel::scripted(Vec::new())
+        let model = FaultModel::new(0.0)
             .outage(0, Seconds(5.0), Seconds(2.0))
             .restart_cost(TransitionCost {
                 time: Seconds(1.0),
@@ -715,7 +715,7 @@ mod tests {
     fn checkpoint_recovery_redoes_less_than_replay() {
         let servers = vec![server("s", &[Some((10.0, 100.0))], 50.0)];
         let scenario = |recovery: RecoveryPolicy| {
-            let model = FaultModel::scripted(Vec::new())
+            let model = FaultModel::new(0.0)
                 .outage(0, Seconds(5.0), Seconds(2.0))
                 .restart_cost(TransitionCost {
                     time: Seconds(1.0),
@@ -745,7 +745,7 @@ mod tests {
     #[test]
     fn drop_recovery_loses_killed_queries() {
         let servers = vec![server("s", &[Some((10.0, 100.0))], 50.0)];
-        let model = FaultModel::scripted(Vec::new())
+        let model = FaultModel::new(0.0)
             .outage(0, Seconds(5.0), Seconds(2.0))
             .recovery(RecoveryPolicy::Drop);
         let config = ServingConfig::new(1.0, Seconds(10.0), 1)

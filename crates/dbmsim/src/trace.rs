@@ -28,8 +28,9 @@
 //! `G` (the `G_B` / `G_W` constants of Table 3). The paper's Section 3
 //! utilization model is `u = G + busy · (1 − G)`: a fully stalled node
 //! reads `G`, a fully busy node reads 1. [`utilization_from_busy_share`]
-//! and [`busy_share_from_utilization`] are the two directions of that map,
-//! and they round-trip exactly for any utilization in `[G, 1]` — which is
+//! and its inverse, which a trace export applies per node, are the two
+//! directions of that map, and they round-trip exactly for any utilization
+//! in `[G, 1]` — which is
 //! why a trace exported from a measured run replays to the measured energy
 //! (see the cross-lens validation in `eedc-core`).
 
@@ -49,7 +50,7 @@ pub fn utilization_from_busy_share(share: f64, floor: f64) -> f64 {
 /// of `floor` (0 when the floor already covers the utilization; 1 at full
 /// utilization). Exact inverse of [`utilization_from_busy_share`] on
 /// `[floor, 1]`.
-pub fn busy_share_from_utilization(utilization: f64, floor: f64) -> f64 {
+fn busy_share_from_utilization(utilization: f64, floor: f64) -> f64 {
     let floor = floor.clamp(0.0, 1.0);
     if 1.0 - floor <= f64::EPSILON {
         return 0.0;
@@ -218,8 +219,9 @@ impl UtilizationTrace {
     /// of a measured `PStoreCluster` run or of an analytical prediction.
     ///
     /// Per-node CPU busy shares are recovered exactly from the per-node
-    /// utilizations via [`busy_share_from_utilization`], so replaying the
-    /// trace over the same nodes reproduces the execution's energy. Network
+    /// utilizations via the inverse of [`utilization_from_busy_share`], so
+    /// replaying the trace over the same nodes reproduces the execution's
+    /// energy. Network
     /// shares are per-node: each node's egress/ingress volumes and the
     /// resulting port-serialization time ride along in the stats, so a node
     /// that shipped nothing carries a zero network share instead of the

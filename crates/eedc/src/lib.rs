@@ -18,8 +18,8 @@
 //!   models under an engine behaviour: the pipelined P-store engine or the
 //!   disk-staging, mid-query-restarting DBMS-X engine of Section 3.2,
 //! * [`Serving`] — an open-loop query stream (wrap the workload in a
-//!   [`ServingWorkload`]; Poisson, recorded-trace, or diurnal-ramp arrivals
-//!   via [`ArrivalProcess`]) through the discrete-event serving simulator:
+//!   [`ServingWorkload`]; Poisson or recorded-trace arrivals via
+//!   [`ArrivalProcess`]) through the discrete-event serving simulator:
 //!   admission queueing, concurrency-limited or processor-sharing pools,
 //!   FCFS / energy-aware / join-shortest-queue / power-of-two-choices
 //!   placement, latency percentiles and energy-per-query.
@@ -89,10 +89,9 @@ pub use eedc_tpch as tpch;
 // level so examples and downstream code write `eedc::Experiment`.
 pub use eedc_core::{
     Analytical, ArrivalProcess, Behavioural, ConcurrencySweep, DesignAdvisor, DesignSpace,
-    Estimator, Experiment, ExperimentReport, FaultModel, FaultOutage, FaultStats, Measured,
-    ProfiledQuery, RampSegment, RecoveryPolicy, RunRecord, RunSeries, ScalePolicy, Serving,
-    ServingStats, ServingWorkload, SkewedJoin, SweepJoin, Traced, TransitionCost, Workload,
-    WorkloadPlan,
+    Estimator, Experiment, ExperimentReport, FaultModel, FaultStats, Measured, ProfiledQuery,
+    RecoveryPolicy, RunRecord, RunSeries, ScalePolicy, Serving, ServingStats, ServingWorkload,
+    SkewedJoin, SweepJoin, Traced, TransitionCost, Workload, WorkloadPlan,
 };
 
 #[cfg(test)]

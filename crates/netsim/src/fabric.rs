@@ -42,11 +42,6 @@ impl Fabric {
         Self::from_ports(vec![port_bandwidth; nodes])
     }
 
-    /// The paper's 1 Gb/s gigabit-switch fabric (100 MB/s full-duplex ports).
-    pub fn gigabit(nodes: usize) -> Result<Self, NetError> {
-        Self::uniform(nodes, MegabytesPerSec::from_gigabits_per_sec(0.8))
-    }
-
     /// Number of nodes attached to the fabric.
     pub fn len(&self) -> usize {
         self.ports.len()
@@ -87,6 +82,14 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Fabric {
+        /// The paper's 1 Gb/s gigabit-switch fabric: 0.8 Gb/s of goodput,
+        /// i.e. 100 MB/s full-duplex ports.
+        pub(crate) fn gigabit(nodes: usize) -> Result<Self, NetError> {
+            Self::uniform(nodes, MegabytesPerSec(100.0))
+        }
+    }
 
     #[test]
     fn uniform_fabric_has_identical_ports() {

@@ -23,10 +23,11 @@
 //! and per-node busy intervals that the execution layers convert into CPU
 //! stall time (and therefore energy).
 //!
-//! The [`transfer`] module also contains constructors for the two transfer
-//! patterns that the paper's joins need: hash-repartition *shuffles* and
-//! small-table *broadcasts*, both in homogeneous (all nodes build hash
-//! tables) and heterogeneous (only Beefy nodes build) variants.
+//! The [`transfer`] module also builds the hash-repartition *shuffle* the
+//! paper's joins need, in homogeneous (all nodes build hash tables) and
+//! heterogeneous (only Beefy nodes build) variants; `eedc-pstore`'s
+//! exchange operator emits the flows of its small-table *broadcasts*
+//! itself.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -44,4 +45,4 @@ pub use error::NetError;
 pub use fabric::{Fabric, NodeId};
 pub use fairshare::{FairShareAllocation, FlowRate};
 pub use flow::{Flow, FlowId, FlowSet};
-pub use transfer::{broadcast_flows, shuffle_flows, TransferOutcome, TransferSimulator};
+pub use transfer::{shuffle_flows, TransferOutcome, TransferSimulator};

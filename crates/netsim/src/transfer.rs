@@ -43,30 +43,6 @@ pub fn shuffle_flows(qualifying: &[Megabytes], destinations: &[NodeId], group: u
     set
 }
 
-/// Build the flow set of a *broadcast*: every node sends its full qualifying
-/// data to every destination other than itself. This reproduces the paper's
-/// algorithmic bottleneck (Section 4.1): each of the `N` destinations must
-/// receive roughly the entire table — `(N−1)/N` of it — regardless of how
-/// many nodes participate, so broadcasts do not get faster with more nodes.
-pub fn broadcast_flows(qualifying: &[Megabytes], destinations: &[NodeId], group: usize) -> FlowSet {
-    let mut set = FlowSet::new();
-    for (source, &bytes) in qualifying.iter().enumerate() {
-        if bytes.value() <= 0.0 {
-            continue;
-        }
-        for &destination in destinations {
-            if destination == source {
-                // The local copy is free; record it so byte accounting stays
-                // exact, as a local flow.
-                set.push(Flow::with_group(source, source, bytes, group));
-            } else {
-                set.push(Flow::with_group(source, destination, bytes, group));
-            }
-        }
-    }
-    set
-}
-
 /// The result of simulating a transfer to completion.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransferOutcome {
@@ -248,9 +224,12 @@ mod tests {
         let mut times = Vec::new();
         for n in [4usize, 8usize] {
             let fabric = Fabric::uniform(n, MegabytesPerSec(l)).unwrap();
-            let dests: Vec<NodeId> = (0..n).collect();
-            let per_node = total_table / n as f64;
-            let flows = broadcast_flows(&uniform(per_node, n), &dests, 0);
+            let per_node = Megabytes(total_table / n as f64);
+            // Every node sends its share to every node, itself included as
+            // a local flow.
+            let flows = FlowSet::from_flows(
+                (0..n).flat_map(|from| (0..n).map(move |to| Flow::new(from, to, per_node))),
+            );
             let outcome = TransferSimulator::new(&fabric).run(&flows).unwrap();
             // Each node receives (n-1)/n of the table over its ingress port.
             let expected = total_table * (n as f64 - 1.0) / (n as f64 * l);
@@ -334,9 +313,5 @@ mod tests {
         assert!((shuffle.total_bytes().value() - 600.0).abs() < 1e-9);
         // Shuffle network bytes: each node keeps 1/3 locally.
         assert!((shuffle.network_bytes().value() - 400.0).abs() < 1e-9);
-        let broadcast = broadcast_flows(&qualifying, &all, 0);
-        // Broadcast: every node receives the full 600 MB (local copy included).
-        assert!((broadcast.total_bytes().value() - 1800.0).abs() < 1e-9);
-        assert!((broadcast.network_bytes().value() - 1200.0).abs() < 1e-9);
     }
 }

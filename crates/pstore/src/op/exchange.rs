@@ -25,12 +25,38 @@ pub struct ExchangeOutput {
     pub flows: FlowSet,
 }
 
-fn empty_like(template: &Table, node: usize, label: &str) -> Table {
-    Table::with_capacity(
-        format!("{}_{label}_node{node}", template.name()),
-        template.schema().clone(),
-        0,
-    )
+/// The prologue both exchanges share: check `destinations` against the
+/// cluster of `inputs.len()` nodes, and give every node an empty table shaped
+/// like the first input fragment, named after the `operator`. Returns that
+/// template fragment and the tables.
+fn receivers<'a>(
+    inputs: &'a [Table],
+    destinations: &[NodeId],
+    operator: &str,
+) -> Result<(&'a Table, Vec<Table>), PStoreError> {
+    if destinations.is_empty() {
+        return Err(PStoreError::planning(format!(
+            "{operator} needs at least one destination node"
+        )));
+    }
+    let nodes = inputs.len();
+    for &d in destinations {
+        if d >= nodes {
+            return Err(PStoreError::planning(format!(
+                "destination node {d} outside cluster of {nodes} nodes"
+            )));
+        }
+    }
+    let template = inputs.first().ok_or_else(|| {
+        PStoreError::planning(format!("{operator} needs at least one input fragment"))
+    })?;
+    let received = (0..nodes)
+        .map(|node| {
+            let name = format!("{}_{operator}_node{node}", template.name());
+            Table::with_capacity(name, template.schema().clone(), 0)
+        })
+        .collect();
+    Ok((template, received))
 }
 
 /// Hash-shuffle the per-node `inputs` on integer key column `key` across
@@ -42,25 +68,7 @@ pub fn shuffle_exchange(
     destinations: &[NodeId],
     group: usize,
 ) -> Result<ExchangeOutput, PStoreError> {
-    if destinations.is_empty() {
-        return Err(PStoreError::planning(
-            "shuffle needs at least one destination node",
-        ));
-    }
-    let nodes = inputs.len();
-    for &d in destinations {
-        if d >= nodes {
-            return Err(PStoreError::planning(format!(
-                "destination node {d} outside cluster of {nodes} nodes"
-            )));
-        }
-    }
-    let template = inputs
-        .first()
-        .ok_or_else(|| PStoreError::planning("shuffle needs at least one input fragment"))?;
-    let mut received: Vec<Table> = (0..nodes)
-        .map(|n| empty_like(template, n, "shuffle"))
-        .collect();
+    let (template, mut received) = receivers(inputs, destinations, "shuffle")?;
     let mut flows = FlowSet::new();
     let row_bytes: u64 = template
         .schema()
@@ -96,25 +104,7 @@ pub fn broadcast_exchange(
     destinations: &[NodeId],
     group: usize,
 ) -> Result<ExchangeOutput, PStoreError> {
-    if destinations.is_empty() {
-        return Err(PStoreError::planning(
-            "broadcast needs at least one destination node",
-        ));
-    }
-    let nodes = inputs.len();
-    for &d in destinations {
-        if d >= nodes {
-            return Err(PStoreError::planning(format!(
-                "destination node {d} outside cluster of {nodes} nodes"
-            )));
-        }
-    }
-    let template = inputs
-        .first()
-        .ok_or_else(|| PStoreError::planning("broadcast needs at least one input fragment"))?;
-    let mut received: Vec<Table> = (0..nodes)
-        .map(|n| empty_like(template, n, "broadcast"))
-        .collect();
+    let (_, mut received) = receivers(inputs, destinations, "broadcast")?;
     let mut flows = FlowSet::new();
 
     for (source, input) in inputs.iter().enumerate() {
@@ -157,9 +147,7 @@ mod tests {
         destinations: &[NodeId],
         group: usize,
     ) -> ExchangeOutput {
-        let mut received: Vec<Table> = (0..inputs.len())
-            .map(|n| empty_like(&inputs[0], n, "shuffle"))
-            .collect();
+        let (_, mut received) = receivers(inputs, destinations, "shuffle").unwrap();
         let mut flows = FlowSet::new();
         for (source, input) in inputs.iter().enumerate() {
             let indices =

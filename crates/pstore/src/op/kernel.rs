@@ -20,17 +20,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Default morsel size in rows. 16K rows of the paper's 20-byte projected
 /// tuples is ~320 KB — comfortably inside an L2 cache while still coarse
 /// enough that cursor traffic is negligible (one atomic op per ~16K rows).
-pub const DEFAULT_MORSEL_ROWS: usize = 16_384;
+const DEFAULT_MORSEL_ROWS: usize = 16_384;
 
 /// Default number of radix bits. 2^4 = 16 partitions keeps each partition's
 /// open-addressing table small enough to stay cache-resident for the
 /// paper-scale build sides (10 MB) without paying partitioning overhead on
 /// tiny inputs.
-pub const DEFAULT_RADIX_BITS: u8 = 4;
+const DEFAULT_RADIX_BITS: u8 = 4;
 
 /// Upper bound on radix bits (4096 partitions); beyond this the per-partition
 /// bookkeeping dominates any locality win at the data sizes this engine runs.
-pub const MAX_RADIX_BITS: u8 = 12;
+const MAX_RADIX_BITS: u8 = 12;
 
 /// Number of probe worker threads to use when the caller does not pin one:
 /// the machine's available parallelism, clamped to `[1, 16]`.

@@ -29,13 +29,13 @@
 //!    A worker adds up the multiplicity of each probe row's key; nothing is
 //!    written per match.
 //!
-//! Defaults ([`kernel::DEFAULT_MORSEL_ROWS`] = 16384 rows,
-//! [`kernel::DEFAULT_RADIX_BITS`] = 4): a 16K-row morsel of the paper's
-//! 20-byte tuples is ~320 KB (cache-resident, one atomic claim per ~16K
-//! rows), and 16 partitions keep each partition's table small enough to stay
-//! cache-resident at the paper's 10 MB build sizes without making tiny
-//! builds pay for partitioning. Both are overridable per join via
-//! [`kernel::JoinKernelConfig`]; every configuration and every thread count
+//! Defaults ([`kernel::JoinKernelConfig`]'s `Default`: 16384-row morsels,
+//! 4 radix bits): a 16K-row morsel of the paper's 20-byte tuples is ~320 KB
+//! (cache-resident, one atomic claim per ~16K rows), and 16 partitions keep
+//! each partition's table small enough to stay cache-resident at the
+//! paper's 10 MB build sizes without making tiny builds pay for
+//! partitioning. Both are overridable per join through the same config;
+//! every configuration and every thread count
 //! yields the same `output_rows`, since it is a sum of per-row counts.
 
 pub mod exchange;

@@ -128,7 +128,7 @@ pub struct JoinSkew {
 impl JoinSkew {
     /// Default join-key domain: the ORDERS key space of a small engine-scale
     /// run is O(10^5) distinct keys, which keeps weight evaluation cheap.
-    pub const DEFAULT_KEY_DOMAIN: u64 = 100_000;
+    const DEFAULT_KEY_DOMAIN: u64 = 100_000;
 
     /// A Zipf skew with the given exponent over the default key domain.
     pub fn zipf(theta: f64) -> Self {

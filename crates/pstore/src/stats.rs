@@ -4,7 +4,7 @@
 use crate::cluster::ClusterSpec;
 use crate::plan::JoinStrategy;
 use eedc_simkit::metrics::Measurement;
-use eedc_simkit::units::{Joules, Megabytes, MegabytesPerSec, Seconds, Watts};
+use eedc_simkit::units::{Joules, Megabytes, MegabytesPerSec, Seconds};
 use std::fmt;
 use std::ops::Range;
 
@@ -293,15 +293,6 @@ impl PhaseStats {
         }
     }
 
-    /// Average cluster power during the phase.
-    pub fn average_power(&self) -> Watts {
-        if self.duration.value() <= f64::EPSILON {
-            Watts::zero()
-        } else {
-            self.energy / self.duration
-        }
-    }
-
     /// Fraction of the phase the slowest producer spent scanning, in
     /// `[0, 1]` — the scan busy share a utilization-trace export carries
     /// (see `eedc_dbmsim::trace`).
@@ -409,7 +400,19 @@ impl QueryExecution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eedc_simkit::units::Watts;
     use eedc_simkit::NodeSpec;
+
+    impl PhaseStats {
+        /// Average cluster power during the phase.
+        pub(crate) fn average_power(&self) -> Watts {
+            if self.duration.value() <= f64::EPSILON {
+                Watts::zero()
+            } else {
+                self.energy / self.duration
+            }
+        }
+    }
 
     fn phase(label: &str, duration: f64, energy: f64, bottleneck: Bottleneck) -> PhaseStats {
         PhaseStats {

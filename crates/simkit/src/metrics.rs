@@ -110,28 +110,18 @@ impl NormalizedPoint {
         }
     }
 
-    /// Normalized EDP relative to the reference: `(E/E_ref)·(T/T_ref)`,
-    /// i.e. `energy / performance`. The constant-EDP curve is the set of
-    /// points where this equals 1.
-    pub fn edp_ratio(&self) -> f64 {
-        if self.performance <= f64::EPSILON {
-            f64::INFINITY
-        } else {
-            self.energy / self.performance
-        }
-    }
-
-    /// Whether the point lies strictly below the constant-EDP curve — the
-    /// favourable region where the relative energy saving exceeds the relative
-    /// performance loss.
-    pub fn is_below_edp(&self) -> bool {
+    /// Whether the point lies strictly below the constant-EDP curve (where
+    /// `energy / performance`, the EDP relative to the reference, is 1) —
+    /// the favourable region where the relative energy saving exceeds the
+    /// relative performance loss.
+    fn is_below_edp(&self) -> bool {
         self.energy + EDP_EPSILON < self.performance
     }
 
     /// Whether the point lies strictly above the constant-EDP curve — the
     /// unfavourable region where more performance is given up than energy is
     /// saved.
-    pub fn is_above_edp(&self) -> bool {
+    fn is_above_edp(&self) -> bool {
         self.energy > self.performance + EDP_EPSILON
     }
 }
@@ -191,7 +181,7 @@ mod tests {
             energy: 0.84,
         };
         assert!(p.is_above_edp());
-        assert!((p.edp_ratio() - 0.84 / 0.76).abs() < 1e-12);
+        assert_eq!(p.to_string(), "perf 0.760, energy 0.840 (above EDP)");
     }
 
     #[test]
@@ -203,7 +193,7 @@ mod tests {
             energy: 0.55,
         };
         assert!(p.is_below_edp());
-        assert!(p.edp_ratio() < 1.0);
+        assert_eq!(p.to_string(), "perf 0.900, energy 0.550 (below EDP)");
     }
 
     #[test]
@@ -214,7 +204,7 @@ mod tests {
         };
         assert!(!p.is_below_edp());
         assert!(!p.is_above_edp());
-        assert!((p.edp_ratio() - 1.0).abs() < 1e-12);
+        assert_eq!(p.to_string(), "perf 0.700, energy 0.700 (on EDP)");
     }
 
     #[test]

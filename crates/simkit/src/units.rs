@@ -219,14 +219,6 @@ impl Megabytes {
     }
 }
 
-impl MegabytesPerSec {
-    /// Convert a link speed in gigabits per second to megabytes per second
-    /// (decimal units: 1 Gb/s = 125 MB/s).
-    pub fn from_gigabits_per_sec(gbps: f64) -> Self {
-        MegabytesPerSec(gbps * 125.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,10 +262,6 @@ mod tests {
         assert_eq!(Megabytes::from_gigabytes(1.5), Megabytes(1500.0));
         assert_eq!(Megabytes::from_bytes(2_000_000), Megabytes(2.0));
         assert!((Megabytes(1500.0).as_gigabytes() - 1.5).abs() < 1e-12);
-        assert_eq!(
-            MegabytesPerSec::from_gigabits_per_sec(1.0),
-            MegabytesPerSec(125.0)
-        );
         assert!((Joules(2500.0).as_kilojoules() - 2.5).abs() < 1e-12);
     }
 

@@ -39,7 +39,7 @@ impl TpchTable {
 
     /// Average full-width row size in bytes (TPC-H specification estimates,
     /// uncompressed).
-    pub fn average_row_bytes(self) -> u32 {
+    fn average_row_bytes(self) -> u32 {
         match self {
             TpchTable::Lineitem => 112,
             TpchTable::Orders => 121,

@@ -22,6 +22,9 @@ echo "== benchmark: tests + quick run + figures data =="
 cargo test --release --manifest-path benchmark/Cargo.toml
 cargo run --release --manifest-path benchmark/Cargo.toml -- run --quick
 cargo run --locked --release -p eedc --bin figures -- figures-data
+# The committed figures-data/ must be what `figures` just wrote.
+git diff --exit-code -- figures-data
+test -z "$(git status --porcelain -- figures-data)"
 
 echo "all gates passed"
 echo "== size (informational; compare with scripts/loc.sh <base-rev>) =="
